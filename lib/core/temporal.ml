@@ -26,16 +26,6 @@ let af f = Au (True, f)
 let eg f = Not (Au (True, Not f))
 let ag f = Not (Eu (True, Not f))
 
-(* successor indices of each computation: its one-event extensions that
-   are stored in the universe (canonical mode: the canonical form of
-   each extension) *)
-let successors u =
-  let spec = Universe.spec u in
-  Array.init (Universe.size u) (fun i ->
-      let z = Universe.comp u i in
-      List.filter_map (fun z' -> Universe.find u z') (Spec.extensions spec z)
-      |> List.sort_uniq Int.compare)
-
 let eval_ctl ~size ~succ ~atom formula =
   let rec eval = function
     | True -> Bitset.create_full size
@@ -46,22 +36,24 @@ let eval_ctl ~size ~succ ~atom formula =
     | Or (a, b) -> Bitset.union (eval a) (eval b)
     | Ex f ->
         let s = eval f in
-        Bitset.of_pred size (fun i -> List.exists (Bitset.mem s) succ.(i))
+        Bitset.of_pred size (fun i -> Array.exists (Bitset.mem s) succ.(i))
     | Ax f ->
         let s = eval f in
-        Bitset.of_pred size (fun i -> List.for_all (Bitset.mem s) succ.(i))
+        Bitset.of_pred size (fun i -> Array.for_all (Bitset.mem s) succ.(i))
     | Eu (a, b) ->
-        (* least fixpoint: b ∪ (a ∩ EX result) — iterate upward *)
+        (* least fixpoint: b ∪ (a ∩ EX result). Successors sit at higher
+           indices (BFS order), so a downward sweep settles in one pass
+           and the second only confirms it *)
         let sa = eval a and sb = eval b in
         let result = Bitset.copy sb in
         let changed = ref true in
         while !changed do
           changed := false;
-          for i = 0 to size - 1 do
+          for i = size - 1 downto 0 do
             if
               (not (Bitset.mem result i))
               && Bitset.mem sa i
-              && List.exists (Bitset.mem result) succ.(i)
+              && Array.exists (Bitset.mem result) succ.(i)
             then begin
               Bitset.add result i;
               changed := true
@@ -77,12 +69,12 @@ let eval_ctl ~size ~succ ~atom formula =
         let changed = ref true in
         while !changed do
           changed := false;
-          for i = 0 to size - 1 do
+          for i = size - 1 downto 0 do
             if
               (not (Bitset.mem result i))
               && Bitset.mem sa i
-              && succ.(i) <> []
-              && List.for_all (Bitset.mem result) succ.(i)
+              && Array.length succ.(i) > 0
+              && Array.for_all (Bitset.mem result) succ.(i)
             then begin
               Bitset.add result i;
               changed := true
@@ -133,7 +125,7 @@ let check_sym u g formula =
             | Some kk -> Some ((j * go) + kk)
             | None -> None)
           qsucc.(i)
-        |> List.sort_uniq Int.compare)
+        |> List.sort_uniq Int.compare |> Array.of_list)
   in
   let atom b = Bitset.of_pred nn (fun idx -> Prop.eval b traces.(idx)) in
   let full = eval_ctl ~size:nn ~succ ~atom formula in
@@ -143,7 +135,7 @@ let check u formula =
   match Universe.symmetry u with
   | Some g when not (Symmetry.is_trivial g) -> check_sym u g formula
   | _ ->
-      eval_ctl ~size:(Universe.size u) ~succ:(successors u)
+      eval_ctl ~size:(Universe.size u) ~succ:(Universe.successors u)
         ~atom:(Prop.extent u) formula
 
 let holds_at u f z = Bitset.mem (check u f) (Universe.find_exn u z)

@@ -50,7 +50,10 @@ val au : t -> t -> t
 
 val check : Universe.t -> t -> Bitset.t
 (** The set of computations satisfying the formula (extensional, like
-    {!Prop.extent}); memoize externally if evaluating many formulas. *)
+    {!Prop.extent}). The branching relation is {!Universe.successors},
+    memoized on the universe, so only the first temporal operator
+    evaluated on a universe pays for it. A symmetry-reduced universe is
+    checked on its orbit-expansion pair graph instead. *)
 
 val holds_at : Universe.t -> t -> Trace.t -> bool
 (** Satisfaction at one computation. Raises [Not_found] outside the

@@ -21,10 +21,12 @@ let nth z i =
   if i < 0 || i >= z.len then invalid_arg "Trace.nth: out of bounds";
   List.nth z.rev (z.len - 1 - i)
 
-(* The cached hash is a fast-path reject: unequal hashes cannot be equal
-   traces, equal hashes fall through to the structural check. *)
+(* Physical equality is the fast accept (a lookup of a stored
+   computation probes with the stored value itself), the cached hash
+   the fast reject: unequal hashes cannot be equal traces, equal hashes
+   fall through to the structural check. *)
 let equal a b =
-  a.len = b.len && a.h = b.h && List.equal Event.equal a.rev b.rev
+  a == b || (a.len = b.len && a.h = b.h && List.equal Event.equal a.rev b.rev)
 
 let compare a b =
   let c = Int.compare a.len b.len in

@@ -40,6 +40,35 @@ module StepTbl = Hashtbl.Make (struct
   let hash (i, e) = Hashtbl.hash (i, Event.hash e)
 end)
 
+type trie = { steps : int StepTbl.t array; next_ids : int array }
+
+let trie_create n =
+  { steps = Array.init n (fun _ -> StepTbl.create 64); next_ids = Array.make n 1 }
+
+(* class id 0 is the empty projection; every distinct one-event
+   extension of an interned projection gets the next id on first sight,
+   in discovery order *)
+let trie_intern t pi parent_id e =
+  let key = (parent_id, e) in
+  match StepTbl.find_opt t.steps.(pi) key with
+  | Some id -> id
+  | None ->
+      let id = t.next_ids.(pi) in
+      t.next_ids.(pi) <- id + 1;
+      StepTbl.add t.steps.(pi) key id;
+      id
+
+(* What a finished universe keeps of the trie: per process, each class
+   id's immediate-prefix class id (-1 for the empty projection). The
+   step tables themselves, with their boxed keys, are dropped. *)
+let trie_parents t =
+  Array.mapi
+    (fun pi tbl ->
+      let parent = Array.make t.next_ids.(pi) (-1) in
+      StepTbl.iter (fun (parent_id, _) id -> parent.(id) <- parent_id) tbl;
+      parent)
+    t.steps
+
 type t = {
   spec : Spec.t;
   mode : mode;
@@ -49,12 +78,14 @@ type t = {
   comps : Trace.t array;
   idx : int TraceTbl.t;
   class_ids_by_pid : int array array; (* pid index -> comp index -> class id *)
+  trie_parent : int array array; (* pid index -> class id -> prefix class id *)
   orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
   rep_sigma : Symmetry.perm array option;
       (* sym: per index, the σ whose action on the stored representative
          attains its orbit key *)
   pset_ids_memo : (int list, int array) Hashtbl.t;
   classes_memo : (int list, Bitset.t array) Hashtbl.t;
+  mutable succ_memo : int array array option;
 }
 
 (* --- canonical linearizations ------------------------------------- *)
@@ -160,22 +191,7 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
     | _ -> ()
   in
   let n = Spec.n spec in
-  let step_tbls = Array.init n (fun _ -> StepTbl.create 64) in
-  let next_ids = Array.make n 1 in
-  (* class id 0 is the empty projection; every distinct one-event
-     extension of an interned projection gets the next id on first
-     sight, in discovery order — the same first-occurrence order the
-     old comps scan produced. *)
-  let intern pi parent_id e =
-    let key = (parent_id, e) in
-    match StepTbl.find_opt step_tbls.(pi) key with
-    | Some id -> id
-    | None ->
-        let id = next_ids.(pi) in
-        next_ids.(pi) <- id + 1;
-        StepTbl.add step_tbls.(pi) key id;
-        id
-  in
+  let trie = trie_create n in
   (* under symmetry the canonicity filter is unsound — a stored orbit
      representative can reach a fresh orbit only through a non-canonical
      interleaving — so sym mode keeps every extension and dedups by
@@ -409,7 +425,7 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
                   if admit then begin
                     let pi = Pid.to_int e.Event.pid in
                     let ids = Array.copy pids in
-                    ids.(pi) <- intern pi pids.(pi) e;
+                    ids.(pi) <- trie_intern trie pi pids.(pi) e;
                     let node =
                       match fate with
                       | Some (`Key (_, _, cands)) -> (z', ids, en, Some cands)
@@ -438,7 +454,7 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
   if !Hpl_obs.enabled then begin
     Hpl_obs.count "enumerate.states" !count;
     let classes = ref 0 in
-    Array.iter (fun next -> classes := !classes + next - 1) next_ids;
+    Array.iter (fun next -> classes := !classes + next - 1) trie.next_ids;
     Hpl_obs.count "enumerate.proj_classes" !classes;
     if not (Reduction.is_none reduce) then begin
       Hpl_obs.count "reduce.orbit_hits" !orbit_hits;
@@ -483,10 +499,12 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
     comps;
     idx;
     class_ids_by_pid;
+    trie_parent = trie_parents trie;
     orbit_idx = (match group with None -> None | Some _ -> Some orbit_idx);
     rep_sigma;
     pset_ids_memo = Hashtbl.create 16;
     classes_memo = Hashtbl.create 16;
+    succ_memo = None;
   }
 
 let spec u = u.spec
@@ -611,6 +629,119 @@ let prefixes_of u i =
     | e :: rest -> go (Trace.snoc prefix e) rest acc
   in
   List.rev (go Trace.empty (Trace.to_list z) [])
+
+(* --- the extension relation ------------------------------------------
+
+   In [`Canonical] mode without symmetry a stored computation is its
+   vector of per-process class ids (one computation per [D]-class, and
+   [x [D] y] iff every projection agrees), and [i → j] is an edge iff
+   [j]'s vector with one slot stepped back to its trie parent is [i]'s
+   (DESIGN.md §6). So the edges come from probing an open-addressing
+   index over [class_ids_by_pid]: a probe is the triple (j, p, c), "the
+   vector of j with slot p set to c", and is never materialized. A
+   vector's hash is [Σ ids.(p) * mult.(p)], so a probe's hash is one
+   O(1) adjustment of j's. *)
+
+let trie_successors u =
+  let ids = u.class_ids_by_pid in
+  let n = Array.length ids and size = Array.length u.comps in
+  let mix x =
+    let x = (x lxor (x lsr 31)) * 0x3F58476D1CE4E5B9 in
+    let x = (x lxor (x lsr 27)) * 0x14D049BB133111EB in
+    x lxor (x lsr 31)
+  in
+  let mult = Array.init n (fun p -> mix (p + 1) lor 1) in
+  let h = Array.make size 0 in
+  for p = 0 to n - 1 do
+    let col = ids.(p) and m = mult.(p) in
+    for i = 0 to size - 1 do
+      h.(i) <- h.(i) + (col.(i) * m)
+    done
+  done;
+  let cap = ref 16 in
+  while !cap < 2 * size do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slot hv = mix hv land mask in
+  let table = Array.make !cap (-1) in
+  for i = 0 to size - 1 do
+    let s = ref (slot h.(i)) in
+    while table.(!s) >= 0 do
+      s := (!s + 1) land mask
+    done;
+    table.(!s) <- i
+  done;
+  (* does computation i have j's vector with slot p set to c? *)
+  let stepped_is i j p c =
+    let ok = ref true and q = ref 0 in
+    while !ok && !q < n do
+      let col = ids.(!q) in
+      ok := col.(i) = (if !q = p then c else col.(j));
+      incr q
+    done;
+    !ok
+  in
+  (* the stored computation with that vector, or -1 *)
+  let find_stepped j p c =
+    let hv = h.(j) + ((c - ids.(p).(j)) * mult.(p)) in
+    let s = ref (slot hv) and found = ref (-2) in
+    while !found = -2 do
+      let i = table.(!s) in
+      if i < 0 then found := -1
+      else if h.(i) = hv && stepped_is i j p c then found := i
+      else s := (!s + 1) land mask
+    done;
+    !found
+  in
+  (* edges come out grouped by ascending target, so every successor
+     array is sorted; two passes (count, fill) keep the only allocation
+     the result itself *)
+  let iter_edges f =
+    for j = 1 to size - 1 do
+      for p = 0 to n - 1 do
+        let c = ids.(p).(j) in
+        if c > 0 then
+          let i = find_stepped j p u.trie_parent.(p).(c) in
+          if i >= 0 then f i j
+      done
+    done
+  in
+  let deg = Array.make size 0 in
+  iter_edges (fun i _ -> deg.(i) <- deg.(i) + 1);
+  let succ = Array.map (fun d -> Array.make d 0) deg in
+  Array.fill deg 0 size 0;
+  iter_edges (fun i j ->
+      succ.(i).(deg.(i)) <- j;
+      deg.(i) <- deg.(i) + 1);
+  succ
+
+(* the definition itself: the stored classes of every one-event
+   extension — for [`Full] mode, whose stored vectors repeat, and for
+   symmetry-reduced universes, whose lookups go through orbit keys *)
+let lookup_successors u =
+  Array.map
+    (fun z ->
+      List.filter_map (find u) (Spec.extensions u.spec z)
+      |> List.sort_uniq Int.compare |> Array.of_list)
+    u.comps
+
+let successors u =
+  match u.succ_memo with
+  | Some s -> s
+  | None ->
+      let trie = u.mode = `Canonical && symmetry u = None in
+      let s =
+        Hpl_obs.span "universe.successors"
+          ~args:(fun () ->
+            [
+              ("size", string_of_int (size u));
+              ("via", if trie then "trie" else "lookup");
+            ])
+          (fun () -> if trie then trie_successors u else lookup_successors u)
+      in
+      u.succ_memo <- Some s;
+      s
 
 (* --- snapshot body ---------------------------------------------------
 
@@ -788,18 +919,7 @@ let deserialize spec blob =
     if count < 1 || count > len then fail "implausible computation count";
     let comps = Array.make count Trace.empty in
     let class_ids_by_pid = Array.init n (fun _ -> Array.make count 0) in
-    let step_tbls = Array.init n (fun _ -> StepTbl.create 64) in
-    let next_ids = Array.make n 1 in
-    let intern pi parent_id e =
-      let key = (parent_id, e) in
-      match StepTbl.find_opt step_tbls.(pi) key with
-      | Some id -> id
-      | None ->
-          let id = next_ids.(pi) in
-          next_ids.(pi) <- id + 1;
-          StepTbl.add step_tbls.(pi) key id;
-          id
-    in
+    let trie = trie_create n in
     for i = 1 to count - 1 do
       let parent = i32 () in
       if parent >= i then fail "parent index %d not before child %d" parent i;
@@ -839,7 +959,8 @@ let deserialize spec blob =
       for q = 0 to n - 1 do
         class_ids_by_pid.(q).(i) <- class_ids_by_pid.(q).(parent)
       done;
-      class_ids_by_pid.(pi).(i) <- intern pi class_ids_by_pid.(pi).(parent) e
+      class_ids_by_pid.(pi).(i) <-
+        trie_intern trie pi class_ids_by_pid.(pi).(parent) e
     done;
     if !pos <> len then fail "%d trailing bytes" (len - !pos);
     (* spot-check against the spec the caller claims this snapshot is
@@ -859,10 +980,12 @@ let deserialize spec blob =
         comps;
         idx;
         class_ids_by_pid;
+        trie_parent = trie_parents trie;
         orbit_idx = None;
         rep_sigma = None;
         pset_ids_memo = Hashtbl.create 16;
         classes_memo = Hashtbl.create 16;
+        succ_memo = None;
       }
   with Corrupt m -> Error m
 

@@ -155,6 +155,23 @@ val prefixes_of : t -> int -> int list
 (** Indices of all stored computations that are prefixes of computation
     [i] (in [`Canonical] mode: whose class representative is a prefix). *)
 
+val successors : t -> int array array
+(** [(successors u).(i)] are the indices of computation [i]'s one-event
+    extensions that the universe stores, ascending and distinct — the
+    branching relation {!Temporal} model-checks over: [{find u (z;e) |
+    e ∈ Spec.enabled z}] for [z = comp u i]. A leaf (including a
+    computation whose extensions a budget cut off) has none.
+
+    Computed once per universe and memoized beside the class
+    partitions, so a cached universe answers every later temporal
+    query without recomputing it; the arrays are shared, do not
+    mutate them. In [`Canonical] mode without symmetry the edges are
+    read off the projection trie — [i → j] iff [j]'s class-id vector
+    with one process stepped back to its trie parent is [i]'s — with
+    no trace built or canonicalized (DESIGN.md §6). [`Full] mode and
+    symmetry-reduced universes evaluate the definition through {!find}.
+    Recorded as the [universe.successors] span. *)
+
 val serialize : t -> (string, string) result
 (** Compact binary body of the universe's interned-projection
     representation: computation [i] is stored as (parent index, one

@@ -22,6 +22,10 @@ let events : ev list ref = ref [] (* reverse chronological-ish; sorted on export
 let counters : (string, int ref) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, (float * float) ref) Hashtbl.t = Hashtbl.create 16
 (* gauge name -> (last, max) *)
+let aggregates : (string, (int * float * float) ref) Hashtbl.t =
+  Hashtbl.create 16
+(* span name -> (count, total µs, max µs), kept up to date by [push] so
+   readback never folds the event list *)
 
 let epoch = ref 0.0
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
@@ -35,6 +39,7 @@ let reset () =
       events := [];
       Hashtbl.reset counters;
       Hashtbl.reset gauges;
+      Hashtbl.reset aggregates;
       epoch := Unix.gettimeofday ())
 
 let enable () =
@@ -43,7 +48,17 @@ let enable () =
 
 let disable () = enabled := false
 let tid () = (Domain.self () :> int)
-let push e = locked (fun () -> events := e :: !events)
+let push e =
+  locked (fun () ->
+      events := e :: !events;
+      match e with
+      | Span { name; dur; _ } -> (
+          match Hashtbl.find_opt aggregates name with
+          | Some r ->
+              let c, tot, mx = !r in
+              r := (c + 1, tot +. dur, Float.max mx dur)
+          | None -> Hashtbl.add aggregates name (ref (1, dur, Float.max 0.0 dur)))
+      | Inst _ -> ())
 
 let span ?args name f =
   if not !enabled then f ()
@@ -95,28 +110,17 @@ let gauge_max name =
 (* per-name span aggregate: (count, total µs, max µs) *)
 let span_aggregate () =
   locked (fun () ->
-      let tbl : (string, int * float * float) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (function
-          | Span { name; dur; _ } ->
-              let c, tot, mx =
-                Option.value (Hashtbl.find_opt tbl name) ~default:(0, 0.0, 0.0)
-              in
-              Hashtbl.replace tbl name (c + 1, tot +. dur, Float.max mx dur)
-          | Inst _ -> ())
-        !events;
-      Hashtbl.fold (fun name agg acc -> (name, agg) :: acc) tbl []
+      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) aggregates []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b))
 
+let find_aggregate name =
+  locked (fun () -> Option.map ( ! ) (Hashtbl.find_opt aggregates name))
+
 let span_count name =
-  match List.assoc_opt name (span_aggregate ()) with
-  | Some (c, _, _) -> c
-  | None -> 0
+  match find_aggregate name with Some (c, _, _) -> c | None -> 0
 
 let span_total_us name =
-  match List.assoc_opt name (span_aggregate ()) with
-  | Some (_, tot, _) -> tot
-  | None -> 0.0
+  match find_aggregate name with Some (_, tot, _) -> tot | None -> 0.0
 
 let span_names () = List.map fst (span_aggregate ())
 

@@ -101,6 +101,109 @@ let test_canonical_dag () =
   in
   check tbool "AF both" true (Temporal.holds_initially uc (Temporal.af a_done))
 
+(* -- the extension relation against its definition ------------------------
+
+   [Universe.successors] reads the edges off the projection trie in
+   canonical mode; here every variant of every registry universe is held
+   to the definition read literally: the stored class of (z;e) for every
+   e in Spec.enabled z. *)
+
+let definitional_successors u =
+  let spec = Universe.spec u in
+  Array.init (Universe.size u) (fun i ->
+      let z = Universe.comp u i in
+      List.filter_map
+        (fun e -> Universe.find u (Trace.snoc z e))
+        (Spec.enabled spec z)
+      |> List.sort_uniq Int.compare |> Array.of_list)
+
+let check_successors what u =
+  check
+    Alcotest.(array (array int))
+    (what ^ ": successors = definition")
+    (definitional_successors u) (Universe.successors u)
+
+let query_universe ?faults ?max_states ?(mode = `Canonical) ?(reduce = "none")
+    ?(indep = false) proto ~depth =
+  let get = function
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" proto e
+  in
+  let st =
+    get
+      (Hpl_serve.Query.resolve ~proto ~depth:(string_of_int depth) ?faults
+         ?max_states ())
+  in
+  let reduce = get (Hpl_serve.Query.resolve_reduce st ~mode ~indep reduce) in
+  (st, Hpl_serve.Query.enumerate ~mode st ~reduce)
+
+let roundtrip st u =
+  match Universe.serialize u with
+  | Error e -> Alcotest.failf "serialize: %s" e
+  | Ok body -> (
+      match Universe.deserialize st.Hpl_serve.Query.spec body with
+      | Ok u' -> u'
+      | Error e -> Alcotest.failf "deserialize: %s" e)
+
+let test_successors_registry () =
+  Hpl_protocols.Builtins.init ();
+  List.iter
+    (fun proto ->
+      let inst = Hpl_protocols.Protocol.default_instance proto in
+      let name = Hpl_protocols.Protocol.instance_name inst in
+      let depth = min 5 (Hpl_protocols.Protocol.depth_of inst) in
+      let variant what ?faults ?max_states ?mode ?reduce ?indep () =
+        let st, u =
+          query_universe ?faults ?max_states ?mode ?reduce ?indep name ~depth
+        in
+        check_successors (Printf.sprintf "%s %s" name what) u;
+        (st, u)
+      in
+      let st, u = variant "unreduced" () in
+      check_successors (name ^ " round-tripped") (roundtrip st u);
+      ignore (variant "por" ~reduce:"por" ());
+      ignore (variant "por+indep" ~reduce:"por" ~indep:true ());
+      ignore (variant "full mode" ~mode:`Full ~max_states:"3000" ());
+      let half = string_of_int (max 1 (Universe.size u / 2)) in
+      let st, ut = variant "truncated" ~max_states:half () in
+      check_successors (name ^ " truncated, round-tripped") (roundtrip st ut);
+      List.iter
+        (fun f -> ignore (variant f ~faults:f ~max_states:"3000" ()))
+        [ "crash-any:1"; "drop:*"; "dup:*" ])
+    (Hpl_protocols.Protocol.Registry.list ())
+
+(* por+indep at a depth where the static independence relation applies
+   and really prunes (DESIGN.md §13: quorum:5:2 goes from 144 to 87) *)
+let test_successors_indep_pruned () =
+  Hpl_protocols.Builtins.init ();
+  let _, u0 = query_universe "quorum:5:2" ~depth:9 in
+  let _, u = query_universe "quorum:5:2" ~depth:9 ~reduce:"por" ~indep:true in
+  check tbool "independence pruned" true (Universe.size u < Universe.size u0);
+  check_successors "quorum:5:2 por+indep" u
+
+(* A state budget cuts ring mid-level: a stored computation below the
+   depth bound whose extensions were never stored is a leaf of the
+   universe, so EX true fails first exactly there. *)
+let test_truncated_missing_successor () =
+  Hpl_protocols.Builtins.init ();
+  let _, u = query_universe "ring" ~depth:6 ~max_states:"40" in
+  let succ = Universe.successors u in
+  let leaf =
+    let rec first i = if Array.length succ.(i) = 0 then i else first (i + 1) in
+    first 0
+  in
+  let z = Universe.comp u leaf in
+  check tbool "cut below the depth bound" true (Trace.length z < 6);
+  check tbool "its extensions exist but are not stored" true
+    (Spec.enabled (Universe.spec u) z <> []
+    && (definitional_successors u).(leaf) = [||]);
+  let f = Result.get_ok (Formula.parse "EX true") in
+  match Formula.check u ~env:(fun _ -> None) f with
+  | Ok (`Fails_at w) ->
+      check tbool "EX true fails at the cut" true (Trace.equal w z)
+  | Ok `Valid -> Alcotest.fail "EX true valid on a truncated universe"
+  | Error e -> Alcotest.fail e
+
 let suite =
   [
     ("boolean layer", `Quick, test_boolean_layer);
@@ -112,4 +215,8 @@ let suite =
     ("EG", `Quick, test_eg);
     ("token bus as AG invariant", `Quick, test_token_bus_ag_claim);
     ("canonical DAG", `Quick, test_canonical_dag);
+    ("successors = definition, registry-wide", `Quick, test_successors_registry);
+    ("successors under por+indep pruning", `Quick, test_successors_indep_pruned);
+    ("truncated: missing successor is a leaf", `Quick,
+      test_truncated_missing_successor);
   ]
