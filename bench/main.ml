@@ -45,27 +45,26 @@ let enumeration_bench mode name ~depth =
     (Staged.stage (fun () ->
          ignore (Universe.enumerate ~mode (chatter ~n:3 ~k:2) ~depth)))
 
-(* -- P6: parallel enumeration / extent (scaling with ?domains) --------- *)
+(* -- P6: enumeration depth scaling / extent ------------------------------ *)
 
-let enumeration_domains_bench ~depth ~domains =
+let enumeration_depth_bench ~depth =
   Test.make
-    ~name:(Printf.sprintf "enumerate/depth=%d/domains=%d" depth domains)
+    ~name:(Printf.sprintf "enumerate/depth=%d" depth)
     (Staged.stage (fun () ->
          ignore
-           (Universe.enumerate ~mode:`Canonical ~domains (chatter ~n:3 ~k:3)
-              ~depth)))
+           (Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth)))
 
-let extent_domains_bench ~depth ~domains =
+let extent_bench ~depth =
   let u = Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth in
   let busy =
-    (* deliberately heavier than a field probe, so the per-index work
-       dominates the fork/join overhead being measured *)
+    (* deliberately heavier than a field probe, so the row times
+       predicate evaluation rather than the loop around it *)
     Prop.make "busy" (fun z ->
         List.length (Universe.canon u z |> Trace.to_list) mod 2 = 0)
   in
   Test.make
-    ~name:(Printf.sprintf "extent/U=%d/domains=%d" (Universe.size u) domains)
-    (Staged.stage (fun () -> ignore (Prop.extent ~domains u busy)))
+    ~name:(Printf.sprintf "extent/U=%d" (Universe.size u))
+    (Staged.stage (fun () -> ignore (Prop.extent u busy)))
 
 (* -- P3: chain detection vs trace length ------------------------------- *)
 
@@ -215,60 +214,45 @@ let dependency_bench hops =
          let hb = Hpl_clocks.Dependency.reconstruct ~n:4 z in
          ignore (hb 0 0)))
 
-(* on a 1-core container domains>1 enumeration rows record pure spawn
-   overhead, not scaling signal — skip them rather than pollute the
-   perf trajectory with noise *)
-let multicore = Domain.recommended_domain_count () > 1
-
 (* a function, not a top-level value: several of these tests capture
    prebuilt universes, and keeping them live for the whole process
    would tax every later wall-clock measurement with major-GC work
    proportional to the dead weight *)
 let all_tests () =
   Test.make_grouped ~name:"hpl"
-    ([
-       formula_bench ();
-       replay_bench ();
-       dependency_bench 50;
-       knows_bench ~depth:4;
-       knows_bench ~depth:6;
-       knows_bench ~depth:8;
-       knows_naive_bench ~depth:4;
-       enumeration_bench `Full "enumerate/full" ~depth:5;
-       enumeration_bench `Canonical "enumerate/canonical" ~depth:5;
-       fault_enumeration_bench "drop" "drop:p0->p1" ~depth:6;
-       fault_enumeration_bench "crash" "crash-any:1" ~depth:6;
-       enumeration_domains_bench ~depth:6 ~domains:1;
-       enumeration_domains_bench ~depth:7 ~domains:1;
-       extent_domains_bench ~depth:6 ~domains:1;
-       lint_vs_enumerate_bench `Static ~depth:5;
-       lint_vs_enumerate_bench `Enumerate ~depth:5;
-       chain_bench 50;
-       chain_bench 200;
-       chain_bench 800;
-       chain_naive_bench 50;
-       chain_naive_bench 200;
-       vclock_bench 200;
-       bitset_bench 10_000;
-       bitset_bench 100_000;
-     ]
-    @
-    if multicore then
-      [
-        enumeration_domains_bench ~depth:6 ~domains:2;
-        enumeration_domains_bench ~depth:6 ~domains:4;
-        enumeration_domains_bench ~depth:7 ~domains:2;
-        enumeration_domains_bench ~depth:7 ~domains:4;
-        extent_domains_bench ~depth:6 ~domains:4;
-      ]
-    else [])
+    [
+      formula_bench ();
+      replay_bench ();
+      dependency_bench 50;
+      knows_bench ~depth:4;
+      knows_bench ~depth:6;
+      knows_bench ~depth:8;
+      knows_naive_bench ~depth:4;
+      enumeration_bench `Full "enumerate/full" ~depth:5;
+      enumeration_bench `Canonical "enumerate/canonical" ~depth:5;
+      fault_enumeration_bench "drop" "drop:p0->p1" ~depth:6;
+      fault_enumeration_bench "crash" "crash-any:1" ~depth:6;
+      enumeration_depth_bench ~depth:6;
+      enumeration_depth_bench ~depth:7;
+      extent_bench ~depth:6;
+      lint_vs_enumerate_bench `Static ~depth:5;
+      lint_vs_enumerate_bench `Enumerate ~depth:5;
+      chain_bench 50;
+      chain_bench 200;
+      chain_bench 800;
+      chain_naive_bench 50;
+      chain_naive_bench 200;
+      vclock_bench 200;
+      bitset_bench 10_000;
+      bitset_bench 100_000;
+    ]
 
 (* -- observability phase breakdown -------------------------------------
 
    One instrumented run of the depth-7 enumeration, reported as extra
    BENCH.json rows so the perf trajectory records where the time goes
-   (parallel frontier expansion vs. sequential merge vs. final
-   interning), not just the total. *)
+   (frontier expansion vs. merge vs. final interning), not just the
+   total. *)
 
 (* min-of-N wall-clock timing: every source of scheduler/GC noise
    inflates a run, so the minimum over enough runs is a stable estimate
@@ -294,7 +278,7 @@ let min_time_ns ~runs f =
 let minwall_enumerate () =
   min_time_ns ~runs:15 (fun () ->
       Universe.size
-        (Universe.enumerate ~mode:`Canonical ~domains:1 ~reduce:Reduction.none
+        (Universe.enumerate ~mode:`Canonical ~reduce:Reduction.none
            (chatter ~n:3 ~k:3) ~depth:7))
 
 let minwall_bitset () =
@@ -474,9 +458,7 @@ let phase_rows () =
   fresh_heap ();
   Hpl_obs.reset ();
   Hpl_obs.enable ();
-  ignore
-    (Universe.enumerate ~mode:`Canonical ~domains:1 (chatter ~n:3 ~k:3)
-       ~depth:7);
+  ignore (Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth:7);
   Hpl_obs.disable ();
   let rows =
     List.map
@@ -643,25 +625,13 @@ let serve_rows () =
 (* Machine-readable results so successive PRs can track the perf
    trajectory. One JSON object per benchmark: {name, value, unit, r2};
    [unit] says what the number measures ("ns/run", "states",
-   "runs/s", ...) — earlier schema versions abused ns_per_run for
-   non-time rows, so readers fall back to that key for old files.
-   Unavailable estimates are emitted as null. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+   "runs/s", ...). Unavailable estimates are emitted as null. *)
 let row_string (name, value, unit_, r2) =
   let fnum = function Some v -> Printf.sprintf "%.6g" v | None -> "null" in
-  Printf.sprintf "{\"name\": \"%s\", \"value\": %s, \"unit\": \"%s\", \"r2\": %s}"
-    (json_escape name) (fnum value) (json_escape unit_) (fnum r2)
+  let b = Buffer.create 96 in
+  Printf.bprintf b "{\"name\": %a, \"value\": %s, \"unit\": %a, \"r2\": %s}"
+    Hpl_obs.json_string name (fnum value) Hpl_obs.json_string unit_ (fnum r2);
+  Buffer.contents b
 
 let write_bench_json path rows =
   let oc = open_out path in
@@ -672,14 +642,36 @@ let write_bench_json path rows =
         (if i = List.length rows - 1 then "" else ","))
     rows;
   output_string oc "]\n";
-  close_out oc;
-  Printf.printf "\nwrote %d benchmark results to %s\n" (List.length rows) path
+  close_out oc
+
+(* the rows of a BENCH.json written by [write_bench_json]; re-rendering
+   them reproduces the file byte for byte, since "%.6g" reads back to
+   the same digits *)
+let read_bench_json path =
+  let module Json = Hpl_serve.Json in
+  let num = function
+    | Some (Json.Int n) -> Some (float_of_int n)
+    | Some (Json.Float f) -> Some f
+    | _ -> None
+  in
+  match Json.parse (In_channel.with_open_bin path In_channel.input_all) with
+  | Ok (Json.List rows) ->
+      List.filter_map
+        (fun r ->
+          match (Json.member "name" r, Json.member "unit" r) with
+          | Some (Json.Str name), Some (Json.Str unit_) ->
+              Some
+                ( name,
+                  num (Json.member "value" r),
+                  unit_,
+                  num (Json.member "r2" r) )
+          | _ -> None)
+        rows
+  | Ok _ -> failwith (path ^ ": not a JSON array")
+  | Error e -> failwith (path ^ ": " ^ e)
 
 let run_benchmarks () =
   print_endline "\n=== microbenchmarks (bechamel, monotonic clock) ===";
-  if not multicore then
-    print_endline
-      "  (1 recommended domain: domains>1 enumeration rows skipped)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -729,12 +721,16 @@ let run_benchmarks () =
       in
       Printf.printf "  %-34s %16s %10s\n" name time r2)
     rows;
-  write_bench_json "BENCH.json"
-    (List.map
-       (fun (name, ols) ->
-         (name, estimate ols, "ns/run", Analyze.OLS.r_square ols))
-       rows
-    @ early_rows @ phase_rows () @ mc_rows () @ serve_rows ())
+  let all =
+    List.map
+      (fun (name, ols) ->
+        (name, estimate ols, "ns/run", Analyze.OLS.r_square ols))
+      rows
+    @ early_rows @ phase_rows () @ mc_rows () @ serve_rows ()
+  in
+  write_bench_json "BENCH.json" all;
+  Printf.printf "\nwrote %d benchmark results to BENCH.json\n"
+    (List.length all)
 
 (* -- disabled-probe overhead guard --------------------------------------
 
@@ -750,45 +746,9 @@ let run_benchmarks () =
    all. *)
 
 let bench_json_lookup path name =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some i
-      else go (i + 1)
-    in
-    go 0
-  in
-  let needle = Printf.sprintf "\"name\": \"%s\"" name in
-  (* current schema first, then the pre-[unit] field name so the guard
-     still reads baselines recorded before the schema migration. *)
-  let extract line field =
-    match contains line field with
-    | Some i ->
-        let off = i + String.length field in
-        let rest = String.sub line off (String.length line - off) in
-        let stop =
-          match String.index_opt rest ',' with
-          | Some j -> j
-          | None -> String.length rest
-        in
-        float_of_string_opt (String.trim (String.sub rest 0 stop))
-    | None -> None
-  in
-  let ic = open_in path in
-  let result = ref None in
-  (try
-     while !result = None do
-       let line = input_line ic in
-       if contains line needle <> None then
-         result :=
-           (match extract line "\"value\": " with
-           | Some _ as v -> v
-           | None -> extract line "\"ns_per_run\": ")
-     done
-   with End_of_file -> ());
-  close_in ic;
-  !result
+  List.find_map
+    (fun (n, value, _, _) -> if n = name then value else None)
+    (read_bench_json path)
 
 let assert_overhead () =
   print_endline "=== disabled-probe overhead check ===";
@@ -828,62 +788,24 @@ let assert_overhead () =
 (* --mc: measure the sampler-throughput row alone and merge it into
    BENCH.json in place, keeping every other recorded row. This is the CI
    mc job's bench step — it must not disturb the ns/run baselines the
-   overhead guard compares against, so the merge is line-based: existing
-   row lines are kept verbatim (minus any previous row with the same
-   name) and the fresh rows are appended. *)
+   overhead guard compares against, so every existing row is kept
+   (minus any previous row with the same name) and the fresh rows are
+   appended. *)
 let merge_bench_json path rows =
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i =
-      if i + m > n then false
-      else if String.sub s i m = sub then true
-      else go (i + 1)
-    in
-    go 0
-  in
-  let existing =
-    if Sys.file_exists path then (
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> ());
-      close_in ic;
-      List.rev !lines)
-    else []
-  in
   let names = List.map (fun (n, _, _, _) -> n) rows in
   let kept =
-    existing
-    |> List.filter_map (fun l ->
-           let t = String.trim l in
-           if String.length t = 0 || t.[0] <> '{' then None
-           else if
-             List.exists
-               (fun n -> contains t (Printf.sprintf "\"name\": \"%s\"" n))
-               names
-           then None
-           else if t.[String.length t - 1] = ',' then
-             Some (String.sub t 0 (String.length t - 1))
-           else Some t)
+    if Sys.file_exists path then
+      List.filter
+        (fun (n, _, _, _) -> not (List.mem n names))
+        (read_bench_json path)
+    else []
   in
-  let all = kept @ List.map row_string rows in
-  let oc = open_out path in
-  output_string oc "[\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc "  %s%s\n" r
-        (if i = List.length all - 1 then "" else ","))
-    all;
-  output_string oc "]\n";
-  close_out oc
+  write_bench_json path (kept @ rows)
 
 (* --flow: measure the abstract-interpretation rows (the flow sweep and
    the depth-9 reduction ladder including por+indep) alone and merge
    them into BENCH.json in place — the CI gate for the strict-reduction
-   and under-a-second claims, same line-based merge as --mc. *)
+   and under-a-second claims, same merge as --mc. *)
 let run_flow () =
   print_endline "=== flow rows (abstract interpretation + reduction) ===";
   let rows = reduce_rows () @ flow_rows () in
@@ -910,7 +832,7 @@ let run_mc () =
 
 (* --serve: measure the daemon's warm-cache throughput row alone and
    merge it into BENCH.json in place — the CI serve job's bench step,
-   same line-based merge as --mc. *)
+   same merge as --mc. *)
 let run_serve () =
   print_endline "=== serve warm-cache throughput ===";
   let rows = serve_rows () in

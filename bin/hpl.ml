@@ -77,6 +77,9 @@ module Query = Hpl_serve.Query
 
 let die = function Ok v -> v | Error m -> die_usage "%s" m
 
+(* an optional raw argument through one of [Query]'s validators *)
+let opt_arg parse = Option.map (fun s -> die (parse s))
+
 (* [-s] and [-f] are two sources for the same thing: a loaded spec flows
    through enumeration, knowledge, checking, linting and reduction as an
    ordinary instance. The returned [loaded] AST (for [-f] specs) is what
@@ -202,12 +205,6 @@ let mode_arg =
     & info [ "m"; "mode" ] ~docv:"MODE"
         ~doc:"Enumeration mode: 'full' (all interleavings) or 'canonical'.")
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"D"
-        ~doc:"Worker domains for parallel enumeration (results are deterministic).")
-
 let reduce_arg =
   Arg.(
     value & opt string "none"
@@ -233,14 +230,14 @@ let emit_outcome obs (o : Query.outcome) =
 
 (* -- enumerate ---------------------------------------------------------- *)
 
-let enumerate proto file depth faults max_states max_seconds mode domains
-    reduce verbose obs =
+let enumerate proto file depth faults max_states max_seconds mode reduce
+    verbose obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
   (* enumerate is the one subcommand that attaches the static
      independence relation to a por reduction (~indep:true) *)
   let reduce = resolve_reduce st ~mode ~indep:true reduce in
-  let u = Query.enumerate ~mode ~domains st ~reduce in
+  let u = Query.enumerate ~mode st ~reduce in
   let o = Query.run_stats u in
   print_string o.Query.out;
   if verbose then
@@ -257,7 +254,7 @@ let enumerate_cmd =
     (Cmd.info "enumerate" ~doc:"Enumerate a protocol's bounded computation universe")
     Term.(
       const enumerate $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ mode_arg $ domains_arg $ reduce_arg
+      $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg
       $ verbose $ obs_term)
 
 (* -- diagram ------------------------------------------------------------- *)
@@ -658,15 +655,15 @@ let commit_cmd =
 
 (* -- check (epistemic-temporal model checking) ------------------------------------ *)
 
-let check_formula proto file depth faults max_states max_seconds mode domains
-    reduce formula_text obs =
+let check_formula proto file depth faults max_states max_seconds mode reduce
+    formula_text obs =
   obs_setup obs;
   match Formula.parse formula_text with
   | Error e -> die_usage "parse error: %s" e
   | Ok f ->
       let st = resolve proto file depth faults max_states max_seconds in
       let reduce = resolve_reduce st ~mode reduce in
-      let u = Query.enumerate ~mode ~domains st ~reduce in
+      let u = Query.enumerate ~mode st ~reduce in
       emit_outcome obs (Query.run_check st u f)
 
 let check_cmd =
@@ -684,7 +681,7 @@ let check_cmd =
        ~doc:"Model-check an epistemic-temporal formula over a system's universe")
     Term.(
       const check_formula $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ mode_arg $ domains_arg $ reduce_arg
+      $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg
       $ formula $ obs_term)
 
 (* -- mc (Monte Carlo statistical estimation) ------------------------------- *)
@@ -711,14 +708,7 @@ let mc proto file depth_str faults_str runs_str seed_str ci_str peers_str
     | Ok f -> f
   in
   let inst, _loaded = resolve_proto proto file in
-  let scenario =
-    match faults_str with
-    | None -> None
-    | Some s -> (
-        match Faults.Scenario.parse s with
-        | Ok t -> Some t
-        | Error e -> die_usage "--faults: %s" e)
-  in
+  let scenario = opt_arg Query.parse_faults faults_str in
   let base = Protocol.spec_of inst in
   let base_n = Spec.n base in
   (* validate the whole scenario (including partition windows) against
@@ -750,11 +740,7 @@ let mc proto file depth_str faults_str runs_str seed_str ci_str peers_str
     | None -> Fun.id
     | Some t -> Faults.Scenario.view t ~n:base_n
   in
-  let pos_int what s =
-    match int_of_string_opt s with
-    | Some k when k >= 1 -> k
-    | _ -> die_usage "bad %s %S (want a positive integer)" what s
-  in
+  let pos_int flag s = die (Query.parse_pos_int flag s) in
   let runs =
     Option.fold ~none:Mc.default.Mc.runs ~some:(pos_int "--runs") runs_str
   in
@@ -785,28 +771,15 @@ let mc proto file depth_str faults_str runs_str seed_str ci_str peers_str
     Option.fold ~none:Mc.default.Mc.ck_depth ~some:(pos_int "--ck-depth")
       ck_str
   in
-  let max_seconds =
-    match max_seconds_str with
-    | None -> None
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v when v > 0.0 -> Some v
-        | _ -> die_usage "bad --max-seconds %S (want a positive number)" s)
-  in
-  let depth_of_str s =
-    match int_of_string_opt s with
-    | Some d when d >= 0 -> d
-    | _ -> die_usage "bad --depth %S (want a nonnegative integer)" s
-  in
+  let max_seconds = opt_arg Query.parse_max_seconds max_seconds_str in
   let base_depth =
-    match depth_str with
-    | Some s -> depth_of_str s
+    match opt_arg Query.parse_depth depth_str with
+    | Some d -> d
     | None -> Protocol.depth_of inst
   in
   let depth =
     match (depth_str, scenario) with
-    | Some s, _ -> depth_of_str s
-    | None, None -> base_depth
+    | Some _, _ | None, None -> base_depth
     | None, Some t -> Faults.Scenario.suggested_depth t base_depth
   in
   let cfg =
@@ -938,14 +911,7 @@ let mc_cmd =
 let lint proto file all faults_str formula_texts depth_str fuel_str
     max_states_str obs =
   obs_setup obs;
-  let scenario =
-    match faults_str with
-    | None -> None
-    | Some s -> (
-        match Faults.Scenario.parse s with
-        | Ok t -> Some t
-        | Error e -> die_usage "--faults: %s" e)
-  in
+  let scenario = opt_arg Query.parse_faults faults_str in
   let formulas =
     List.map
       (fun text ->
@@ -954,29 +920,10 @@ let lint proto file all faults_str formula_texts depth_str fuel_str
         | Error e -> die_usage "--formula: parse error: %s" e)
       formula_texts
   in
-  let depth =
-    match depth_str with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some d when d >= 0 -> Some d
-        | _ -> die_usage "bad --depth %S (want a nonnegative integer)" s)
-  in
-  let fuel =
-    match fuel_str with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some f when f >= 1 -> Some f
-        | _ -> die_usage "bad --fuel %S (want a positive integer)" s)
-  in
+  let depth = opt_arg Query.parse_depth depth_str in
+  let fuel = opt_arg (Query.parse_pos_int "--fuel") fuel_str in
   let max_states =
-    match max_states_str with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some k when k >= 1 -> Some k
-        | _ -> die_usage "bad --max-states %S (want a positive integer)" s)
+    opt_arg (Query.parse_pos_int "--max-states") max_states_str
   in
   (* the flow rule family (dead-rule, unreachable-message,
      guard-tautology) joins the report whenever the instance is
@@ -1402,9 +1349,6 @@ let serve pipe socket max_cached_states cache_dir =
     Hpl_serve.Serve.create
       { Hpl_serve.Serve.max_cached_states; cache_dir }
   in
-  (* the daemon always records: every reply carries counters, and
-     profiling a live server is the point of the obs surface *)
-  Hpl_obs.enable ();
   match (pipe, socket) with
   | true, Some _ -> die_usage "use either --pipe or --socket PATH, not both"
   | false, None -> die_usage "serve needs a transport: --pipe or --socket PATH"
@@ -1457,30 +1401,35 @@ let serve_cmd =
 
 let () =
   let doc = "explore the systems of 'How Processes Learn' (Chandy & Misra 1985)" in
-  exit
-    (Cmd.eval
-       (Cmd.group (Cmd.info "hpl" ~version:"1.0.0" ~doc)
-          [
-            list_cmd;
-            enumerate_cmd;
-            diagram_cmd;
-            knows_cmd;
-            extent_cmd;
-            serve_cmd;
-            termination_cmd;
-            heartbeat_cmd;
-            gossip_cmd;
-            snapshot_cmd;
-            analyze_cmd;
-            deadlock_cmd;
-            mutex_cmd;
-            election_cmd;
-            check_cmd;
-            mc_cmd;
-            lint_cmd;
-            flow_cmd;
-            fuzz_cmd;
-            knew_cmd;
-            paxos_cmd;
-            commit_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group (Cmd.info "hpl" ~version:"1.0.0" ~doc)
+         [
+           list_cmd;
+           enumerate_cmd;
+           diagram_cmd;
+           knows_cmd;
+           extent_cmd;
+           serve_cmd;
+           termination_cmd;
+           heartbeat_cmd;
+           gossip_cmd;
+           snapshot_cmd;
+           analyze_cmd;
+           deadlock_cmd;
+           mutex_cmd;
+           election_cmd;
+           check_cmd;
+           mc_cmd;
+           lint_cmd;
+           flow_cmd;
+           fuzz_cmd;
+           knew_cmd;
+           paxos_cmd;
+           commit_cmd;
+         ])
+  in
+  (* cmdliner reports its own parse errors (unknown options, a bad [-m],
+     unknown subcommands) as [Cmd.Exit.cli_error]; those are bad
+     arguments too *)
+  exit (if code = Cmd.Exit.cli_error then exit_usage else code)

@@ -36,37 +36,14 @@ let disj = function
 let local_event_count p f name =
   make name (fun x -> f (Trace.local_length x p))
 
-let extent ?(domains = 1) u b =
-  if domains < 1 then invalid_arg "Prop.extent: domains < 1";
+let extent u b =
   Hpl_obs.span "prop.extent"
     ~args:(fun () ->
       [ ("prop", b.name); ("size", string_of_int (Universe.size u)) ])
   @@ fun () ->
   Hpl_obs.count "prop.extent.evals" (Universe.size u);
   let n = Universe.size u in
-  if domains = 1 || n < 2 * domains then
-    Bitset.of_pred n (fun i -> b.eval (Universe.comp u i))
-  else begin
-    (* [eval] is a pure predicate over distinct computations, so the
-       indices partition freely across domains; workers write disjoint
-       slots and the joins order those writes before the read below. *)
-    let vals = Array.make n false in
-    let fill lo hi =
-      for i = lo to hi - 1 do
-        vals.(i) <- b.eval (Universe.comp u i)
-      done
-    in
-    let block w = (w * n / domains, (w + 1) * n / domains) in
-    let workers =
-      List.init (domains - 1) (fun w ->
-          let lo, hi = block (w + 1) in
-          Domain.spawn (fun () -> fill lo hi))
-    in
-    let lo, hi = block 0 in
-    fill lo hi;
-    List.iter Domain.join workers;
-    Bitset.of_pred n (fun i -> vals.(i))
-  end
+  Bitset.of_pred n (fun i -> b.eval (Universe.comp u i))
 
 let of_extent u name s =
   make name (fun x -> Bitset.mem s (Universe.find_exn u x))

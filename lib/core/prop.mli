@@ -40,12 +40,9 @@ val local_event_count : Pid.t -> (int -> bool) -> string -> t
 (** [local_event_count p f name] holds at [x] iff [f (|x|_p)] — a
     typical local predicate: depends only on [p]'s computation. *)
 
-val extent : ?domains:int -> Universe.t -> t -> Bitset.t
+val extent : Universe.t -> t -> Bitset.t
 (** [extent u b] is the set of universe indices where [b] holds —
-    the extensional form used by the knowledge engine. [domains]
-    (default 1) evaluates the predicate across that many stdlib
-    domains; the result is identical for any value. The predicate must
-    be safe to call from multiple domains (pure predicates are). *)
+    the extensional form used by the knowledge engine. *)
 
 val of_extent : Universe.t -> string -> Bitset.t -> t
 (** [of_extent u name s] is the predicate holding exactly on [s].

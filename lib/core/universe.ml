@@ -153,21 +153,12 @@ let snoc_is_canonical z e =
    ids of its projections. A child differs from its parent in exactly
    one slot (the extending event's process), so maintaining the vector
    is O(n) per child and the post-hoc O(N·n·depth) re-projection pass
-   is gone entirely.
-
-   Parallelism: the effect-free, expensive half of a level — enabled
-   events, the canonicity filter, [Trace.snoc] — is fanned out across
-   [domains] stdlib domains in contiguous frontier blocks; each worker
-   writes only its own slots of the output array. The effectful half
-   (class-id interning, appending to the accumulator) runs sequentially
-   in frontier order afterwards, so [comps], [idx] and every class id
-   are bit-identical for any [domains]. *)
+   is gone entirely. *)
 exception Out_of_budget of trunc_reason
 
-let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
+let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     ?(reduce = Reduction.none) spec ~depth =
   if depth < 0 then invalid_arg "Universe.enumerate: negative depth";
-  if domains < 1 then invalid_arg "Universe.enumerate: domains < 1";
   if mode = `Full && not (Reduction.is_none reduce) then
     invalid_arg "Universe.enumerate: reductions require `Canonical mode";
   let group = Reduction.symmetry reduce in
@@ -176,7 +167,6 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
     ~args:(fun () ->
       [
         ("depth", string_of_int depth);
-        ("domains", string_of_int domains);
         ("mode", match mode with `Full -> "full" | `Canonical -> "canonical");
         ("reduce", Reduction.label reduce);
       ])
@@ -241,34 +231,10 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
   let expand frontier =
     let m = Array.length frontier in
     let out = Array.make m ([], 0) in
-    let fill lo hi =
-      for i = lo to hi - 1 do
-        let z, _, en, _ = frontier.(i) in
-        out.(i) <- children z en
-      done
-    in
-    (* each worker records its own span (tid = its domain id), so the
-       profile shows per-domain timelines and utilization *)
-    let fill_span w lo hi =
-      Hpl_obs.span "enumerate.worker"
-        ~args:(fun () ->
-          [ ("worker", string_of_int w); ("parents", string_of_int (hi - lo)) ])
-        (fun () -> fill lo hi)
-    in
-    let k = if domains > 1 && m >= 2 * domains then domains else 1 in
-    if k = 1 then fill_span 0 0 m
-    else begin
-      let block w = (w * m / k, (w + 1) * m / k) in
-      let workers =
-        List.init (k - 1) (fun w ->
-            let lo, hi = block (w + 1) in
-            Domain.spawn (fun () -> fill_span (w + 1) lo hi))
-      in
-      let lo, hi = block 0 in
-      fill_span 0 lo hi;
-      (* the joins establish happens-before on every [out] slot *)
-      List.iter Domain.join workers
-    end;
+    for i = 0 to m - 1 do
+      let z, _, en, _ = frontier.(i) in
+      out.(i) <- children z en
+    done;
     out
   in
   let acc = ref [] and count = ref 0 in
@@ -328,35 +294,18 @@ let enumerate ?(mode = `Canonical) ?(domains = 1) ?(budget = no_budget)
       let m = Array.length frontier in
       if !Hpl_obs.enabled then
         Hpl_obs.set_gauge "enumerate.frontier_size" (float_of_int m);
-      (* per-depth frontier span: the effect-free parallel half *)
-      let busy0 =
-        if !Hpl_obs.enabled then Hpl_obs.span_total_us "enumerate.worker"
-        else 0.0
-      in
-      let wall0 =
-        if !Hpl_obs.enabled then Hpl_obs.span_total_us "enumerate.frontier"
-        else 0.0
-      in
+      (* per-depth frontier span: the effect-free half *)
       let childlists =
         Hpl_obs.span "enumerate.frontier"
           ~args:(fun () ->
             [ ("depth", string_of_int d); ("frontier", string_of_int m) ])
           (fun () -> expand frontier)
       in
-      if !Hpl_obs.enabled then begin
-        (* utilization of the worker pool over this level's wall time *)
-        let k = if domains > 1 && m >= 2 * domains then domains else 1 in
-        let busy = Hpl_obs.span_total_us "enumerate.worker" -. busy0 in
-        let wall = Hpl_obs.span_total_us "enumerate.frontier" -. wall0 in
-        if wall > 0.0 then
-          Hpl_obs.set_gauge "enumerate.domain_util"
-            (busy /. (float_of_int k *. wall))
-      end;
-      (* deterministic merge: frontier order, then per-parent order.
-         Budget checks live here, in the sequential half, so the set of
-         kept states is identical for any [domains] (time-based
-         truncation is inherently wall-clock dependent, but is only
-         detected between whole parents, never mid-parent). *)
+      (* merge: frontier order, then per-parent order. Budget checks
+         live here, so [max_states] truncation keeps the same states on
+         every run (time-based truncation is inherently wall-clock
+         dependent, but is only detected between whole parents, never
+         mid-parent). *)
       (* symmetry: decide each child's fate first — skip if its
          [D]-class (identity projection vector) was already seen,
          otherwise extend the parent's remaining renamed vectors and

@@ -44,7 +44,6 @@ type t
 
 val enumerate :
   ?mode:mode ->
-  ?domains:int ->
   ?budget:budget ->
   ?reduce:Reduction.t ->
   Spec.t ->
@@ -62,22 +61,15 @@ val enumerate :
     representatives only. The partial-order half is bit-identical to the
     unreduced enumeration, only faster.
 
-    [domains] (default 1) expands each BFS level in parallel across
-    that many stdlib domains. The result is bit-identical to the
-    sequential run for any [domains]: workers only compute candidate
-    extensions, and all state (computation indices, class-id interning)
-    is merged sequentially in frontier order. Raises [Invalid_argument]
-    if [domains < 1].
-
     [budget] (default {!no_budget}) bounds the enumeration. When a
     ceiling is hit the BFS stops cleanly and the universe carries
     [Truncated reason] as its {!status}; the stored computations are
     still prefix-closed (children are only kept after their parent), so
     every query below remains sound — it just quantifies over fewer
     computations than the depth bound implies. [max_states] truncation
-    is deterministic (checks happen in the sequential merge, in frontier
-    order, for any [domains]); [max_seconds] is wall-clock dependent by
-    nature and detected between parent expansions. *)
+    is deterministic (checks happen in frontier order, then per-parent
+    order); [max_seconds] is wall-clock dependent by nature and
+    detected between parent expansions. *)
 
 val spec : t -> Spec.t
 val mode : t -> mode

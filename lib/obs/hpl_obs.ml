@@ -1,9 +1,7 @@
 (* Spans, counters, gauges, and three exporters. The design constraint
    is the disabled path: every probe is [if not !enabled then f ()] —
    one load and one branch — so instrumentation can live inside the
-   enumeration and knowledge hot paths permanently. All recording
-   happens behind a mutex because the parallel enumeration workers emit
-   spans from their own domains. *)
+   enumeration and knowledge hot paths permanently. *)
 
 let enabled = ref false
 
@@ -12,12 +10,10 @@ type ev =
       name : string;
       ts : float; (* µs since epoch reset *)
       dur : float; (* µs *)
-      tid : int;
       args : (string * string) list;
     }
-  | Inst of { name : string; ts : float; tid : int; args : (string * string) list }
+  | Inst of { name : string; ts : float; args : (string * string) list }
 
-let mutex = Mutex.create ()
 let events : ev list ref = ref [] (* reverse chronological-ish; sorted on export *)
 let counters : (string, int ref) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, (float * float) ref) Hashtbl.t = Hashtbl.create 16
@@ -30,35 +26,29 @@ let aggregates : (string, (int * float * float) ref) Hashtbl.t =
 let epoch = ref 0.0
 let now_us () = (Unix.gettimeofday () -. !epoch) *. 1e6
 
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
-
 let reset () =
-  locked (fun () ->
-      events := [];
-      Hashtbl.reset counters;
-      Hashtbl.reset gauges;
-      Hashtbl.reset aggregates;
-      epoch := Unix.gettimeofday ())
+  events := [];
+  Hashtbl.reset counters;
+  Hashtbl.reset gauges;
+  Hashtbl.reset aggregates;
+  epoch := Unix.gettimeofday ()
 
 let enable () =
   reset ();
   enabled := true
 
 let disable () = enabled := false
-let tid () = (Domain.self () :> int)
+
 let push e =
-  locked (fun () ->
-      events := e :: !events;
-      match e with
-      | Span { name; dur; _ } -> (
-          match Hashtbl.find_opt aggregates name with
-          | Some r ->
-              let c, tot, mx = !r in
-              r := (c + 1, tot +. dur, Float.max mx dur)
-          | None -> Hashtbl.add aggregates name (ref (1, dur, Float.max 0.0 dur)))
-      | Inst _ -> ())
+  events := e :: !events;
+  match e with
+  | Span { name; dur; _ } -> (
+      match Hashtbl.find_opt aggregates name with
+      | Some r ->
+          let c, tot, mx = !r in
+          r := (c + 1, tot +. dur, Float.max mx dur)
+      | None -> Hashtbl.add aggregates name (ref (1, dur, Float.max 0.0 dur)))
+  | Inst _ -> ()
 
 let span ?args name f =
   if not !enabled then f ()
@@ -67,7 +57,7 @@ let span ?args name f =
     let record () =
       let dur = now_us () -. t0 in
       let args = match args with None -> [] | Some g -> g () in
-      push (Span { name; ts = t0; dur; tid = tid (); args })
+      push (Span { name; ts = t0; dur; args })
     in
     match f () with
     | v ->
@@ -79,42 +69,37 @@ let span ?args name f =
   end
 
 let instant ?(args = []) name =
-  if !enabled then push (Inst { name; ts = now_us (); tid = tid (); args })
+  if !enabled then push (Inst { name; ts = now_us (); args })
 
 let count name n =
   if !enabled then
-    locked (fun () ->
-        match Hashtbl.find_opt counters name with
-        | Some r -> r := !r + n
-        | None -> Hashtbl.add counters name (ref n))
+    match Hashtbl.find_opt counters name with
+    | Some r -> r := !r + n
+    | None -> Hashtbl.add counters name (ref n)
 
 let set_gauge name v =
   if !enabled then
-    locked (fun () ->
-        match Hashtbl.find_opt gauges name with
-        | Some r ->
-            let _, mx = !r in
-            r := (v, Float.max mx v)
-        | None -> Hashtbl.add gauges name (ref (v, v)))
+    match Hashtbl.find_opt gauges name with
+    | Some r ->
+        let _, mx = !r in
+        r := (v, Float.max mx v)
+    | None -> Hashtbl.add gauges name (ref (v, v))
 
 (* -- readback --------------------------------------------------------- *)
 
 let counter name =
-  locked (fun () ->
-      match Hashtbl.find_opt counters name with Some r -> !r | None -> 0)
+  match Hashtbl.find_opt counters name with Some r -> !r | None -> 0
 
 let gauge_max name =
-  locked (fun () ->
-      Option.map (fun r -> snd !r) (Hashtbl.find_opt gauges name))
+  Option.map (fun r -> snd !r) (Hashtbl.find_opt gauges name)
+
+let sorted tbl =
+  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* per-name span aggregate: (count, total µs, max µs) *)
-let span_aggregate () =
-  locked (fun () ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) aggregates []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-let find_aggregate name =
-  locked (fun () -> Option.map ( ! ) (Hashtbl.find_opt aggregates name))
+let span_aggregate () = sorted aggregates
+let find_aggregate name = Option.map ( ! ) (Hashtbl.find_opt aggregates name)
 
 let span_count name =
   match find_aggregate name with Some (c, _, _) -> c | None -> 0
@@ -124,15 +109,8 @@ let span_total_us name =
 
 let span_names () = List.map fst (span_aggregate ())
 
-let sorted_counters () =
-  locked (fun () ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) counters []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
-
-let sorted_gauges () =
-  locked (fun () ->
-      Hashtbl.fold (fun name r acc -> (name, !r) :: acc) gauges []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b))
+let sorted_counters () = sorted counters
+let sorted_gauges () = sorted gauges
 
 (* -- exporters -------------------------------------------------------- *)
 
@@ -171,18 +149,20 @@ let stats_table () =
   end;
   Buffer.contents b
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
+let json_string b s =
+  Buffer.add_char b '"';
   String.iter
     (function
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
     s;
-  Buffer.contents b
+  Buffer.add_char b '"'
 
 (* JSON numbers must not be [nan]/[inf]; durations never are, but guard
    anyway so an exporter can't emit unparseable output *)
@@ -194,25 +174,21 @@ let stats_json () =
   List.iteri
     (fun i (name, (c, tot, mx)) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"count\":%d,\"total_us\":%s,\"max_us\":%s}"
-           (escape name) c (num tot) (num mx)))
+      Printf.bprintf b "{\"name\":%a,\"count\":%d,\"total_us\":%s,\"max_us\":%s}"
+        json_string name c (num tot) (num mx))
     (span_aggregate ());
   Buffer.add_string b "],\"counters\":[";
   List.iteri
     (fun i (name, v) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"value\":%d}" (escape name) v))
+      Printf.bprintf b "{\"name\":%a,\"value\":%d}" json_string name v)
     (sorted_counters ());
   Buffer.add_string b "],\"gauges\":[";
   List.iteri
     (fun i (name, (last, mx)) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"name\":\"%s\",\"last\":%s,\"max\":%s}"
-           (escape name) (num last) (num mx)))
+      Printf.bprintf b "{\"name\":%a,\"last\":%s,\"max\":%s}" json_string
+        name (num last) (num mx))
     (sorted_gauges ());
   Buffer.add_string b "]}";
   Buffer.contents b
@@ -223,14 +199,13 @@ let chrome_args b args =
     List.iteri
       (fun i (k, v) ->
         if i > 0 then Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)))
+        Printf.bprintf b "%a:%a" json_string k json_string v)
       args;
     Buffer.add_char b '}'
   end
 
+(* recording is single-threaded, so every event sits on track 0 *)
 let chrome_trace () =
-  let evs = locked (fun () -> List.rev !events) in
   let b = Buffer.create 1024 in
   Buffer.add_string b "[\n";
   let first = ref true in
@@ -241,30 +216,27 @@ let chrome_trace () =
     (fun ev ->
       sep ();
       match ev with
-      | Span { name; ts; dur; tid; args } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d"
-               (escape name) (num ts) (num dur) tid);
+      | Span { name; ts; dur; args } ->
+          Printf.bprintf b
+            "{\"name\":%a,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":0"
+            json_string name (num ts) (num dur);
           chrome_args b args;
           Buffer.add_char b '}'
-      | Inst { name; ts; tid; args } ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"name\":\"%s\",\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":%d"
-               (escape name) (num ts) tid);
+      | Inst { name; ts; args } ->
+          Printf.bprintf b
+            "{\"name\":%a,\"ph\":\"i\",\"ts\":%s,\"s\":\"t\",\"pid\":1,\"tid\":0"
+            json_string name (num ts);
           chrome_args b args;
           Buffer.add_char b '}')
-    evs;
+    (List.rev !events);
   (* counters close the timeline as Chrome counter samples *)
   let t_end = now_us () in
   List.iter
     (fun (name, v) ->
       sep ();
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}"
-           (escape name) (num t_end) v))
+      Printf.bprintf b
+        "{\"name\":%a,\"ph\":\"C\",\"ts\":%s,\"pid\":1,\"tid\":0,\"args\":{\"value\":%d}}"
+        json_string name (num t_end) v)
     (sorted_counters ());
   Buffer.add_string b "\n]\n";
   Buffer.contents b

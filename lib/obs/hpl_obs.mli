@@ -8,10 +8,8 @@
     their uninstrumented selves (the bench [--quick --assert-overhead]
     job holds this to <= 2% on the [enumerate/depth=7] row).
 
-    Probes may fire from multiple domains (the parallel enumeration
-    workers record their own spans); the event buffer and the counter
-    tables are mutex-guarded, and a span's thread id is its domain id,
-    so per-domain timelines come out separated in the Chrome trace.
+    Recording is single-threaded: there is no lock, so probes must all
+    fire from one domain, and every Chrome event carries [tid] 0.
 
     Three exporters:
     - {!stats_table} — a human-readable aggregate (per-span-name count,
@@ -73,6 +71,14 @@ val span_names : unit -> string list
 (** Distinct recorded span names, sorted. *)
 
 (** {2 Exporters} *)
+
+val json_string : Buffer.t -> string -> unit
+(** [json_string b s] appends [s] to [b] as a quoted JSON string.
+    Quote, backslash, newline, carriage return and tab get their short
+    escapes, every other control character a [\u00XX] escape, and all
+    other bytes pass through, so the output never contains a raw
+    newline. This is the one JSON string escaper: the exporters below,
+    the serve codec and the bench writer all use it. *)
 
 val stats_table : unit -> string
 val stats_json : unit -> string

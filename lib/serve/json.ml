@@ -9,22 +9,6 @@ type t =
 
 (* --- printing --------------------------------------------------------- *)
 
-let escape buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
-
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -35,7 +19,7 @@ let to_string v =
         if Float.is_finite f then
           Buffer.add_string buf (Printf.sprintf "%.17g" f)
         else Buffer.add_string buf "null"
-    | Str s -> escape buf s
+    | Str s -> Hpl_obs.json_string buf s
     | List xs ->
         Buffer.add_char buf '[';
         List.iteri
@@ -49,7 +33,7 @@ let to_string v =
         List.iteri
           (fun i (k, x) ->
             if i > 0 then Buffer.add_char buf ',';
-            escape buf k;
+            Hpl_obs.json_string buf k;
             Buffer.add_char buf ':';
             go x)
           kvs;

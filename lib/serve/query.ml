@@ -95,6 +95,34 @@ let resolve_proto ?proto ?file () =
   | r -> Ok r
   | exception Bad m -> Error m
 
+(* -- argument validators ----------------------------------------------- *)
+
+let depth_exn s =
+  match int_of_string_opt s with
+  | Some d when d >= 0 -> d
+  | _ -> fail "bad --depth %S (want a nonnegative integer)" s
+
+let pos_int_exn flag s =
+  match int_of_string_opt s with
+  | Some k when k >= 1 -> k
+  | _ -> fail "bad %s %S (want a positive integer)" flag s
+
+let max_seconds_exn s =
+  match float_of_string_opt s with
+  | Some v when v > 0.0 -> v
+  | _ -> fail "bad --max-seconds %S (want a positive number)" s
+
+let faults_exn s =
+  match Faults.Scenario.parse s with
+  | Ok t -> t
+  | Error e -> fail "--faults: %s" e
+
+let checked f s = match f s with v -> Ok v | exception Bad m -> Error m
+let parse_depth = checked depth_exn
+let parse_pos_int flag = checked (pos_int_exn flag)
+let parse_max_seconds = checked max_seconds_exn
+let parse_faults = checked faults_exn
+
 (* -- request resolution ------------------------------------------------ *)
 
 let resolve_exn ?proto ?file ?depth:depth_str ?faults:faults_str
@@ -105,14 +133,7 @@ let resolve_exn ?proto ?file ?depth:depth_str ?faults:faults_str
     | None -> None
     | Some f -> Some (List.hd (String.split_on_char ':' f))
   in
-  let scenario =
-    match faults_str with
-    | None -> None
-    | Some s -> (
-        match Faults.Scenario.parse s with
-        | Ok t -> Some t
-        | Error e -> fail "--faults: %s" e)
-  in
+  let scenario = Option.map faults_exn faults_str in
   let base = Protocol.spec_of inst in
   let base_n = Spec.n base in
   let spec =
@@ -125,32 +146,15 @@ let resolve_exn ?proto ?file ?depth:depth_str ?faults:faults_str
   in
   let depth =
     match depth_str with
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some d when d >= 0 -> d
-        | _ -> fail "bad --depth %S (want a nonnegative integer)" s)
+    | Some s -> depth_exn s
     | None -> (
         let d = Protocol.depth_of inst in
         match scenario with
         | None -> d
         | Some t -> Faults.Scenario.suggested_depth t d)
   in
-  let max_states =
-    match max_states_str with
-    | None -> None
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some k when k >= 1 -> Some k
-        | _ -> fail "bad --max-states %S (want a positive integer)" s)
-  in
-  let max_seconds =
-    match max_seconds_str with
-    | None -> None
-    | Some s -> (
-        match float_of_string_opt s with
-        | Some v when v > 0.0 -> Some v
-        | _ -> fail "bad --max-seconds %S (want a positive number)" s)
-  in
+  let max_states = Option.map (pos_int_exn "--max-states") max_states_str in
+  let max_seconds = Option.map max_seconds_exn max_seconds_str in
   let budget = Universe.budget ?max_states ?max_seconds () in
   (* an explicitly named drop/dup channel must exist in the spec:
      [Scenario.apply] only range-checks pids, so [drop:p0->p2] on a
@@ -258,9 +262,8 @@ let resolve_reduce st ~mode ?(indep = false) reduce_str =
   | r -> Ok r
   | exception Bad m -> Error m
 
-let enumerate ?(mode = `Canonical) ?(domains = 1) st ~reduce =
-  Universe.enumerate ~mode ~domains ~budget:st.budget ~reduce st.spec
-    ~depth:st.depth
+let enumerate ?(mode = `Canonical) st ~reduce =
+  Universe.enumerate ~mode ~budget:st.budget ~reduce st.spec ~depth:st.depth
 
 (* -- rendering ---------------------------------------------------------
 

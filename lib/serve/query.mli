@@ -51,6 +51,24 @@ val resolve_proto :
 (** Registry ([-s], default [ping-pong]) or spec file ([-f]), mutually
     exclusive. *)
 
+(** {2 Argument validators}
+
+    The checks {!resolve} applies to its raw arguments, for subcommands
+    that parse some of the same flags without building a {!setup}. *)
+
+val parse_depth : string -> (int, string) result
+(** A nonnegative [--depth]. *)
+
+val parse_pos_int : string -> string -> (int, string) result
+(** [parse_pos_int flag s]: a positive integer, with [flag] (e.g.
+    ["--max-states"]) named in the diagnostic. *)
+
+val parse_max_seconds : string -> (float, string) result
+(** A positive [--max-seconds]. *)
+
+val parse_faults : string -> (Faults.Scenario.t, string) result
+(** A [--faults] scenario, parsed but not yet applied to a spec. *)
+
 val resolve :
   ?proto:string ->
   ?file:string ->
@@ -84,8 +102,7 @@ val resolve_reduce :
     mirroring the CLI. *)
 
 val enumerate :
-  ?mode:Universe.mode -> ?domains:int -> setup -> reduce:Reduction.t ->
-  Universe.t
+  ?mode:Universe.mode -> setup -> reduce:Reduction.t -> Universe.t
 (** [Universe.enumerate] with the setup's spec, depth and budget. *)
 
 type outcome = { out : string; err : string; code : int }

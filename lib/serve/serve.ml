@@ -5,8 +5,8 @@ type config = { max_cached_states : int; cache_dir : string option }
 (* Deterministic mutable counters on the server itself (they must work
    with observability disabled, and the property tests assert exact
    arithmetic on them); each bump is mirrored into the Hpl_obs counter
-   surface, which aggregates when --stats/--profile is on and is a
-   single flag check otherwise. *)
+   surface, which aggregates when an in-process caller has enabled it
+   (the daemon does not) and is a single flag check otherwise. *)
 type counters = {
   mutable requests : int;  (** queries that consulted the cache *)
   mutable cache_hit : int;

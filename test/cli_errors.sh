@@ -53,6 +53,27 @@ expect 2 "lint unknown protocol" -- lint -s no-such-protocol
 expect 2 "lint formula parse error" -- lint -s ping-pong --formula 'AG (('
 expect 2 "lint --all with formula" -- lint --all --formula 'true'
 
+# cmdliner's own parse errors are bad arguments too: exit 2 with the
+# offending option named on the first stderr line (cmdliner's usage
+# lines may follow it)
+expect_cli_error() { # expect_cli_error <what> <option> -- <args...>
+  local what="$1" opt="$2"; shift 3
+  local err
+  err=$("$HPL" "$@" 2>&1 >/dev/null)
+  local got=$?
+  if [ "$got" -ne 2 ]; then
+    echo "FAIL: $what: expected exit 2, got $got" >&2
+    fails=$((fails + 1))
+  fi
+  if ! printf '%s\n' "$err" | head -n 1 | grep -qF -- "$opt"; then
+    echo "FAIL: $what: first stderr line does not name $opt:" >&2
+    printf '%s\n' "$err" >&2
+    fails=$((fails + 1))
+  fi
+}
+expect_cli_error "removed --domains flag" "'--domains'" -- enumerate -s ping-pong --domains 2
+expect_cli_error "unknown mode" "'-m'" -- enumerate -s ping-pong -m weird
+
 # lint: clean spec exits 0, unlearnable assertion exits 1 with the rule named
 expect 0 "lint clean" -- lint -s token-ring
 expect 1 "lint unlearnable formula" -- lint -s underlying:3 --formula 'K p0 chaindone'

@@ -251,13 +251,6 @@ let test_budget_max_states () =
         (List.length (Universe.prefixes_of u i)))
     u
 
-let test_budget_max_states_deterministic_across_domains () =
-  let base = Fixtures.chatter ~n:3 ~k:4 in
-  let budget = Universe.budget ~max_states:50 () in
-  let u1 = Universe.enumerate ~budget ~domains:1 base ~depth:8 in
-  let u2 = Universe.enumerate ~budget ~domains:4 base ~depth:8 in
-  check tbool "identical truncation for any domains" true (same_universe u1 u2)
-
 let test_budget_max_seconds () =
   (* an effectively-zero time budget on a large fault-blown space *)
   let base = Faults.lossy (Fixtures.chatter ~n:3 ~k:6) in
@@ -485,7 +478,6 @@ let suite =
     ("lossy view restores shape", `Quick, test_lossy_view_is_fault_free_shaped);
     ("duplication delivers twice", `Quick, test_duplicating_delivers_twice);
     ("budget max_states", `Quick, test_budget_max_states);
-    ("budget deterministic", `Quick, test_budget_max_states_deterministic_across_domains);
     ("budget max_seconds", `Quick, test_budget_max_seconds);
     ("budget roomy = complete", `Quick, test_budget_complete_when_roomy);
     ("robust_under lossy", `Quick, test_robust_under_lossy_ping);

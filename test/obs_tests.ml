@@ -1,156 +1,20 @@
 (* Observability cross-checks: the obs layer's numbers must agree with
    ground truth computed by the instrumented code itself, its JSON
    exporters must emit parseable output with the documented schema, and
-   the disabled path must be fully transparent.
-
-   The JSON parser below is deliberately minimal (strings, numbers,
-   bools, null, arrays, objects — enough for the two exporters); it
-   exists so the schema assertions are structural, not grep-shaped. *)
+   the disabled path must be fully transparent. The exporters are read
+   back with the serve codec's parser, so the schema assertions are
+   structural, not grep-shaped. *)
 open Hpl_core
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* -- a minimal JSON reader ------------------------------------------- *)
+module Json = Hpl_serve.Json
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
+let parse s =
+  match Json.parse s with Ok v -> v | Error e -> Alcotest.failf "bad JSON: %s" e
 
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let fail msg = raise (Bad (Printf.sprintf "%s at %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () = Some c then advance ()
-      else fail (Printf.sprintf "expected '%c'" c)
-    in
-    let literal lit v =
-      String.iter expect lit;
-      v
-    in
-    let string_body () =
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some 'u' ->
-                advance ();
-                for _ = 1 to 4 do
-                  advance ()
-                done;
-                Buffer.add_char b '?';
-                go ()
-            | Some c ->
-                advance ();
-                Buffer.add_char b
-                  (match c with 'n' -> '\n' | 't' -> '\t' | c -> c);
-                go ()
-            | None -> fail "eof in string")
-        | Some c ->
-            advance ();
-            Buffer.add_char b c;
-            go ()
-        | None -> fail "eof in string"
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      let numchar = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> numchar c | None -> false) do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> Num f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else Obj (members [])
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else Arr (elements [])
-      | Some '"' ->
-          advance ();
-          Str (string_body ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> number ()
-      | None -> fail "eof"
-    and members acc =
-      skip_ws ();
-      expect '"';
-      let k = string_body () in
-      skip_ws ();
-      expect ':';
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          advance ();
-          members ((k, v) :: acc)
-      | Some '}' ->
-          advance ();
-          List.rev ((k, v) :: acc)
-      | _ -> fail "expected ',' or '}'"
-    and elements acc =
-      let v = value () in
-      skip_ws ();
-      match peek () with
-      | Some ',' ->
-          advance ();
-          elements (v :: acc)
-      | Some ']' ->
-          advance ();
-          List.rev (v :: acc)
-      | _ -> fail "expected ',' or ']'"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-
-  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
-  let arr = function Arr xs -> Some xs | _ -> None
-end
+let arr = function Json.List xs -> Some xs | _ -> None
 
 (* every enabled-path test must leave the global switch off for the
    rest of the suite, even when failing *)
@@ -265,11 +129,11 @@ let test_lint_children_account_for_total () =
 let test_stats_json_schema () =
   with_obs (fun () ->
       ignore (Universe.enumerate ~mode:`Canonical chatter ~depth:4);
-      let j = Json.parse (Hpl_obs.stats_json ()) in
+      let j = parse (Hpl_obs.stats_json ()) in
       let field name =
         match Json.member name j with
         | Some v -> (
-            match Json.arr v with
+            match arr v with
             | Some xs -> xs
             | None -> Alcotest.failf "%s is not an array" name)
         | None -> Alcotest.failf "missing %s" name
@@ -298,8 +162,8 @@ let test_stats_json_schema () =
 let test_chrome_trace_schema () =
   with_obs (fun () ->
       ignore (Universe.enumerate ~mode:`Canonical chatter ~depth:4);
-      let j = Json.parse (Hpl_obs.chrome_trace ()) in
-      match Json.arr j with
+      let j = parse (Hpl_obs.chrome_trace ()) in
+      match arr j with
       | None -> Alcotest.fail "chrome trace is not an array"
       | Some events ->
           check "some events" true (events <> []);
@@ -327,7 +191,7 @@ let test_profile_roundtrip () =
           let on_disk = really_input_string ic len in
           close_in ic;
           let count s =
-            match Json.arr (Json.parse s) with
+            match arr (parse s) with
             | Some xs -> List.length xs
             | None -> Alcotest.fail "profile is not an array"
           in
