@@ -80,6 +80,30 @@ let die = function Ok v -> v | Error m -> die_usage "%s" m
 (* an optional raw argument through one of [Query]'s validators *)
 let opt_arg parse = Option.map (fun s -> die (parse s))
 
+(* An integer option read as a string and checked by [parse] (one of
+   [Query]'s integer validators), so a bad value dies with one line and
+   exit 2 like [--max-states], not with cmdliner's generic error. *)
+let int_arg parse name ~default ~doc =
+  let flag = (if String.length name = 1 then "-" else "--") ^ name in
+  let raw =
+    Arg.(value & opt string (string_of_int default) & info [ name ] ~docv:"N" ~doc)
+  in
+  Term.(const (fun s -> die (parse flag s)) $ raw)
+
+let pos_int_arg = int_arg Query.parse_pos_int
+
+(* One EXIT STATUS section for every subcommand's --help. *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info exit_violated
+        ~doc:"when a property is violated or a check reports findings.";
+      info exit_usage ~doc:"on bad arguments.";
+      info exit_truncated ~doc:"when a budget truncated the run.";
+      info internal_error ~doc:"on an internal error (an uncaught exception).";
+    ]
+
 (* [-s] and [-f] are two sources for the same thing: a loaded spec flows
    through enumeration, knowledge, checking, linting and reduction as an
    ordinary instance. The returned [loaded] AST (for [-f] specs) is what
@@ -251,7 +275,7 @@ let enumerate_cmd =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every computation.")
   in
   Cmd.v
-    (Cmd.info "enumerate" ~doc:"Enumerate a protocol's bounded computation universe")
+    (Cmd.info ~exits "enumerate" ~doc:"Enumerate a protocol's bounded computation universe")
     Term.(
       const enumerate $ proto_arg $ file_arg $ depth_arg $ faults_arg
       $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg
@@ -283,7 +307,7 @@ let diagram_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Cap on diagram vertices.")
   in
   Cmd.v
-    (Cmd.info "diagram" ~doc:"Emit the isomorphism diagram as Graphviz DOT")
+    (Cmd.info ~exits "diagram" ~doc:"Emit the isomorphism diagram as Graphviz DOT")
     Term.(
       const diagram $ proto_arg $ file_arg $ depth_arg $ faults_arg
       $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg $ limit)
@@ -299,7 +323,7 @@ let knows proto file depth faults max_states max_seconds reduce obs =
 
 let knows_cmd =
   Cmd.v
-    (Cmd.info "knows" ~doc:"Summarize who knows what across a universe")
+    (Cmd.info ~exits "knows" ~doc:"Summarize who knows what across a universe")
     Term.(
       const knows $ proto_arg $ file_arg $ depth_arg $ faults_arg
       $ max_states_arg $ max_seconds_arg $ reduce_arg $ obs_term)
@@ -325,7 +349,7 @@ let extent_cmd =
           ~doc:"Registered atom name (run $(b,hpl list -v) for the atoms).")
   in
   Cmd.v
-    (Cmd.info "extent"
+    (Cmd.info ~exits "extent"
        ~doc:"Count the computations of a universe where one named atom holds")
     Term.(
       const extent $ proto_arg $ file_arg $ depth_arg $ faults_arg
@@ -360,10 +384,13 @@ let termination budget n fanout seed dump obs =
 
 let termination_cmd =
   let budget =
-    Arg.(value & opt int 100 & info [ "budget" ] ~doc:"Underlying message budget.")
+    pos_int_arg "budget" ~default:100 ~doc:"Underlying message budget."
   in
-  let n = Arg.(value & opt int 6 & info [ "n" ] ~doc:"Number of processes.") in
-  let fanout = Arg.(value & opt int 3 & info [ "fanout" ] ~doc:"Max spawns per delivery.") in
+  let n = pos_int_arg "n" ~default:6 ~doc:"Number of processes." in
+  let fanout =
+    int_arg Query.parse_nonneg_int "fanout" ~default:3
+      ~doc:"Max spawns per delivery."
+  in
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Random seed.") in
   let dump =
     Arg.(
@@ -371,7 +398,7 @@ let termination_cmd =
       & info [ "dump" ] ~docv:"FILE" ~doc:"Save the DS run's trace for 'hpl analyze'.")
   in
   Cmd.v
-    (Cmd.info "termination"
+    (Cmd.info ~exits "termination"
        ~doc:"Compare termination detectors on a diffusing workload (§5)")
     Term.(const termination $ budget $ n $ fanout $ seed $ dump $ obs_term)
 
@@ -402,19 +429,13 @@ let heartbeat_cmd =
       & info [ "crash-at" ] ~doc:"Crash injection time (negative: no crash).")
   in
   Cmd.v
-    (Cmd.info "heartbeat" ~doc:"Run the timeout-based failure detector (§5)")
+    (Cmd.info ~exits "heartbeat" ~doc:"Run the timeout-based failure detector (§5)")
     Term.(const heartbeat $ timeout $ crash)
 
 (* -- gossip -------------------------------------------------------------------- *)
 
 let gossip n seed mode obs =
   obs_setup obs;
-  let mode =
-    match mode with
-    | "pull" -> Gossip.Pull
-    | "push-pull" -> Gossip.Push_pull
-    | _ -> Gossip.Push
-  in
   let o = Gossip.run { Gossip.default with n; mode; seed = Int64.of_int seed } in
   Printf.printf "all informed: %b  messages: %d\n" o.Gossip.all_informed
     o.Gossip.messages;
@@ -430,13 +451,18 @@ let gossip n seed mode obs =
   obs_emit obs
 
 let gossip_cmd =
-  let n = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Number of processes.") in
+  let n = pos_int_arg "n" ~default:8 ~doc:"Number of processes." in
   let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Random seed.") in
+  let modes =
+    [ ("push", Gossip.Push); ("pull", Gossip.Pull); ("push-pull", Gossip.Push_pull) ]
+  in
   let mode =
-    Arg.(value & opt string "push" & info [ "mode" ] ~doc:"push, pull, or push-pull.")
+    Arg.(
+      value & opt (enum modes) Gossip.Push
+      & info [ "mode" ] ~docv:"MODE" ~doc:"$(b,push), $(b,pull), or $(b,push-pull).")
   in
   Cmd.v
-    (Cmd.info "gossip" ~doc:"Run the rumor-spreading simulation")
+    (Cmd.info ~exits "gossip" ~doc:"Run the rumor-spreading simulation")
     Term.(const gossip $ n $ seed $ mode $ obs_term)
 
 (* -- analyze --------------------------------------------------------------------- *)
@@ -474,7 +500,7 @@ let analyze_cmd =
     Arg.(value & opt (some int) None & info [ "n" ] ~doc:"Process count (inferred if omitted).")
   in
   Cmd.v
-    (Cmd.info "analyze" ~doc:"Analyze a saved trace: causality, channels, cuts")
+    (Cmd.info ~exits "analyze" ~doc:"Analyze a saved trace: causality, channels, cuts")
     Term.(const analyze $ path $ nprocs)
 
 (* -- deadlock -------------------------------------------------------------------- *)
@@ -482,16 +508,21 @@ let analyze_cmd =
 let deadlock_cmd =
   let shape =
     Arg.(
-      value & opt string "ring"
-      & info [ "shape" ] ~doc:"Wait-for graph: 'ring', 'chain', or 'partial'.")
+      value
+      & opt (enum [ ("ring", `Ring); ("chain", `Chain); ("partial", `Partial) ]) `Ring
+      & info [ "shape" ] ~docv:"SHAPE"
+          ~doc:"Wait-for graph: $(b,ring), $(b,chain), or $(b,partial).")
   in
-  let n = Arg.(value & opt int 5 & info [ "n" ] ~doc:"Number of processes.") in
+  let n = pos_int_arg "n" ~default:5 ~doc:"Number of processes." in
   let run shape n =
     let params =
       match shape with
-      | "chain" -> Deadlock.chain_no_deadlock ~n
-      | "partial" -> Deadlock.of_edges ~n [ (0, 1); (1, 2); (2, 1) ]
-      | _ -> Deadlock.ring_deadlock ~n
+      | `Chain -> Deadlock.chain_no_deadlock ~n
+      | `Partial ->
+          (* its wait-for edges name p0, p1 and p2 *)
+          if n < 3 then die_usage "--shape partial needs -n 3 or more";
+          Deadlock.of_edges ~n [ (0, 1); (1, 2); (2, 1) ]
+      | `Ring -> Deadlock.ring_deadlock ~n
     in
     let o = Deadlock.run params in
     Array.iteri
@@ -501,14 +532,14 @@ let deadlock_cmd =
       o.Deadlock.correct o.Deadlock.probes
   in
   Cmd.v
-    (Cmd.info "deadlock" ~doc:"Run Chandy-Misra-Haas deadlock detection")
+    (Cmd.info ~exits "deadlock" ~doc:"Run Chandy-Misra-Haas deadlock detection")
     Term.(const run $ shape $ n)
 
 (* -- mutex ----------------------------------------------------------------------- *)
 
 let mutex_cmd =
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes.") in
-  let rounds = Arg.(value & opt int 3 & info [ "rounds" ] ~doc:"CS entries per process.") in
+  let n = pos_int_arg "n" ~default:4 ~doc:"Number of processes." in
+  let rounds = pos_int_arg "rounds" ~default:3 ~doc:"CS entries per process." in
   let run n rounds =
     let o = Lamport_mutex.run { Lamport_mutex.default with n; rounds } in
     Printf.printf
@@ -518,13 +549,13 @@ let mutex_cmd =
       (3 * (n - 1))
   in
   Cmd.v
-    (Cmd.info "mutex" ~doc:"Run Lamport's timestamp mutual exclusion")
+    (Cmd.info ~exits "mutex" ~doc:"Run Lamport's timestamp mutual exclusion")
     Term.(const run $ n $ rounds)
 
 (* -- election --------------------------------------------------------------------- *)
 
 let election_cmd =
-  let n = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Ring size.") in
+  let n = pos_int_arg "n" ~default:8 ~doc:"Ring size." in
   let seed = Arg.(value & opt int 19 & info [ "seed" ] ~doc:"Id shuffle seed.") in
   let run n seed =
     let o = Chang_roberts.run { Chang_roberts.default with n; seed = Int64.of_int seed } in
@@ -535,7 +566,7 @@ let election_cmd =
       (n * (n + 1) / 2)
   in
   Cmd.v
-    (Cmd.info "election" ~doc:"Run Chang-Roberts leader election")
+    (Cmd.info ~exits "election" ~doc:"Run Chang-Roberts leader election")
     Term.(const run $ n $ seed)
 
 (* -- knew (post-mortem knowledge on a trace file) ----------------------------------- *)
@@ -602,16 +633,14 @@ let knew_cmd =
       & info [ "fact" ] ~doc:"Fact: acted:N, sent:N, or received:N.")
   in
   Cmd.v
-    (Cmd.info "knew"
+    (Cmd.info ~exits "knew"
        ~doc:"When could a process first know a fact, given a recorded run?")
     Term.(const knew $ path $ nprocs $ who $ atom)
 
 (* -- consensus / commit -------------------------------------------------------------- *)
 
 let paxos_cmd =
-  let proposers =
-    Arg.(value & opt int 2 & info [ "proposers" ] ~doc:"Contending proposers.")
-  in
+  let proposers = pos_int_arg "proposers" ~default:2 ~doc:"Contending proposers." in
   let seed = Arg.(value & opt int 53 & info [ "seed" ] ~doc:"Random seed.") in
   let run proposers seed =
     let o = Paxos.run { Paxos.default with proposers; seed = Int64.of_int seed } in
@@ -620,7 +649,7 @@ let paxos_cmd =
       o.Paxos.messages
   in
   Cmd.v
-    (Cmd.info "paxos" ~doc:"Run single-decree Paxos")
+    (Cmd.info ~exits "paxos" ~doc:"Run single-decree Paxos")
     Term.(const run $ proposers $ seed)
 
 let commit_cmd =
@@ -650,7 +679,7 @@ let commit_cmd =
       o.Two_phase_commit.blocked
   in
   Cmd.v
-    (Cmd.info "commit" ~doc:"Run two-phase commit (optionally crash the coordinator)")
+    (Cmd.info ~exits "commit" ~doc:"Run two-phase commit (optionally crash the coordinator)")
     Term.(const run $ crash $ no_voters)
 
 (* -- check (epistemic-temporal model checking) ------------------------------------ *)
@@ -677,7 +706,7 @@ let check_cmd =
              Operators: ~ & | ->, K/E/S/sure <pset>, CK, AG EF AF EG AX EX.")
   in
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info ~exits "check"
        ~doc:"Model-check an epistemic-temporal formula over a system's universe")
     Term.(
       const check_formula $ proto_arg $ file_arg $ depth_arg $ faults_arg
@@ -896,7 +925,7 @@ let mc_cmd =
              confident degraded/destroyed verdict.")
   in
   Cmd.v
-    (Cmd.info "mc"
+    (Cmd.info ~exits "mc"
        ~doc:
          "Estimate an epistemic formula's prevalence by seeded Monte Carlo \
           walks, with Wilson confidence intervals — scales to depths where \
@@ -986,7 +1015,7 @@ let lint_cmd =
              (default: max 16 depth).")
   in
   Cmd.v
-    (Cmd.info "lint"
+    (Cmd.info ~exits "lint"
        ~doc:
          "Statically analyze a protocol: channel graph, spec hygiene, \
           knowledge-chain feasibility (Theorems 4-6) — without enumerating \
@@ -1073,7 +1102,7 @@ let flow_cmd =
           ~doc:"Print the full per-rule verdicts, channels, and bounds.")
   in
   Cmd.v
-    (Cmd.info "flow"
+    (Cmd.info ~exits "flow"
        ~doc:
          "Abstractly interpret a protocol's rules in an interval domain: \
           guard satisfiability (dead rules, tautologies), the static channel \
@@ -1095,12 +1124,12 @@ let snapshot n at =
     o.Snapshot.recorded.Snapshot.channel_messages
 
 let snapshot_cmd =
-  let n = Arg.(value & opt int 4 & info [ "n" ] ~doc:"Number of processes.") in
+  let n = pos_int_arg "n" ~default:4 ~doc:"Number of processes." in
   let at =
     Arg.(value & opt float 50.0 & info [ "at" ] ~doc:"Snapshot initiation time.")
   in
   Cmd.v
-    (Cmd.info "snapshot" ~doc:"Take a Chandy–Lamport snapshot")
+    (Cmd.info ~exits "snapshot" ~doc:"Take a Chandy–Lamport snapshot")
     Term.(const snapshot $ n $ at)
 
 (* -- list ----------------------------------------------------------------- *)
@@ -1167,7 +1196,7 @@ let list_cmd =
              fault scenarios, and expected lint findings.")
   in
   Cmd.v
-    (Cmd.info "list"
+    (Cmd.info ~exits "list"
        ~doc:"List every registered protocol (and any -f loaded spec)")
     Term.(const list_protocols $ verbose $ file_arg)
 
@@ -1179,7 +1208,6 @@ let list_cmd =
    offending source — replayable from (seed, index) alone — and the run
    exits 1. *)
 let fuzz seed count verbose =
-  if count < 1 then die_usage "bad --count %d (want a positive integer)" count;
   let failed = ref false in
   let fail index src fmt =
     Printf.ksprintf
@@ -1310,18 +1338,14 @@ let fuzz_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Generator seed.")
   in
-  let count =
-    Arg.(
-      value & opt int 50
-      & info [ "count" ] ~docv:"N" ~doc:"Number of specs to generate.")
-  in
+  let count = pos_int_arg "count" ~default:50 ~doc:"Number of specs to generate." in
   let verbose =
     Arg.(
       value & flag
       & info [ "v"; "verbose" ] ~doc:"Print one line per generated spec.")
   in
   Cmd.v
-    (Cmd.info "fuzz"
+    (Cmd.info ~exits "fuzz"
        ~doc:
          "Generate seeded random .hpl specs and push each through the whole \
           pipeline: parse, elaborate, lint, enumerate, isomorphism laws")
@@ -1330,9 +1354,6 @@ let fuzz_cmd =
 (* -- serve (cached knowledge-query daemon) -------------------------------- *)
 
 let serve pipe socket max_cached_states cache_dir =
-  if max_cached_states < 1 then
-    die_usage "bad --max-cached-states %d (want a positive integer)"
-      max_cached_states;
   (match cache_dir with
   | None -> ()
   | Some d ->
@@ -1375,12 +1396,10 @@ let serve_cmd =
           ~doc:"Bind a Unix domain socket at $(docv) and serve connections.")
   in
   let max_cached =
-    Arg.(
-      value & opt int 1_000_000
-      & info [ "max-cached-states" ] ~docv:"N"
-          ~doc:
-            "LRU cache budget: total stored computations across all cached \
-             universes.")
+    pos_int_arg "max-cached-states" ~default:1_000_000
+      ~doc:
+        "LRU cache budget: total stored computations across all cached \
+         universes."
   in
   let cache_dir =
     Arg.(
@@ -1392,7 +1411,7 @@ let serve_cmd =
              warm starts across daemon restarts.")
   in
   Cmd.v
-    (Cmd.info "serve"
+    (Cmd.info ~exits "serve"
        ~doc:
          "Run the knowledge-query daemon: knows/check/extent/enumerate-stats \
           over line-delimited JSON, backed by an LRU universe cache and \
@@ -1403,7 +1422,7 @@ let () =
   let doc = "explore the systems of 'How Processes Learn' (Chandy & Misra 1985)" in
   let code =
     Cmd.eval
-      (Cmd.group (Cmd.info "hpl" ~version:"1.0.0" ~doc)
+      (Cmd.group (Cmd.info ~exits "hpl" ~version:"1.0.0" ~doc)
          [
            list_cmd;
            enumerate_cmd;

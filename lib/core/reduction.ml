@@ -80,138 +80,14 @@ let resolve mode ~symmetry:g =
   | `Sym, Some g -> Ok (sym g)
   | `Full, Some g -> Ok (full g)
 
-(* --- ample filter ---------------------------------------------------
-
-   The persistent-set analogue of [Universe.snoc_is_canonical]: an
-   extension [(z; e)] is kept iff [e] is not preceded, at or after the
-   position where it first became available, by any event greater than
-   it. The baseline recomputes availability by scanning [z] per
-   candidate; here the per-state context precomputes
-   - the suffix maxima of [z]'s events,
-   - the position of each process's last event (the same-process direct
-     predecessor of any extension on it), and
-   - the position of each send (the direct predecessor of its receive),
-   making each candidate test O(1). The kept set is exactly the
-   baseline's, so reduced-without-symmetry enumeration is bit-identical
-   to the seed — only faster. *)
-
-module Ample = struct
-  type ctx = {
-    len : int;
-    suffix_max : Event.t array;
-    last_pos : int array; (* per pid, -1 when the process has no event *)
-    send_pos : (Pid.t * int, int) Hashtbl.t; (* Msg.key -> position *)
-  }
-
-  let make ~n z =
-    let events = Array.of_list (Trace.to_list z) in
-    let len = Array.length events in
-    let suffix_max =
-      if len = 0 then [||]
-      else begin
-        let sm = Array.make len events.(len - 1) in
-        for i = len - 2 downto 0 do
-          sm.(i) <-
-            (if Event.compare events.(i) sm.(i + 1) > 0 then events.(i)
-             else sm.(i + 1))
-        done;
-        sm
-      end
-    in
-    let last_pos = Array.make n (-1) in
-    let send_pos = Hashtbl.create (2 * len) in
-    Array.iteri
-      (fun i e ->
-        last_pos.(Pid.to_int e.Event.pid) <- i;
-        match e.Event.kind with
-        | Event.Send m -> Hashtbl.replace send_pos (Msg.key m) i
-        | Event.Receive _ | Event.Internal _ -> ())
-      events;
-    { len; suffix_max; last_pos; send_pos }
-
-  let keep ctx e =
-    let same_pid = ctx.last_pos.(Pid.to_int e.Event.pid) in
-    let from_send =
-      match e.Event.kind with
-      | Event.Receive m -> (
-          match Hashtbl.find_opt ctx.send_pos (Msg.key m) with
-          | Some i -> i
-          | None -> -1)
-      | Event.Send _ | Event.Internal _ -> -1
-    in
-    let avail = 1 + max same_pid from_send in
-    avail >= ctx.len || Event.compare ctx.suffix_max.(avail) e < 0
-end
-
-(* --- incremental enabled sets ---------------------------------------
-
-   [Spec.enabled] recomputes every process's projection and the
-   in-flight pool by scanning the whole trace at every state. But a
-   one-event extension only changes the enabled set of the extending
-   process (its history and, for a receive, the pool entry it consumes)
-   and — when the event is a send — of the destination (receives are
-   filtered by [dst], so no other pool consumer exists). Carrying the
-   per-process histories, per-process enabled lists and the pool from
-   parent to child makes a step cost at most two rule invocations
-   instead of [n] full-trace scans.
-
-   Event lists are kept per process, each sorted and deduplicated by
-   [Spec.step_events]; [Event.compare] orders by pid first, so their
-   concatenation in pid order is exactly [Spec.enabled]'s output. *)
-
-module Enabled = struct
-  type ctx = {
-    hists_rev : Event.t list array; (* newest first, tails shared *)
-    by_pid : Event.t list array;
-    pool : Msg.t list;
-  }
-
-  let recompute spec ~hists_rev ~pool q =
-    Spec.step_events spec (Pid.of_int q)
-      ~history:(List.rev hists_rev.(q))
-      ~pool
-
-  let init spec =
-    let n = Spec.n spec in
-    let hists_rev = Array.make n [] in
-    let pool = [] in
-    {
-      hists_rev;
-      by_pid = Array.init n (fun q -> recompute spec ~hists_rev ~pool q);
-      pool;
-    }
-
-  let events ctx = List.concat (Array.to_list ctx.by_pid)
-
-  let step spec ctx e =
-    let n = Array.length ctx.by_pid in
-    let pi = Pid.to_int e.Event.pid in
-    let hists_rev = Array.copy ctx.hists_rev in
-    hists_rev.(pi) <- e :: hists_rev.(pi);
-    let pool =
-      match e.Event.kind with
-      | Event.Send m -> m :: ctx.pool
-      | Event.Receive m -> List.filter (fun m' -> not (Msg.equal m' m)) ctx.pool
-      | Event.Internal _ -> ctx.pool
-    in
-    let by_pid = Array.copy ctx.by_pid in
-    by_pid.(pi) <- recompute spec ~hists_rev ~pool pi;
-    (match e.Event.kind with
-    | Event.Send m ->
-        let d = Pid.to_int m.Msg.dst in
-        if d <> pi && d >= 0 && d < n then
-          by_pid.(d) <- recompute spec ~hists_rev ~pool d
-    | Event.Receive _ | Event.Internal _ -> ());
-    { hists_rev; by_pid; pool }
-end
-
 (* --- ample-set restriction ------------------------------------------
 
    At a canonical state, let x0 be the globally least enabled event
-   ([Event.compare] is pid-major and [Enabled.events] concatenates the
-   sorted per-pid lists in pid order, so x0 heads the candidate list)
-   and p its process. If p is stable and x0 is p's only enabled event,
-   {x0} is a valid ample set for the blocked fragment of the universe:
+   ([Event.compare] is pid-major and [Spec.enabled] is sorted, so x0
+   heads the candidate list and every other event of its process
+   follows it directly) and p its process. If p is stable and x0 is
+   p's only enabled event, {x0} is a valid ample set for the blocked
+   fragment of the universe:
 
    - x0 is inevitable: p's enabled set cannot be changed by any other
      process (stability), so in every blocked extension of this state
@@ -233,11 +109,14 @@ end
    on the way to unvisited interleavings of the {e same} classes are
    dropped — that is the reduction. *)
 
-let restrict ind ctx cands =
+let restrict ind cands =
   match cands with
-  | e :: _ :: _ -> (
+  | e :: e' :: _ ->
       let p = Pid.to_int e.Event.pid in
-      if p < Independence.n ind && Independence.stable ind p then
-        match ctx.Enabled.by_pid.(p) with [ _ ] -> [ e ] | _ -> cands
-      else cands)
+      if
+        p < Independence.n ind
+        && Independence.stable ind p
+        && not (Pid.equal e'.Event.pid e.Event.pid)
+      then [ e ]
+      else cands
   | _ -> cands

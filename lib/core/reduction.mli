@@ -7,26 +7,25 @@
       [\[D\]]-classes. Exactness of knowledge queries on the reduced
       universe is recovered by quantifying over the orbit expansion
       ({!Knowledge.knows} does this automatically).
-    - {e partial order} ([por]): the persistent-set style filter plus
-      incremental enabled-set maintenance. Plain {!por} produces a
-      universe {e bit-identical} to the unreduced canonical enumeration
-      — same computations, same order, same class ids — only faster, so
-      it is always safe.
+    - {e partial order} ([por]): an ample-set restriction armed by a
+      static {!Independence.t} (attach with {!with_independence};
+      computed by the abstract interpreter, [Hpl_analysis.Dataflow]).
+      Plain {!por} with no independence attached runs the unreduced
+      canonical enumeration — same computations, same order, same
+      class ids.
 
     [full] combines both. Reductions require [`Canonical] mode.
 
-    A [por] reduction may additionally carry a static
-    {!Independence.t} (attach with {!with_independence}; computed by
-    the abstract interpreter, [Hpl_analysis.Dataflow]). When the
-    no-truncation certificate holds ({!Independence.applicable}),
-    enumeration restricts some states to a singleton ample set
-    ({!restrict}), actually pruning. The contract weakens from
-    bit-identity to {e blocked-preservation}: every blocked (quiescent)
-    computation class of the unreduced universe survives, with its
-    canonical representative; only states on the way to other
-    interleavings of the same classes are dropped. On specs where the
-    restriction never fires (no stable process ever holds the least
-    enabled event alone) the result is still bit-identical. *)
+    When an attached independence relation's no-truncation certificate
+    holds ({!Independence.applicable}), enumeration restricts some
+    states to a singleton ample set ({!restrict}), actually pruning.
+    The contract weakens from bit-identity to {e blocked-preservation}:
+    every blocked (quiescent) computation class of the unreduced
+    universe survives, with its canonical representative; only states
+    on the way to other interleavings of the same classes are dropped.
+    On specs where the restriction never fires (no stable process ever
+    holds the least enabled event alone) the result is still
+    bit-identical. *)
 
 type t
 
@@ -86,41 +85,12 @@ val resolve : mode -> symmetry:Symmetry.group option -> (t, string) result
     [`Sym]/[`Full] without a group is an error (the message names the
     remedy). *)
 
-(** {2 Enumeration internals}
+(** {2 The ample-set restriction} *)
 
-    Used by {!Universe.enumerate}; exposed for the property tests that
-    cross-validate them against the baseline definitions. *)
-
-module Ample : sig
-  type ctx
-
-  val make : n:int -> Trace.t -> ctx
-  (** Per-state precomputation: suffix maxima, last event position per
-      process, send positions. O(length + n). *)
-
-  val keep : ctx -> Event.t -> bool
-  (** Exactly [Universe]'s snoc-canonicity of the extension, in O(1)
-      per candidate. *)
-end
-
-module Enabled : sig
-  type ctx
-
-  val init : Spec.t -> ctx
-  (** Context of the empty computation. *)
-
-  val events : ctx -> Event.t list
-  (** Exactly [Spec.enabled] of the context's computation. *)
-
-  val step : Spec.t -> ctx -> Event.t -> ctx
-  (** Context of the one-event extension; recomputes only the extending
-      process's enabled set (and the destination's, for a send). *)
-end
-
-val restrict : Independence.t -> Enabled.ctx -> Event.t list -> Event.t list
-(** [restrict ind ctx cands] — the singleton ample set. [cands] must be
-    the full enabled list of [ctx]'s state (head = globally least
-    event). If the least event's process is stable and it is that
-    process's only enabled event, returns just that event; otherwise
-    [cands] unchanged. Sound for blocked-computation preservation only
-    under {!Independence.applicable} — the caller gates on it. *)
+val restrict : Independence.t -> Event.t list -> Event.t list
+(** [restrict ind cands] — the singleton ample set used by
+    {!Universe.enumerate}. [cands] must be a state's full {!Spec.enabled}
+    list (sorted, pid-major). If the head's process is stable and has no
+    other candidate, returns just the head; otherwise [cands] unchanged.
+    Sound for blocked-computation preservation only under
+    {!Independence.applicable} — the caller gates on it. *)

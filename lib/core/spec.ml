@@ -59,8 +59,14 @@ let step_events s p ~history ~pool =
 let enabled_on s z p =
   step_events s p ~history:(Trace.proj z p) ~pool:(Trace.in_flight z)
 
+(* [Trace.in_flight] scans the whole trace: compute the pool once per
+   state, not once per process *)
 let enabled s z =
-  List.concat_map (enabled_on s z) (pids s) |> List.sort_uniq Event.compare
+  let pool = Trace.in_flight z in
+  List.concat_map
+    (fun p -> step_events s p ~history:(Trace.proj z p) ~pool)
+    (pids s)
+  |> List.sort_uniq Event.compare
 
 let extensions s z = List.map (Trace.snoc z) (enabled s z)
 

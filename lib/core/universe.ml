@@ -202,38 +202,23 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       | _ -> None
     else None
   in
-  let children z en =
-    let cands =
-      match en with
-      | Some ctx -> Reduction.Enabled.events ctx
-      | None -> Spec.enabled spec z
-    in
+  let children z =
+    let cands = Spec.enabled spec z in
     let restricted =
-      match (indep_active, en) with
-      | Some ind, Some ctx -> Reduction.restrict ind ctx cands
-      | _ -> cands
+      match indep_active with
+      | Some ind -> Reduction.restrict ind cands
+      | None -> cands
     in
-    let kept =
-      if por && mode = `Canonical && group = None then
-        let ctx = Reduction.Ample.make ~n z in
-        List.filter (Reduction.Ample.keep ctx) restricted
-      else List.filter (keep z) restricted
-    in
-    let pruned = List.length cands - List.length kept in
-    ( List.map
-        (fun e ->
-          ( e,
-            Trace.snoc z e,
-            Option.map (fun ctx -> Reduction.Enabled.step spec ctx e) en ))
-        kept,
-      pruned )
+    let kept = List.filter (keep z) restricted in
+    ( List.map (fun e -> (e, Trace.snoc z e)) kept,
+      List.length cands - List.length kept )
   in
   let expand frontier =
     let m = Array.length frontier in
     let out = Array.make m ([], 0) in
     for i = 0 to m - 1 do
-      let z, _, en, _ = frontier.(i) in
-      out.(i) <- children z en
+      let z, _, _ = frontier.(i) in
+      out.(i) <- children z
     done;
     out
   in
@@ -272,13 +257,12 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     c.(j) <- pe :: c.(j);
     c
   in
-  let root_en = if por then Some (Reduction.Enabled.init spec) else None in
   let root_cands =
     match group with
     | None -> None
     | Some _ -> Some (Array.make (Array.length perms) (Array.make n []))
   in
-  let root = (Trace.empty, Array.make n 0, root_en, root_cands) in
+  let root = (Trace.empty, Array.make n 0, root_cands) in
   push root;
   (match group with
   | Some _ ->
@@ -309,43 +293,45 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       (* symmetry: decide each child's fate first — skip if its
          [D]-class (identity projection vector) was already seen,
          otherwise extend the parent's remaining renamed vectors and
-         take their minimum as the orbit key (timed separately) *)
-      let annotated =
+         take their minimum as the orbit key (timed separately).
+         Without a group every child is [`Fresh] and no fate is built. *)
+      let fates =
         match group with
-        | None -> Array.map (fun (kids, pruned) -> (List.map (fun c -> (c, None)) kids, pruned)) childlists
+        | None -> None
         | Some _ ->
             Hpl_obs.span "reduce.canon"
               ~args:(fun () -> [ ("depth", string_of_int d) ])
               (fun () ->
-                Array.mapi
-                  (fun i (kids, pruned) ->
-                    let _, _, _, pcands = frontier.(i) in
-                    let pcands =
-                      match pcands with Some c -> c | None -> assert false
-                    in
-                    ( List.map
-                        (fun ((e, _, _) as c) ->
-                          let v = extend_cand 0 pcands.(0) e in
-                          if Symmetry.KeyTbl.mem class_seen v then (c, Some `Dup)
-                          else begin
-                            Symmetry.KeyTbl.replace class_seen v ();
-                            let cands =
-                              Array.mapi
-                                (fun k pc ->
-                                  if k = 0 then v else extend_cand k pc e)
-                                pcands
-                            in
-                            let best = ref 0 in
-                            for k = 1 to Array.length cands - 1 do
-                              if
-                                Symmetry.compare_key cands.(k) cands.(!best) < 0
-                              then best := k
-                            done;
-                            (c, Some (`Key (cands.(!best), perms.(!best), cands)))
-                          end)
-                        kids,
-                      pruned ))
-                  childlists)
+                Some
+                  (Array.mapi
+                     (fun i (kids, _) ->
+                       let _, _, pcands = frontier.(i) in
+                       let pcands =
+                         match pcands with Some c -> c | None -> assert false
+                       in
+                       List.map
+                         (fun (e, _) ->
+                           let v = extend_cand 0 pcands.(0) e in
+                           if Symmetry.KeyTbl.mem class_seen v then `Dup
+                           else begin
+                             Symmetry.KeyTbl.replace class_seen v ();
+                             let cands =
+                               Array.mapi
+                                 (fun k pc ->
+                                   if k = 0 then v else extend_cand k pc e)
+                                 pcands
+                             in
+                             let best = ref 0 in
+                             for k = 1 to Array.length cands - 1 do
+                               if
+                                 Symmetry.compare_key cands.(k) cands.(!best)
+                                 < 0
+                               then best := k
+                             done;
+                             `Key (cands.(!best), perms.(!best), cands)
+                           end)
+                         kids)
+                     childlists))
       in
       let next = ref [] in
       Hpl_obs.span "enumerate.merge"
@@ -355,43 +341,45 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
             (fun i (kids, pruned) ->
               check_time ();
               ample_prunes := !ample_prunes + pruned;
-              let _, pids, _, _ = frontier.(i) in
-              List.iter
-                (fun ((e, z', en), fate) ->
-                  let admit =
-                    match fate with
-                    | None -> true
-                    | Some `Dup ->
+              let _, pids, _ = frontier.(i) in
+              let merge (e, z') fate =
+                let admit =
+                  match fate with
+                  | `Fresh -> true
+                  | `Dup ->
+                      incr orbit_hits;
+                      false
+                  | `Key (key, _, _) ->
+                      if Symmetry.KeyTbl.mem orbit_idx key then begin
                         incr orbit_hits;
                         false
-                    | Some (`Key (key, _, _)) ->
-                        if Symmetry.KeyTbl.mem orbit_idx key then begin
-                          incr orbit_hits;
-                          false
-                        end
-                        else true
+                      end
+                      else true
+                in
+                if admit then begin
+                  let pi = Pid.to_int e.Event.pid in
+                  let ids = Array.copy pids in
+                  ids.(pi) <- trie_intern trie pi pids.(pi) e;
+                  let node =
+                    match fate with
+                    | `Key (_, _, cands) -> (z', ids, Some cands)
+                    | `Fresh | `Dup -> (z', ids, None)
                   in
-                  if admit then begin
-                    let pi = Pid.to_int e.Event.pid in
-                    let ids = Array.copy pids in
-                    ids.(pi) <- trie_intern trie pi pids.(pi) e;
-                    let node =
-                      match fate with
-                      | Some (`Key (_, _, cands)) -> (z', ids, en, Some cands)
-                      | _ -> (z', ids, en, None)
-                    in
-                    (* push may raise on budget: register the orbit
-                       entry only once the node is actually stored *)
-                    push node;
-                    (match fate with
-                    | Some (`Key (key, sigma, _)) ->
-                        Symmetry.KeyTbl.replace orbit_idx key (!count - 1);
-                        sigma_acc := sigma :: !sigma_acc
-                    | _ -> ());
-                    next := node :: !next
-                  end)
-                kids)
-            annotated);
+                  (* push may raise on budget: register the orbit
+                     entry only once the node is actually stored *)
+                  push node;
+                  (match fate with
+                  | `Key (key, sigma, _) ->
+                      Symmetry.KeyTbl.replace orbit_idx key (!count - 1);
+                      sigma_acc := sigma :: !sigma_acc
+                  | `Fresh | `Dup -> ());
+                  next := node :: !next
+                end
+              in
+              match fates with
+              | None -> List.iter (fun c -> merge c `Fresh) kids
+              | Some f -> List.iter2 merge kids f.(i))
+            childlists);
       level (Array.of_list (List.rev !next)) (d + 1)
     end
   in
@@ -420,7 +408,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     let class_ids_by_pid = Array.init n (fun _ -> Array.make !count 0) in
     (* [!acc] holds nodes in reverse discovery order *)
     List.iteri
-      (fun k (z, ids, _, _) ->
+      (fun k (z, ids, _) ->
         let i = !count - 1 - k in
         comps.(i) <- z;
         for pi = 0 to n - 1 do

@@ -58,8 +58,8 @@ val enumerate :
     [\[D\]]-classes: {!find} resolves any computation to its orbit's
     representative, knowledge/CK/temporal operators quantify over the
     orbit expansion automatically, and plain {!Prop.extent} ranges over
-    representatives only. The partial-order half is bit-identical to the
-    unreduced enumeration, only faster.
+    representatives only. Plain [por] runs the unreduced enumeration;
+    only an attached {!Reduction.Independence.t} restricts it.
 
     [budget] (default {!no_budget}) bounds the enumeration. When a
     ceiling is hit the BFS stops cleanly and the universe carries

@@ -97,10 +97,12 @@ let resolve_proto ?proto ?file () =
 
 (* -- argument validators ----------------------------------------------- *)
 
-let depth_exn s =
+let nonneg_int_exn flag s =
   match int_of_string_opt s with
   | Some d when d >= 0 -> d
-  | _ -> fail "bad --depth %S (want a nonnegative integer)" s
+  | _ -> fail "bad %s %S (want a nonnegative integer)" flag s
+
+let depth_exn = nonneg_int_exn "--depth"
 
 let pos_int_exn flag s =
   match int_of_string_opt s with
@@ -120,6 +122,7 @@ let faults_exn s =
 let checked f s = match f s with v -> Ok v | exception Bad m -> Error m
 let parse_depth = checked depth_exn
 let parse_pos_int flag = checked (pos_int_exn flag)
+let parse_nonneg_int flag = checked (nonneg_int_exn flag)
 let parse_max_seconds = checked max_seconds_exn
 let parse_faults = checked faults_exn
 

@@ -63,6 +63,9 @@ val parse_pos_int : string -> string -> (int, string) result
 (** [parse_pos_int flag s]: a positive integer, with [flag] (e.g.
     ["--max-states"]) named in the diagnostic. *)
 
+val parse_nonneg_int : string -> string -> (int, string) result
+(** [parse_nonneg_int flag s]: a nonnegative integer, likewise. *)
+
 val parse_max_seconds : string -> (float, string) result
 (** A positive [--max-seconds]. *)
 

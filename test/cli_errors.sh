@@ -74,6 +74,33 @@ expect_cli_error() { # expect_cli_error <what> <option> -- <args...>
 expect_cli_error "removed --domains flag" "'--domains'" -- enumerate -s ping-pong --domains 2
 expect_cli_error "unknown mode" "'-m'" -- enumerate -s ping-pong -m weird
 
+# --help documents hpl's own exit codes, not cmdliner's 123/124
+help_exits=$("$HPL" enumerate --help=plain | sed -n '/^EXIT STATUS/,/^[A-Z]/p')
+if ! printf '%s\n' "$help_exits" | grep -Eq '^ +3 +'; then
+  echo "FAIL: enumerate --help: EXIT STATUS does not list 3" >&2
+  fails=$((fails + 1))
+fi
+if printf '%s\n' "$help_exits" | grep -q '124'; then
+  echo "FAIL: enumerate --help: EXIT STATUS lists cmdliner's 124" >&2
+  fails=$((fails + 1))
+fi
+
+# -- simulations: integer flags are checked like --max-states ----------
+expect 2 "termination zero processes" -- termination -n 0
+expect 2 "gossip zero processes" -- gossip -n 0
+expect 2 "deadlock zero processes" -- deadlock -n 0
+expect 2 "mutex zero processes" -- mutex -n 0
+expect 2 "election zero processes" -- election -n 0
+expect 2 "snapshot zero processes" -- snapshot -n 0
+expect 2 "termination negative budget" -- termination --budget=-5
+expect 2 "termination negative fanout" -- termination --fanout=-1
+expect 2 "mutex negative rounds" -- mutex --rounds=-1
+expect 2 "paxos negative proposers" -- paxos --proposers=-1
+expect 2 "paxos zero proposers" -- paxos --proposers 0
+expect 2 "deadlock partial needs 3 processes" -- deadlock -n 2 --shape partial
+expect_cli_error "unknown gossip mode" "'--mode'" -- gossip --mode bogus
+expect_cli_error "unknown deadlock shape" "'--shape'" -- deadlock --shape bogus
+
 # lint: clean spec exits 0, unlearnable assertion exits 1 with the rule named
 expect 0 "lint clean" -- lint -s token-ring
 expect 1 "lint unlearnable formula" -- lint -s underlying:3 --formula 'K p0 chaindone'

@@ -227,8 +227,8 @@ let test_por_independence_blocked_preservation () =
     (profiled ())
 
 (* quorum at depth 9: the certificate applies (Σ bound = 7 <= 9) and
-   the restriction really fires — strictly fewer states than plain por,
-   which is itself bit-identical to the unreduced run *)
+   the restriction really fires — 87 states, strictly fewer than plain
+   por's 144, which is itself bit-identical to the unreduced run *)
 let test_quorum_strict_reduction () =
   let _, inst, df =
     List.find (fun (n, _, _) -> n = "quorum:5:2") (profiled ())
@@ -239,8 +239,7 @@ let test_quorum_strict_reduction () =
   let uind = enum ~reduce:(por_with_independence df) inst ~depth in
   check tint "plain por is bit-identical" (Universe.size u0)
     (Universe.size upor);
-  check tbool "por+independence strictly reduces" true
-    (Universe.size uind < Universe.size u0);
+  check tint "por+independence reduces to 87 states" 87 (Universe.size uind);
   check
     Alcotest.(list (list string))
     "blocked computations preserved"
@@ -288,6 +287,39 @@ let test_por_independence_bit_identity_when_inapplicable () =
             (Trace.equal z (Universe.comp u1 i)))
         u0)
     [ "ring:6:2"; "ping-pong" ]
+
+(* -- the ample-set restriction on hand-built sorted candidate lists ------- *)
+
+let restrict_ind =
+  Reduction.Independence.make ~stable:[| true; false; true |]
+    ~bound:[| 1; 1; 1 |]
+
+let ev pid tag = Event.internal ~pid:(Pid.of_int pid) ~lseq:0 tag
+
+let restrict_case name ~want cands () =
+  check
+    Alcotest.(list string)
+    name
+    (List.map Event.to_string want)
+    (List.map Event.to_string (Reduction.restrict restrict_ind cands))
+
+let restrict_cases =
+  let a = ev 0 "a" and b = ev 0 "b" and c = ev 1 "c" and d = ev 2 "d" in
+  let e3 = ev 3 "e" and e4 = ev 4 "f" in
+  [
+    ( "restrict: stable head alone on its process is a singleton",
+      restrict_case "singleton" ~want:[ a ] [ a; c; d ] );
+    ( "restrict: a second event on the head's process keeps all",
+      restrict_case "unchanged" ~want:[ a; b; c ] [ a; b; c ] );
+    ( "restrict: an unstable head keeps all",
+      restrict_case "unchanged" ~want:[ c; d ] [ c; d ] );
+    ( "restrict: a head pid beyond the relation keeps all",
+      restrict_case "unchanged" ~want:[ e3; e4 ] [ e3; e4 ] );
+    ( "restrict: lists of length <= 1 are unchanged",
+      fun () ->
+        restrict_case "empty" ~want:[] [] ();
+        restrict_case "one" ~want:[ a ] [ a ] () );
+  ]
 
 (* -- the two front ends agree on ported specs ----------------------------- *)
 
@@ -422,3 +454,4 @@ let suite =
       test_tautology_finding;
     Alcotest.test_case "diagnostic spans render" `Quick test_diag_spans;
   ]
+  @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) restrict_cases
