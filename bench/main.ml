@@ -407,20 +407,8 @@ let reduce_rows () =
 let dsl_rows () =
   fresh_heap ();
   Hpl_protocols.Builtins.init ();
-  let path =
-    match
-      List.find_opt Sys.file_exists
-        [
-          "corpus/specs/ring.hpl";
-          "../corpus/specs/ring.hpl";
-          "../../corpus/specs/ring.hpl";
-          "../../../corpus/specs/ring.hpl";
-        ]
-    with
-    | Some p -> p
-    | None -> failwith "bench: corpus/specs/ring.hpl not found"
-  in
-  let src = In_channel.with_open_bin path In_channel.input_all in
+  let path = "corpus/specs/ring.hpl" in
+  let src = List.assoc path Hpl_dsl.Corpus.specs in
   let load () =
     match Hpl_dsl.Elaborate.load_string ~file:path src with
     | Ok l -> l
@@ -481,8 +469,8 @@ let phase_rows () =
 (* -- flow rows (lib/analysis/dataflow.ml) --------------------------------
 
    The acceptance claim of `hpl flow`: one sweep of the abstract
-   interpreter over the whole registry (every protocol that declares a
-   profile) plus every corpus spec finishes well under a second — the
+   interpreter over the whole registry (every protocol with a corpus
+   port) plus every corpus spec finishes well under a second — the
    analysis must stay cheap enough to run before every enumeration.
    The /rules row counts how many rules the sweep passed verdicts on,
    so a silently shrinking analysis surface would show in the
@@ -491,27 +479,13 @@ let phase_rows () =
 let flow_rows () =
   fresh_heap ();
   Hpl_protocols.Builtins.init ();
-  let dir =
-    match
-      List.find_opt Sys.file_exists
-        [
-          "corpus/specs";
-          "../corpus/specs";
-          "../../corpus/specs";
-          "../../../corpus/specs";
-        ]
-    with
-    | Some d -> d
-    | None -> failwith "bench: corpus/specs not found"
-  in
   let specs =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".hpl")
-    |> List.sort compare
-    |> List.map (fun f ->
-           match Hpl_dsl.Elaborate.load_file (Filename.concat dir f) with
-           | Ok l -> l
-           | Error d -> failwith (Hpl_dsl.Diag.to_string d))
+    List.map
+      (fun (file, src) ->
+        match Hpl_dsl.Elaborate.load_string ~file src with
+        | Ok l -> l
+        | Error d -> failwith (Hpl_dsl.Diag.to_string d))
+      Hpl_dsl.Corpus.specs
   in
   let sweep () =
     let rules = ref 0 in

@@ -80,17 +80,22 @@ let die = function Ok v -> v | Error m -> die_usage "%s" m
 (* an optional raw argument through one of [Query]'s validators *)
 let opt_arg parse = Option.map (fun s -> die (parse s))
 
-(* An integer option read as a string and checked by [parse] (one of
-   [Query]'s integer validators), so a bad value dies with one line and
-   exit 2 like [--max-states], not with cmdliner's generic error. *)
-let int_arg parse name ~default ~doc =
+(* An option read as a string and checked by [parse] (one of [Query]'s
+   validators), so a bad value dies with one line and exit 2 like
+   [--max-states], not with cmdliner's generic error. *)
+let checked_arg parse ~docv ~show name ~default ~doc =
   let flag = (if String.length name = 1 then "-" else "--") ^ name in
-  let raw =
-    Arg.(value & opt string (string_of_int default) & info [ name ] ~docv:"N" ~doc)
-  in
+  let raw = Arg.(value & opt string (show default) & info [ name ] ~docv ~doc) in
   Term.(const (fun s -> die (parse flag s)) $ raw)
 
+let int_arg parse = checked_arg parse ~docv:"N" ~show:string_of_int
 let pos_int_arg = int_arg Query.parse_pos_int
+
+(* a simulated time; [sign] as in [Query.parse_finite_float] *)
+let time_arg sign =
+  checked_arg
+    (fun flag -> Query.parse_finite_float flag sign)
+    ~docv:"T" ~show:(Printf.sprintf "%g")
 
 (* One EXIT STATUS section for every subcommand's --help. *)
 let exits =
@@ -107,7 +112,8 @@ let exits =
 (* [-s] and [-f] are two sources for the same thing: a loaded spec flows
    through enumeration, knowledge, checking, linting and reduction as an
    ordinary instance. The returned [loaded] AST (for [-f] specs) is what
-   the flow analyzer reads — compiled rule closures are opaque. *)
+   the flow analyzer reads; compiled rule closures are opaque, so it
+   reads a registry protocol through its corpus port. *)
 let resolve_proto proto_str file_str =
   die (Query.resolve_proto ?proto:proto_str ?file:file_str ())
 
@@ -234,10 +240,13 @@ let reduce_arg =
     value & opt string "none"
     & info [ "reduce" ] ~docv:"R"
         ~doc:
-          "Reduction layer (DESIGN.md §10): 'none', 'por' (partial-order — \
-           bit-identical universe, computed faster), 'sym' (symmetry \
-           quotient; requires a protocol with declared generators, see \
-           $(b,hpl list -v)), or 'full' (both).")
+          "Reduction layer (DESIGN.md §10): 'none', 'por' (partial-order: \
+           $(b,enumerate) arms it with $(b,hpl flow)'s static independence, \
+           which may drop computations but keeps every blocked one — \
+           quorum at depth 9 goes from 144 to 87; every other subcommand \
+           gets the unreduced universe), 'sym' (symmetry quotient; requires \
+           a protocol with declared generators, see $(b,hpl list -v)), or \
+           'full' (both).")
 
 let resolve_reduce st ~mode ?indep reduce_str =
   die (Query.resolve_reduce st ~mode ?indep reduce_str)
@@ -421,12 +430,11 @@ let heartbeat timeout crash =
 
 let heartbeat_cmd =
   let timeout =
-    Arg.(value & opt float 20.0 & info [ "timeout" ] ~doc:"Suspicion timeout.")
+    time_arg `Positive "timeout" ~default:20.0 ~doc:"Suspicion timeout."
   in
   let crash =
-    Arg.(
-      value & opt float 100.0
-      & info [ "crash-at" ] ~doc:"Crash injection time (negative: no crash).")
+    time_arg `Any "crash-at" ~default:100.0
+      ~doc:"Crash injection time (negative: no crash)."
   in
   Cmd.v
     (Cmd.info ~exits "heartbeat" ~doc:"Run the timeout-based failure detector (§5)")
@@ -467,30 +475,30 @@ let gossip_cmd =
 
 (* -- analyze --------------------------------------------------------------------- *)
 
+(* A recorded trace for [analyze] and [knew], with its process count:
+   [-n] when given, which must cover every pid in the trace, else one
+   past the largest pid. *)
+let load_trace path nprocs =
+  let z = match Trace_io.load path with Ok z -> z | Error e -> die_usage "%s" e in
+  let seen =
+    1 + List.fold_left (fun m e -> max m (Pid.to_int e.Event.pid)) 0 (Trace.to_list z)
+  in
+  match nprocs with
+  | Some n when n < seen ->
+      die_usage "-n %d: the trace needs at least %d processes" n seen
+  | Some n -> (z, n)
+  | None -> (z, seen)
+
 let analyze path nprocs =
-  match Trace_io.load path with
-  | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
-  | Ok z ->
-      let n =
-        match nprocs with
-        | Some n -> n
-        | None ->
-            (* infer: one past the largest pid appearing *)
-            1
-            + List.fold_left
-                (fun m e -> max m (Pid.to_int e.Event.pid))
-                0 (Trace.to_list z)
-      in
-      Printf.printf "processes:     %d\n" n;
-      Format.printf "%a@." Trace_stats.pp (Trace_stats.compute ~n z);
-      Printf.printf "fifo channels: %b\n" (Hpl_clocks.Causal_order.fifo_per_channel z);
-      Printf.printf "causal order:  %b\n"
-        (Hpl_clocks.Causal_order.delivers_causally ~n z);
-      if Trace.length z <= 14 then
-        Printf.printf "consistent cuts: %d\n" (Cut.count_consistent ~n z)
-      else Printf.printf "consistent cuts: (trace too long to enumerate)\n"
+  let z, n = load_trace path nprocs in
+  Printf.printf "processes:     %d\n" n;
+  Format.printf "%a@." Trace_stats.pp (Trace_stats.compute ~n z);
+  Printf.printf "fifo channels: %b\n" (Hpl_clocks.Causal_order.fifo_per_channel z);
+  Printf.printf "causal order:  %b\n"
+    (Hpl_clocks.Causal_order.delivers_causally ~n z);
+  if Trace.length z <= 14 then
+    Printf.printf "consistent cuts: %d\n" (Cut.count_consistent ~n z)
+  else Printf.printf "consistent cuts: (trace too long to enumerate)\n"
 
 let analyze_cmd =
   let path =
@@ -572,50 +580,43 @@ let election_cmd =
 (* -- knew (post-mortem knowledge on a trace file) ----------------------------------- *)
 
 let knew path nprocs who atom =
-  match Trace_io.load path with
-  | Error e ->
-      Printf.eprintf "error: %s\n" e;
-      exit 1
-  | Ok z ->
-      let n =
-        match nprocs with
-        | Some n -> n
-        | None ->
-            1
-            + List.fold_left
-                (fun m e -> max m (Pid.to_int e.Event.pid))
-                0 (Trace.to_list z)
-      in
-      if Trace.length z > 16 then begin
-        Printf.eprintf
-          "trace has %d events; replay universes are exponential — use a run of ≤ 16 events\n"
-          (Trace.length z);
-        exit 1
-      end;
-      let b =
-        match String.split_on_char ':' atom with
-        | [ "acted"; p ] ->
-            let p = int_of_string p in
-            Prop.make atom (fun c -> Trace.local_length c (Pid.of_int p) > 0)
-        | [ "sent"; p ] ->
-            let p = int_of_string p in
-            Prop.make atom (fun c -> Trace.send_count c (Pid.of_int p) > 0)
-        | [ "received"; p ] ->
-            let p = int_of_string p in
-            Prop.make atom (fun c ->
-                List.exists Event.is_receive (Trace.proj c (Pid.of_int p)))
-        | _ ->
-            Printf.eprintf "unknown atom %S (use acted:N, sent:N, received:N)\n" atom;
-            exit 1
-      in
-      let ps = Pset.singleton (Pid.of_int who) in
-      (match Replay.knew_at ~n z ps b with
-      | Some k when k < 0 ->
-          Printf.printf "p%d knew %S before any event\n" who atom
-      | Some k ->
-          Format.printf "p%d first knew %S after event %d: %a@." who atom k
-            Event.pp (Trace.nth z k)
-      | None -> Printf.printf "p%d never knew %S during this run\n" who atom)
+  let z, n = load_trace path nprocs in
+  let pid flag i =
+    if i < 0 || i >= n then
+      die_usage "%s: %d is not a process of the trace (0..%d)" flag i (n - 1);
+    Pid.of_int i
+  in
+  let fact_pid p =
+    match int_of_string_opt p with
+    | Some i -> pid "--fact" i
+    | None -> die_usage "--fact %s: %S is not a process number" atom p
+  in
+  let observer = pid "--who" who in
+  let holds =
+    match String.split_on_char ':' atom with
+    | [ "acted"; p ] ->
+        let p = fact_pid p in
+        fun c -> Trace.local_length c p > 0
+    | [ "sent"; p ] ->
+        let p = fact_pid p in
+        fun c -> Trace.send_count c p > 0
+    | [ "received"; p ] ->
+        let p = fact_pid p in
+        fun c -> List.exists Event.is_receive (Trace.proj c p)
+    | _ -> die_usage "unknown --fact %S (use acted:N, sent:N, received:N)" atom
+  in
+  if Trace.length z > 16 then begin
+    Printf.eprintf
+      "trace has %d events; replay universes are exponential — use a run of ≤ 16 events\n"
+      (Trace.length z);
+    exit 1
+  end;
+  match Replay.knew_at ~n z (Pset.singleton observer) (Prop.make atom holds) with
+  | Some k when k < 0 -> Printf.printf "p%d knew %S before any event\n" who atom
+  | Some k ->
+      Format.printf "p%d first knew %S after event %d: %a@." who atom k
+        Event.pp (Trace.nth z k)
+  | None -> Printf.printf "p%d never knew %S during this run\n" who atom
 
 let knew_cmd =
   let path =
@@ -654,14 +655,19 @@ let paxos_cmd =
 
 let commit_cmd =
   let crash =
-    Arg.(
-      value & opt float (-1.0)
-      & info [ "crash-at" ] ~doc:"Crash the coordinator (negative: never).")
+    time_arg `Any "crash-at" ~default:(-1.0)
+      ~doc:"Crash the coordinator (negative: never)."
   in
   let no_voters =
     Arg.(value & opt (list int) [] & info [ "no" ] ~doc:"Participants voting NO.")
   in
   let run crash no_voters =
+    let n = Two_phase_commit.default.Two_phase_commit.n in
+    List.iter
+      (fun p ->
+        if p < 1 || p >= n then
+          die_usage "--no %d: not a participant (they are 1..%d)" p (n - 1))
+      no_voters;
     let o =
       Two_phase_commit.run
         {
@@ -1069,7 +1075,7 @@ let flow proto file all verbose =
             analyze (Protocol.name t) df ~expect:(Protocol.lint_expect t))
       (Protocol.Registry.list ());
     if !skipped <> [] then
-      Format.printf "(no declared profile, skipped: %s)@."
+      Format.printf "(no .hpl port in corpus/specs, skipped: %s)@."
         (String.concat " " (List.rev !skipped))
   end
   else begin
@@ -1077,8 +1083,8 @@ let flow proto file all verbose =
     match Query.dataflow ~loaded inst with
     | None ->
         die_usage
-          "%s declares no flow profile; only .hpl specs (-f) and profiled \
-           registry protocols can be analyzed — try `hpl flow --all`"
+          "%s has no .hpl port in corpus/specs; only .hpl specs (-f) and \
+           ported registry protocols can be analyzed — try `hpl flow --all`"
           (Protocol.instance_name inst)
     | Some df ->
         analyze (Protocol.instance_name inst) df
@@ -1092,8 +1098,8 @@ let flow_cmd =
       value & flag
       & info [ "all" ]
           ~doc:
-            "Analyze every registered protocol that declares a profile (the \
-             CI gate).")
+            "Analyze every registered protocol that has a $(b,.hpl) port in \
+             corpus/specs (the CI gate).")
   in
   let verbose =
     Arg.(
@@ -1126,7 +1132,7 @@ let snapshot n at =
 let snapshot_cmd =
   let n = pos_int_arg "n" ~default:4 ~doc:"Number of processes." in
   let at =
-    Arg.(value & opt float 50.0 & info [ "at" ] ~doc:"Snapshot initiation time.")
+    time_arg `Nonneg "at" ~default:50.0 ~doc:"Snapshot initiation time."
   in
   Cmd.v
     (Cmd.info ~exits "snapshot" ~doc:"Take a Chandy–Lamport snapshot")

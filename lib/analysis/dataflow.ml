@@ -1,17 +1,15 @@
 (* Abstract interpretation over protocol rules — see dataflow.mli.
 
-   Both rule sources (the elaborated .hpl AST and a registry protocol's
-   declared Profile) are normalized into one internal shape, [srule]:
-   an abstract guard evaluator (a closure over a counter-hull lookup),
-   a concrete guard oracle (for the soundness tests), and a list of
-   intents each carrying a static firing cap. Everything downstream —
-   the liveness fixpoint, verdicts, channels, bounds, independence —
-   works on [srule] alone, so the two front ends cannot drift in the
-   analyses, only in how faithfully they translate guards. *)
+   Rules come from the elaborated .hpl AST — a loaded spec's, or for a
+   registry protocol the embedded corpus port of the same name — and
+   are normalized into one internal shape, [srule]: an abstract guard
+   evaluator (a closure over a counter-hull lookup), a concrete guard
+   oracle (for the soundness tests), and a list of intents each carrying
+   a static firing cap. Everything downstream — the liveness fixpoint,
+   verdicts, channels, bounds, independence — works on [srule] alone. *)
 
 open Hpl_core
 module P = Hpl_protocols.Protocol
-module Profile = P.Profile
 module Ast = Hpl_dsl.Ast
 module Elab = Hpl_dsl.Elaborate
 module Diag = Hpl_dsl.Diag
@@ -97,7 +95,6 @@ let truth v : tv =
   else if v.lo = 0 && v.hi = 0 then `F
   else `M
 
-let of_tv = function `T -> tru | `F -> fls | `M -> mby
 let bnot v = match truth v with `T -> fls | `F -> tru | `M -> mby
 
 let band a b =
@@ -130,15 +127,6 @@ type ckey =
   | K_recvs_of of string
   | K_sends_to of int
   | K_did of string
-
-let key_of_counter = function
-  | Profile.C_len -> K_len
-  | Profile.C_sends -> K_sends
-  | Profile.C_recvs -> K_recvs
-  | Profile.C_sends_of m -> K_sends_of m
-  | Profile.C_recvs_of m -> K_recvs_of m
-  | Profile.C_sends_to d -> K_sends_to d
-  | Profile.C_did t -> K_did t
 
 (* -- normalized rules ------------------------------------------------------ *)
 
@@ -179,17 +167,19 @@ let rec history_free e =
   | Ast.Int _ | Ast.Boolean _ -> true
   | Ast.Var (("len" | "sends" | "recvs"), _) -> false
   | Ast.Var _ -> true
-  | Ast.Count _ | Ast.Did _ -> false
+  | Ast.Count _ | Ast.Did _ | Ast.Sends_to _ -> false
   | Ast.Minmax (_, a, b, _) | Ast.Binop (_, a, b, _) ->
       history_free a && history_free b
   | Ast.Unop (_, a, _) -> history_free a
 
-let ast_counter_of = function
+(* a [sends_to] argument is history-free (the elaborator checks it) *)
+let ast_counter_of ~evalc = function
   | Ast.Var ("len", _) -> Some K_len
   | Ast.Var ("sends", _) -> Some K_sends
   | Ast.Var ("recvs", _) -> Some K_recvs
   | Ast.Count ("sends", m, _) -> Some (K_sends_of m)
   | Ast.Count (_, m, _) -> Some (K_recvs_of m)
+  | Ast.Sends_to (d, _) -> Some (K_sends_to (evalc d))
   | _ -> None
 
 let rec conjuncts e =
@@ -210,6 +200,7 @@ let rec aeval ~evalc look e =
     | Ast.Count ("sends", m, _) -> look (K_sends_of m)
     | Ast.Count (_, m, _) -> look (K_recvs_of m)
     | Ast.Did (t, _) -> look (K_did t)
+    | Ast.Sends_to (d, _) -> look (K_sends_to (evalc d))
     | Ast.Minmax (`Min, a, b, _) ->
         imin (aeval ~evalc look a) (aeval ~evalc look b)
     | Ast.Minmax (`Max, a, b, _) ->
@@ -256,7 +247,7 @@ let ast_cap ~evalc guard ~keys ~do_tag =
       match c with
       | Ast.Unop (`Not, Ast.Did (t, _), _) when do_tag = Some t -> upd acc 1
       | Ast.Binop (op, l, r, _) -> (
-          match (ast_counter_of l, history_free r) with
+          match (ast_counter_of ~evalc l, history_free r) with
           | Some k, true when List.mem k keys -> (
               let kv = evalc r in
               match op with
@@ -265,7 +256,7 @@ let ast_cap ~evalc guard ~keys ~do_tag =
               | Ast.Eq -> upd acc (if kv < 0 then 0 else 1)
               | _ -> acc)
           | _ -> (
-              match (ast_counter_of r, history_free l) with
+              match (ast_counter_of ~evalc r, history_free l) with
               | Some k, true when List.mem k keys -> (
                   let kv = evalc l in
                   match op with
@@ -288,6 +279,7 @@ let rec expr_str e =
   | Ast.Var (v, _) -> v
   | Ast.Count (fn, m, _) -> Printf.sprintf "%s(%S)" fn m
   | Ast.Did (t, _) -> Printf.sprintf "did(%S)" t
+  | Ast.Sends_to (d, _) -> Printf.sprintf "sends_to(%s)" (expr_str d)
   | Ast.Minmax (k, a, b, _) ->
       Printf.sprintf "%s(%s, %s)"
         (match k with `Min -> "min" | `Max -> "max")
@@ -320,7 +312,8 @@ let ast_srules (l : Elab.loaded) values pid_rules =
                       if d < 0 || d >= n || d = pid then None
                       else
                         let cap =
-                          ast_cap ~evalc r.Ast.guard ~keys:(send_keys payload)
+                          ast_cap ~evalc r.Ast.guard
+                            ~keys:(K_sends_to d :: send_keys payload)
                             ~do_tag:None
                         in
                         Some (I_send { dst = Some d; payload }, cap)
@@ -374,141 +367,6 @@ let ast_srules (l : Elab.loaded) values pid_rules =
           })
         rl)
     pid_rules
-
-(* -- Profile front end ----------------------------------------------------- *)
-
-let counter_val history c =
-  match c with
-  | Profile.C_len -> List.length history
-  | Profile.C_sends -> P.sends history
-  | Profile.C_recvs -> P.recvs history
-  | Profile.C_sends_of m -> P.sends_of history m
-  | Profile.C_recvs_of m -> P.recvs_of history m
-  | Profile.C_sends_to d ->
-      List.length
-        (List.filter
-           (fun e ->
-             match e.Event.kind with
-             | Event.Send m -> Pid.to_int m.Msg.dst = d
-             | Event.Receive _ | Event.Internal _ -> false)
-           history)
-  | Profile.C_did t -> if P.did history t then 1 else 0
-
-let atom_holds history = function
-  | Profile.Between (c, lo, hi) ->
-      let v = counter_val history c in
-      v >= lo && (match hi with None -> true | Some h -> v <= h)
-  | Profile.Diff_le (c1, c2, k) ->
-      counter_val history c1 - counter_val history c2 <= k
-
-let atom_truth look = function
-  | Profile.Between (c, lo, hi) ->
-      let v = look (key_of_counter c) in
-      let always =
-        v.lo >= lo && match hi with None -> true | Some h -> v.hi <= h
-      in
-      let never =
-        v.hi < lo || match hi with Some h -> v.lo > h | None -> false
-      in
-      if always then `T else if never then `F else `M
-  | Profile.Diff_le (c1, c2, k) ->
-      let d = isub (look (key_of_counter c1)) (look (key_of_counter c2)) in
-      if d.hi <= k then `T else if d.lo > k then `F else `M
-
-let conj_truth look atoms =
-  List.fold_left
-    (fun acc a -> truth (band (of_tv acc) (of_tv (atom_truth look a))))
-    `T atoms
-
-let counter_str = function
-  | Profile.C_len -> "len"
-  | Profile.C_sends -> "sends"
-  | Profile.C_recvs -> "recvs"
-  | Profile.C_sends_of m -> Printf.sprintf "sends(%S)" m
-  | Profile.C_recvs_of m -> Printf.sprintf "recvs(%S)" m
-  | Profile.C_sends_to d -> Printf.sprintf "sends->p%d" d
-  | Profile.C_did t -> Printf.sprintf "did(%S)" t
-
-let patom_str = function
-  | Profile.Between (Profile.C_did t, 0, Some 0) ->
-      Printf.sprintf "!did(%S)" t
-  | Profile.Between (Profile.C_did t, lo, _) when lo >= 1 ->
-      Printf.sprintf "did(%S)" t
-  | Profile.Between (c, lo, None) ->
-      Printf.sprintf "%s >= %d" (counter_str c) lo
-  | Profile.Between (c, lo, Some hi) when lo = hi ->
-      Printf.sprintf "%s == %d" (counter_str c) lo
-  | Profile.Between (c, 0, Some hi) ->
-      Printf.sprintf "%s <= %d" (counter_str c) hi
-  | Profile.Between (c, lo, Some hi) ->
-      Printf.sprintf "%d <= %s <= %d" lo (counter_str c) hi
-  | Profile.Diff_le (c1, c2, 0) ->
-      Printf.sprintf "%s <= %s" (counter_str c1) (counter_str c2)
-  | Profile.Diff_le (c1, c2, k) ->
-      Printf.sprintf "%s - %s <= %d" (counter_str c1) (counter_str c2) k
-
-let pguard_str = function
-  | [] -> "true"
-  | atoms -> String.concat " && " (List.map patom_str atoms)
-
-let prof_cap atoms ~keys ~do_tag =
-  let upd acc cap =
-    match acc with None -> Some cap | Some c -> Some (min c cap)
-  in
-  List.fold_left
-    (fun acc a ->
-      match a with
-      | Profile.Between (Profile.C_did t, _, Some 0) when do_tag = Some t ->
-          (* firing flips did to 1, leaving the [.. <= 0] window *)
-          upd acc 1
-      | Profile.Between (Profile.C_did _, _, _) -> acc
-      | Profile.Between (c, lo, Some hi) when List.mem (key_of_counter c) keys
-        ->
-          let lo = max lo 0 in
-          upd acc (if hi < lo then 0 else hi - lo + 1)
-      | Profile.Between _ | Profile.Diff_le _ -> acc)
-    None atoms
-
-let prof_srules (prof : Profile.t) =
-  let n = Array.length prof in
-  Array.mapi
-    (fun pid rl ->
-      List.mapi
-        (fun index (r : Profile.rule) ->
-          let intents =
-            List.filter_map
-              (fun (a : Profile.act) ->
-                match a with
-                | Profile.Send { dst; payload } ->
-                    if dst < 0 || dst >= n || dst = pid then None
-                    else
-                      let keys = K_sends_to dst :: send_keys payload in
-                      Some
-                        ( I_send { dst = Some dst; payload },
-                          prof_cap r.Profile.guard ~keys ~do_tag:None )
-                | Profile.Recv ->
-                    Some
-                      ( I_recv Src_any,
-                        prof_cap r.Profile.guard ~keys:recv_keys ~do_tag:None
-                      )
-                | Profile.Do t ->
-                    Some
-                      ( I_do t,
-                        prof_cap r.Profile.guard ~keys:[ K_len ]
-                          ~do_tag:(Some t) ))
-              r.Profile.acts
-          in
-          {
-            pid;
-            index;
-            text = pguard_str r.Profile.guard;
-            where = "";
-            aguard = (fun look -> conj_truth look r.Profile.guard);
-            cguard = (fun history -> List.for_all (atom_holds history) r.Profile.guard);
-            intents;
-          })
-        rl)
-    prof
 
 (* -- the liveness fixpoint ------------------------------------------------- *)
 
@@ -759,10 +617,10 @@ let analyze ~n (rules : srule list array) ~atom_exprs =
                     m
                   :: !probs
           | Ast.Int _ | Ast.Boolean _ | Ast.Var _ -> ()
+          | Ast.Sends_to (a, _) | Ast.Unop (_, a, _) -> scan a
           | Ast.Minmax (_, a, b, _) | Ast.Binop (_, a, b, _) ->
               scan a;
               scan b
-          | Ast.Unop (_, a, _) -> scan a
         in
         scan body;
         List.rev_map (fun why -> (aname, why)) !probs)
@@ -805,12 +663,27 @@ let of_loaded (l : Elab.loaded) values =
         Ok (analyze ~n rules ~atom_exprs)
   with Diag.Error d -> Error d
 
+(* the corpus ports, by protocol name; they ship inside hpl_dsl, so one
+   that fails to load is a build bug, not a user error *)
+let ports =
+  lazy
+    (List.map
+       (fun (file, src) ->
+         match Elab.load_string ~file src with
+         | Ok l -> (P.name l.Elab.proto, l)
+         | Error d -> failwith ("Dataflow: embedded " ^ Diag.to_string d))
+       Hpl_dsl.Corpus.specs)
+
 let of_instance inst =
-  match P.profile_of inst with
-  | None -> None
-  | Some prof ->
-      let n = Array.length prof in
-      Some (analyze ~n (prof_srules prof) ~atom_exprs:[])
+  Option.map
+    (fun l ->
+      match of_loaded l (P.values inst) with
+      | Ok t -> t
+      | Error d ->
+          failwith
+            (Printf.sprintf "Dataflow.of_instance %s: %s" (P.instance_name inst)
+               (Diag.to_string d)))
+    (List.assoc_opt (P.name (P.proto inst)) (Lazy.force ports))
 
 (* -- accessors -------------------------------------------------------------- *)
 

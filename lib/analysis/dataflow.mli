@@ -2,20 +2,21 @@
     satisfiability, dead rules, a static channel graph, and the static
     independence relation POR consumes. No trace is ever constructed.
 
-    The analyzer interprets a first-order view of a spec's rules:
-    either the elaborated [.hpl] AST ({!of_loaded}, full expression
-    grammar) or a registry protocol's declared
-    {!Hpl_protocols.Protocol.Profile} ({!of_instance}). Guards are
-    evaluated in an interval domain over the local-history counters
-    ([len], [sends], [recvs], [sends "m"], [recvs "m"], [did "t"]);
-    parameters and [me] are concrete at the analyzed instance, so only
-    history counters are abstract.
+    The analyzer interprets the elaborated [.hpl] AST of a spec's rules:
+    a loaded spec's ({!of_loaded}), or for a registry protocol the
+    embedded [corpus/specs] port of the same name ({!of_instance}) —
+    compiled rule closures are opaque. Guards are evaluated in an
+    interval domain over the local-history counters ([len], [sends],
+    [recvs], [sends "m"], [recvs "m"], [sends_to(d)], [did "t"]);
+    parameters, loop variables and [me] are concrete at the analyzed
+    instance, so only history counters are abstract.
 
     {2 The two phases}
 
     {e Caps}: each intent gets a static bound on how many times it can
     fire, read off guard conjuncts that threshold a counter the intent
-    increments ([sends < k], [recvs <= k], [c == k], [!did "t"]) —
+    increments ([sends < k], [recvs <= k], [sends_to(d) == k] for a
+    send to [d], [c == k], [!did "t"]) —
     counters are monotone over a local history, so a threshold is a
     firing budget. Receive totals are additionally bounded by message
     conservation: a process cannot receive more than every peer can
@@ -52,9 +53,7 @@ type rule_report = {
   pid : int;
   index : int;  (** position in the pid's rule list *)
   text : string;  (** rendered guard, for messages *)
-  where : string;
-      (** ["file:line:col-ecol: "] span prefix for AST rules, [""] for
-          profile rules *)
+  where : string;  (** ["file:line:col-ecol: "] span prefix of the guard *)
   verdict : verdict;
   starved_recv : bool;
       (** the rule has a live guard and a receive intent, but no live
@@ -74,8 +73,11 @@ val of_loaded :
     reports. *)
 
 val of_instance : Hpl_protocols.Protocol.instance -> t option
-(** Analyze a registry instance through its declared profile; [None]
-    when the protocol declares none (opaque closure). *)
+(** Analyze a registry instance through the embedded [.hpl] port whose
+    protocol name matches, at the instance's values; [None] when the
+    protocol has no port. The ports are loaded once, on first use. An
+    embedded spec that fails to load or resolve is a build bug and
+    raises [Failure]. *)
 
 (** {1 Results} *)
 
@@ -102,7 +104,7 @@ val independence : t -> Reduction.Independence.t option
     process's event bound is not finite. *)
 
 val unreachable_atoms : t -> (string * string) list
-(** [(atom, why)] — named atoms (AST specs only) mentioning a [did]
+(** [(atom, why)] — named atoms mentioning a [did]
     tag no live rule performs or a payload no live channel carries;
     such an atom can never change value. *)
 
@@ -111,9 +113,8 @@ val unreachable_atoms : t -> (string * string) list
 val guard_holds : t -> pid:int -> index:int -> Event.t list -> bool
 (** Evaluate rule [index] of [pid]'s guard concretely on a local
     history, with the exact dynamic semantics (the elaborator's
-    evaluator for AST specs, counter arithmetic for profiles). The flow
-    soundness property: if the rule's verdict is {!Dead}, this returns
-    [false] on every reachable history. *)
+    evaluator). The flow soundness property: if the rule's verdict is
+    {!Dead}, this returns [false] on every reachable history. *)
 
 (** {1 Reporting} *)
 

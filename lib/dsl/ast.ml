@@ -31,6 +31,9 @@ type expr =
   | Count of string * string * pos
       (** [sends "m"] / [recvs "m"] — payload-filtered history counts *)
   | Did of string * pos  (** [did "tag"] — internal event in the history *)
+  | Sends_to of expr * pos
+      (** [sends_to(e)] — sends to process [e] in the history; [e] is
+          history-free *)
   | Minmax of [ `Min | `Max ] * expr * expr * pos
   | Unop of [ `Neg | `Not ] * expr * pos
   | Binop of binop * expr * expr * pos
@@ -46,6 +49,13 @@ type rule = {
   rpos : pos;
   gspan : pos * pos;  (* first and last token of the guard, inclusive *)
 }
+
+type block_item =
+  | Rule of rule
+  | For of string * expr * expr * rule list * pos
+      (** [for k in a .. b { rules }] — the body once per static [k] in
+          [a..b]; [pos] is [k]'s. Unrolled when selectors are resolved,
+          so only plain rules reach the closures and the analyzer. *)
 
 type selector =
   | Sel_pid of expr * pos  (** [process <expr>] — a specific process *)
@@ -81,7 +91,7 @@ type item =
   | Param of param_decl
   | Processes of expr * pos
   | Depth of int * pos
-  | Process of selector * rule list * pos
+  | Process of selector * block_item list * pos
   | Atom of atom_decl
   | Symmetry of symgen * pos
   | Faults of string list * pos
@@ -95,6 +105,7 @@ let expr_pos = function
   | Var (_, p)
   | Count (_, _, p)
   | Did (_, p)
+  | Sends_to (_, p)
   | Minmax (_, _, _, p)
   | Unop (_, _, p)
   | Binop (_, _, _, p) ->

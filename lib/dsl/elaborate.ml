@@ -37,7 +37,7 @@ type split = {
   sprocesses : expr;
   sppos : pos;  (* position of the 'processes' item *)
   sdepth : int option;
-  sblocks : (selector * rule list * pos) list;
+  sblocks : (selector * block_item list * pos) list;
   satoms : atom_decl list;
   sgens : (symgen * pos) list;
   sfaults : (string * pos) list;
@@ -110,31 +110,28 @@ let ty_name = function TInt -> "an integer" | TBool -> "a boolean"
 let history_var = function "len" | "sends" | "recvs" -> true | _ -> false
 
 let reserved =
-  [ "me"; "len"; "sends"; "recvs"; "did"; "min"; "max"; "true"; "false" ]
+  [
+    "me"; "len"; "sends"; "recvs"; "sends_to"; "did"; "min"; "max"; "true";
+    "false";
+  ]
 
-let rec ensure_history_free ~file ~op e =
+(* [where] names the position, [why] says why it must be history-free *)
+let rec ensure_history_free ~file ~where ~why e =
+  let reader fn p =
+    errf ~file ~pos:p "'%s(...)' cannot appear in %s (%s)" fn where why
+  in
   match e with
   | Int _ | Boolean _ -> ()
   | Var (v, p) when history_var v ->
-      errf ~file ~pos:p
-        "the right-hand side of '%s' must not read the local history (it is \
-         validated nonzero per process, which keeps rules total)"
-        op
+      errf ~file ~pos:p "%s must not read the local history (%s)" where why
   | Var _ -> ()
-  | Count (fn, _, p) ->
-      errf ~file ~pos:p
-        "'%s(...)' cannot appear in the right-hand side of '%s' (divisors \
-         must be history-independent)"
-        fn op
-  | Did (_, p) ->
-      errf ~file ~pos:p
-        "'did(...)' cannot appear in the right-hand side of '%s' (divisors \
-         must be history-independent)"
-        op
+  | Count (fn, _, p) -> reader fn p
+  | Did (_, p) -> reader "did" p
+  | Sends_to (_, p) -> reader "sends_to" p
   | Minmax (_, a, b, _) | Binop (_, a, b, _) ->
-      ensure_history_free ~file ~op a;
-      ensure_history_free ~file ~op b
-  | Unop (_, a, _) -> ensure_history_free ~file ~op a
+      ensure_history_free ~file ~where ~why a;
+      ensure_history_free ~file ~where ~why b
+  | Unop (_, a, _) -> ensure_history_free ~file ~where ~why a
 
 let rec infer ~file ~params ~kind e : ty =
   match e with
@@ -172,6 +169,15 @@ let rec infer ~file ~params ~kind e : ty =
           "'did(...)' reads the local history and is only available inside \
            rules and atom bodies";
       TBool
+  | Sends_to (dst, p) ->
+      if kind = Kstatic then
+        errf ~file ~pos:p
+          "'sends_to(...)' reads the local history and is only available \
+           inside rules and atom bodies";
+      want ~file ~params ~kind TInt dst;
+      ensure_history_free ~file ~where:"the argument of 'sends_to'"
+        ~why:"it must name a fixed process" dst;
+      TInt
   | Minmax (_, a, b, _) ->
       want ~file ~params ~kind TInt a;
       want ~file ~params ~kind TInt b;
@@ -189,7 +195,11 @@ let rec infer ~file ~params ~kind e : ty =
   | Binop ((Div | Mod) as op, a, b, _) ->
       want ~file ~params ~kind TInt a;
       want ~file ~params ~kind TInt b;
-      ensure_history_free ~file ~op:(binop_to_string op) b;
+      ensure_history_free ~file
+        ~where:(Printf.sprintf "the right-hand side of '%s'" (binop_to_string op))
+        ~why:
+          "it is validated nonzero per process, which keeps rules total"
+        b;
       TInt
   | Binop ((Eq | Ne | Lt | Le | Gt | Ge), a, b, _) ->
       want ~file ~params ~kind TInt a;
@@ -245,29 +255,40 @@ let static_check ~file (ast : spec) (sp : split) =
   check_params ~file sp.sparams;
   let params = List.map (fun pd -> pd.key) sp.sparams in
   want ~file ~params ~kind:Kstatic TInt sp.sprocesses;
+  let check_rule ~params r =
+    want ~file ~params ~kind:Khist TBool r.guard;
+    List.iter
+      (fun it ->
+        match it with
+        | Send (payload, dst, ip) ->
+            if payload = "" then errf ~file ~pos:ip "empty payload string";
+            want ~file ~params ~kind:Khist TInt dst
+        | Recv (Some src, _) -> want ~file ~params ~kind:Khist TInt src
+        | Recv (None, _) -> ()
+        | Act (tag, ip) ->
+            if tag = "" then errf ~file ~pos:ip "empty internal-event tag")
+      r.intents
+  in
   let seen_rest = ref false in
   List.iter
-    (fun (sel, rules, bpos) ->
+    (fun (sel, items, bpos) ->
       (match sel with
       | Sel_pid (e, _) -> want ~file ~params ~kind:Kstatic TInt e
       | Sel_rest _ ->
           if !seen_rest then errf ~file ~pos:bpos "duplicate 'process *' block";
           seen_rest := true);
       List.iter
-        (fun r ->
-          want ~file ~params ~kind:Khist TBool r.guard;
-          List.iter
-            (fun it ->
-              match it with
-              | Send (payload, dst, ip) ->
-                  if payload = "" then errf ~file ~pos:ip "empty payload string";
-                  want ~file ~params ~kind:Khist TInt dst
-              | Recv (Some src, _) -> want ~file ~params ~kind:Khist TInt src
-              | Recv (None, _) -> ()
-              | Act (tag, ip) ->
-                  if tag = "" then errf ~file ~pos:ip "empty internal-event tag")
-            r.intents)
-        rules)
+        (function
+          | Rule r -> check_rule ~params r
+          | For (k, first, last, body, kpos) ->
+              if List.mem k reserved || List.mem k params then
+                errf ~file ~pos:kpos
+                  "loop variable '%s' shadows a %s name" k
+                  (if List.mem k params then "parameter" else "reserved");
+              want ~file ~params ~kind:Kstatic TInt first;
+              want ~file ~params ~kind:Kstatic TInt last;
+              List.iter (check_rule ~params:(k :: params)) body)
+        items)
     sp.sblocks;
   let seen_atoms = Hashtbl.create 8 in
   List.iter
@@ -320,6 +341,14 @@ let rec eval env e : int =
   | Count ("sends", payload, _) -> P.sends_of env.hist payload
   | Count (_, payload, _) -> P.recvs_of env.hist payload
   | Did (tag, _) -> if P.did env.hist tag then 1 else 0
+  | Sends_to (dst, _) ->
+      let d = eval env dst in
+      List.fold_left
+        (fun acc e ->
+          match e.Event.kind with
+          | Event.Send m when Pid.to_int m.Msg.dst = d -> acc + 1
+          | Event.Send _ | Event.Receive _ | Event.Internal _ -> acc)
+        0 env.hist
   | Minmax (`Min, a, b, _) -> min (eval env a) (eval env b)
   | Minmax (`Max, a, b, _) -> max (eval env a) (eval env b)
   | Unop (`Neg, a, _) -> -eval env a
@@ -351,6 +380,38 @@ let nproc ~file sp values =
     errf ~file ~pos:sp.sppos "'processes' evaluates to %d (need at least 1)" n;
   n
 
+(* [for] loops unrolled at [values]: the body once per k in
+   [first..last], with every [Var k] replaced by the literal *)
+let rec subst k v e =
+  let s = subst k v in
+  match e with
+  | Var (x, p) when x = k -> Int (v, p)
+  | Int _ | Boolean _ | Var _ | Count _ | Did _ -> e
+  | Sends_to (a, p) -> Sends_to (s a, p)
+  | Minmax (m, a, b, p) -> Minmax (m, s a, s b, p)
+  | Unop (o, a, p) -> Unop (o, s a, p)
+  | Binop (o, a, b, p) -> Binop (o, s a, s b, p)
+
+let subst_rule k v r =
+  let s = subst k v in
+  let intent = function
+    | Send (m, dst, p) -> Send (m, s dst, p)
+    | Recv (src, p) -> Recv (Option.map s src, p)
+    | Act _ as a -> a
+  in
+  { r with guard = s r.guard; intents = List.map intent r.intents }
+
+let unroll ~file values items =
+  let static e = eval (senv ~file ~values ~me:0) e in
+  List.concat_map
+    (function
+      | Rule r -> [ r ]
+      | For (k, first, last, body, _) ->
+          let first = static first in
+          List.init (max 0 (static last - first + 1)) (fun i -> first + i)
+          |> List.concat_map (fun v -> List.map (subst_rule k v) body))
+    items
+
 (* Selector resolution: explicit pids first, then 'process *' claims the
    rest; unclaimed processes have no rules (they enable nothing). *)
 let resolve_blocks ~file sp values ~n =
@@ -358,7 +419,8 @@ let resolve_blocks ~file sp values ~n =
   let claimed = Array.make n false in
   let rest = ref None in
   List.iter
-    (fun (sel, rules, bpos) ->
+    (fun (sel, items, bpos) ->
+      let rules = unroll ~file values items in
       match sel with
       | Sel_pid (e, _) ->
           let v = eval (senv ~file ~values ~me:0) e in
@@ -480,6 +542,7 @@ let build_symmetry ~file sp values =
 let rec divisors e acc =
   match e with
   | Int _ | Boolean _ | Var _ | Count _ | Did _ -> acc
+  | Sends_to (a, _) -> divisors a acc
   | Minmax (_, a, b, _) -> divisors a (divisors b acc)
   | Unop (_, a, _) -> divisors a acc
   | Binop (op, a, b, p) -> (
@@ -491,7 +554,7 @@ let rec divisors e acc =
 let rec history_free = function
   | Int _ | Boolean _ -> true
   | Var (v, _) -> not (history_var v)
-  | Count _ | Did _ -> false
+  | Count _ | Did _ | Sends_to _ -> false
   | Minmax (_, a, b, _) | Binop (_, a, b, _) ->
       history_free a && history_free b
   | Unop (_, a, _) -> history_free a
@@ -527,7 +590,8 @@ let validate { ast; file; _ } values =
         check_divs ~mes a.body)
       sp.satoms;
     List.iter
-      (fun (sel, rules, _) ->
+      (fun (sel, items, _) ->
+        let rules = unroll ~file values items in
         let mes =
           match sel with
           | Sel_pid (e, _) -> [ eval (senv ~file ~values ~me:0) e ]

@@ -157,6 +157,10 @@ and parse_primary st =
           let tag, _ = expect_string st "an internal-event tag string" in
           expect st Lexer.RPAREN "')'";
           Did (tag, p)
+      | "sends_to" ->
+          let dst = parse_or st in
+          expect st Lexer.RPAREN "')'";
+          Sends_to (dst, p)
       | "min" | "max" ->
           let a = parse_or st in
           expect st Lexer.COMMA "','";
@@ -164,7 +168,9 @@ and parse_primary st =
           expect st Lexer.RPAREN "')'";
           Minmax ((if name = "min" then `Min else `Max), a, b, p)
       | _ ->
-          fail st p "unknown function '%s' (expected sends, recvs, did, min, max)"
+          fail st p
+            "unknown function '%s' (expected sends, recvs, sends_to, did, \
+             min, max)"
             name)
   | Lexer.IDENT name -> Var (name, p)
   | k -> fail st p "expected an expression, got %s" (Lexer.token_to_string k)
@@ -212,6 +218,27 @@ let parse_rule st =
   let intents = more [ parse_intent st ] in
   { guard; intents; rpos; gspan = (gstart, gend) }
 
+(* for k in a .. b { when ... } — the body holds rules only *)
+let parse_for st =
+  let var, vpos = expect_ident st "a loop variable" in
+  let kw, kp = expect_ident st "'in'" in
+  if kw <> "in" then fail st kp "expected 'in', got '%s'" kw;
+  let first = parse_expr st in
+  expect st Lexer.DOTDOT "'..'";
+  let last = parse_expr st in
+  expect st Lexer.LBRACE "'{'";
+  let rec rules acc =
+    match peek_tok st with
+    | Lexer.RBRACE ->
+        ignore (advance st);
+        List.rev acc
+    | Lexer.IDENT "when" -> rules (parse_rule st :: acc)
+    | k ->
+        fail st (peek_pos st) "expected 'when' or '}' in for block, got %s"
+          (Lexer.token_to_string k)
+  in
+  For (var, first, last, rules [], vpos)
+
 let parse_process st ppos =
   let sel =
     match peek_tok st with
@@ -223,17 +250,21 @@ let parse_process st ppos =
         Sel_pid (parse_expr st, p)
   in
   expect st Lexer.LBRACE "'{'";
-  let rec rules acc =
+  let rec items acc =
     match peek_tok st with
     | Lexer.RBRACE ->
         ignore (advance st);
         List.rev acc
-    | Lexer.IDENT "when" -> rules (parse_rule st :: acc)
+    | Lexer.IDENT "when" -> items (Rule (parse_rule st) :: acc)
+    | Lexer.IDENT "for" ->
+        ignore (advance st);
+        items (parse_for st :: acc)
     | k ->
-        fail st (peek_pos st) "expected 'when' or '}' in process block, got %s"
+        fail st (peek_pos st)
+          "expected 'when', 'for' or '}' in process block, got %s"
           (Lexer.token_to_string k)
   in
-  Process (sel, rules [], ppos)
+  Process (sel, items [], ppos)
 
 let parse_param st ppos =
   let key, _ = expect_ident st "a parameter name" in

@@ -36,28 +36,6 @@ let round_trip =
       Event.receive ~pid:p0 ~lseq:1 pong;
     ]
 
-(* p0's recv guard (len >= 1) is statically unbounded, but its receive
-   count is still finite by message conservation: the only inbound
-   channel p1->p0 carries at most one "pong". *)
-let profile _ =
-  let open Protocol.Profile in
-  [|
-    [
-      {
-        guard = [ Between (C_len, 0, Some 0) ];
-        acts = [ Send { dst = 1; payload = "ping" } ];
-      };
-      { guard = [ Between (C_len, 1, None) ]; acts = [ Recv ] };
-    ];
-    [
-      { guard = [ Between (C_len, 0, Some 0) ]; acts = [ Recv ] };
-      {
-        guard = [ Between (C_len, 1, Some 1) ];
-        acts = [ Send { dst = 0; payload = "pong" } ];
-      };
-    ];
-  |]
-
 let protocol =
   Protocol.make ~name:"ping-pong"
     ~doc:"p0 pings, p1 pongs — the smallest request/reply universe"
@@ -65,4 +43,4 @@ let protocol =
     ~canonical_trace:(fun _ -> round_trip)
     ~suggested_depth:4
     ~fault_scenarios:[ "drop:p0->p1"; "dup:p1->p0"; "crash:p1@1" ]
-    ~profile (fun _ -> spec)
+    (fun _ -> spec)

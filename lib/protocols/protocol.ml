@@ -19,38 +19,6 @@ let get values key =
   | Some v -> v
   | None -> invalid_arg ("Protocol.get: unknown parameter " ^ key)
 
-(* -- static rule profiles ------------------------------------------------ *)
-
-(* A reflection shim: registered specs are opaque OCaml closures, so a
-   protocol may additionally declare a [Profile.t] — a first-order
-   description of its rules over local-history counters — that static
-   analysis ([Dataflow]) can interpret without running the spec. The
-   profile is a claim about the closure; the flow test suite
-   cross-validates it against enumeration (guard soundness, channel
-   graph equality), so a drifting profile fails loudly. *)
-
-module Profile = struct
-  type counter =
-    | C_len
-    | C_sends
-    | C_recvs
-    | C_sends_of of string
-    | C_recvs_of of string
-    | C_sends_to of int
-    | C_did of string
-
-  type atom =
-    | Between of counter * int * int option
-        (* counter in [lo, hi]; [None] = unbounded above *)
-    | Diff_le of counter * counter * int  (* c1 - c2 <= k *)
-
-  type act = Send of { dst : int; payload : string } | Recv | Do of string
-  type rule = { guard : atom list; acts : act list }
-
-  type t = rule list array
-  (* per-pid rule lists; guard atoms are conjoined *)
-end
-
 (* -- the protocol record ------------------------------------------------- *)
 
 type t = {
@@ -64,12 +32,11 @@ type t = {
   suggested_depth : int;
   fault_scenarios : string list;
   lint_expect : string list;
-  profile : (values -> Profile.t) option;
 }
 
 let make ~name ~doc ?(params = []) ?(atoms = fun _ -> [])
     ?(symmetry = fun _ -> []) ?canonical_trace ?(suggested_depth = 6)
-    ?(fault_scenarios = []) ?(lint_expect = []) ?profile spec =
+    ?(fault_scenarios = []) ?(lint_expect = []) spec =
   if name = "" then invalid_arg "Protocol.make: empty name";
   String.iter
     (fun c ->
@@ -88,7 +55,6 @@ let make ~name ~doc ?(params = []) ?(atoms = fun _ -> [])
     suggested_depth;
     fault_scenarios;
     lint_expect;
-    profile;
   }
 
 let name t = t.name
@@ -145,7 +111,6 @@ let symmetry_of i =
       let n = Spec.n (spec_of i) in
       Some (Symmetry.of_generators ~n gens)
 let atom_env i name = List.assoc_opt name (atoms_of i)
-let profile_of i = Option.map (fun f -> f i.values) i.proto.profile
 let canonical_trace_of i = Option.map (fun f -> f i.values) i.proto.canonical_trace
 let depth_of i = i.proto.suggested_depth
 

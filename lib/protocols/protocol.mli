@@ -40,46 +40,6 @@ val get : values -> string -> int
 (** Look up a resolved value. Raises [Invalid_argument] on an undeclared
     key — registration bugs, not user errors. *)
 
-(** {1 Static rule profiles}
-
-    Registered specs are opaque OCaml closures; a {!Profile.t} is an
-    optional first-order reflection of a protocol's rules — guards as
-    conjunctions of interval/difference constraints over local-history
-    counters, actions as send/receive/internal intents — that the
-    static analyzer ([Hpl_analysis.Dataflow], [hpl flow]) interprets
-    without running the spec. A profile is a {e claim} about the
-    closure: the flow test suite cross-validates every declared profile
-    against enumeration (guard soundness, channel-graph equality), so a
-    profile that drifts from its spec fails loudly rather than silently
-    misleading the analyzer. *)
-
-module Profile : sig
-  type counter =
-    | C_len  (** [len history] *)
-    | C_sends  (** total sends *)
-    | C_recvs  (** total receives *)
-    | C_sends_of of string  (** sends with this payload *)
-    | C_recvs_of of string  (** receives with this payload *)
-    | C_sends_to of int  (** sends to this pid *)
-    | C_did of string  (** 0/1: internal event performed *)
-
-  type atom =
-    | Between of counter * int * int option
-        (** counter ∈ [lo, hi]; [None] means unbounded above.
-            [Between (C_did t, 0, Some 0)] encodes ¬did,
-            [Between (C_did t, 1, None)] encodes did. *)
-    | Diff_le of counter * counter * int  (** [c1 - c2 <= k] *)
-
-  type act = Send of { dst : int; payload : string } | Recv | Do of string
-
-  type rule = { guard : atom list; acts : act list }
-  (** Guard atoms are conjoined; a rule with an empty guard is always
-      enabled. *)
-
-  type t = rule list array
-  (** One rule list per pid, indexed by pid. *)
-end
-
 (** {1 The protocol record} *)
 
 type t = {
@@ -107,10 +67,6 @@ type t = {
           report for this protocol — each entry a rule id (["dead-letter"])
           or rule-at-target (["dead-letter@p0->p1"]). Expected findings
           are annotated in the report and do not fail the lint gate. *)
-  profile : (values -> Profile.t) option;
-      (** optional static reflection of the spec's rules for [hpl flow]
-          (see {!Profile}); [None] means the protocol is opaque to
-          abstract interpretation *)
 }
 
 val make :
@@ -123,7 +79,6 @@ val make :
   ?suggested_depth:int ->
   ?fault_scenarios:string list ->
   ?lint_expect:string list ->
-  ?profile:(values -> Profile.t) ->
   (values -> Spec.t) ->
   t
 (** [suggested_depth] defaults to 6, [symmetry], [fault_scenarios] and
@@ -158,9 +113,6 @@ val atoms_of : instance -> (string * Prop.t) list
 val atom_env : instance -> string -> Prop.t option
 (** The instance's atoms as a formula environment
     (cf. {!Hpl_core.Formula.eval}). *)
-
-val profile_of : instance -> Profile.t option
-(** The declared rule profile at this instance's parameters, if any. *)
 
 val generators_of : instance -> Symmetry.perm list
 (** The declared symmetry generators at this instance's parameters. *)

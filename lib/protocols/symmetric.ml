@@ -30,27 +30,6 @@ let ring_spec ~n ~rounds =
       (if s < rounds && s <= r then [ Spec.Send_to (right, "r") ] else [])
       @ if r < rounds then [ Spec.Recv_any ] else [])
 
-(* Each process sends at most [rounds] and receives at most [rounds];
-   the relay constraint [sends <= recvs] is counter-vs-counter, hence
-   [Diff_le]. Every process receives, so no pid is stable and the flow
-   independence relation never restricts ring enumeration. *)
-let ring_profile vs =
-  let n = Protocol.get vs "n" in
-  let rounds = Protocol.get vs "rounds" in
-  let open Protocol.Profile in
-  Array.init n (fun i ->
-      [
-        {
-          guard =
-            [
-              Between (C_sends, 0, Some (rounds - 1));
-              Diff_le (C_sends, C_recvs, 0);
-            ];
-          acts = [ Send { dst = (i + 1) mod n; payload = "r" } ];
-        };
-        { guard = [ Between (C_recvs, 0, Some (rounds - 1)) ]; acts = [ Recv ] };
-      ])
-
 let all_sent n =
   Prop.make "all_sent" (fun z ->
       List.for_all
@@ -73,7 +52,7 @@ let ring =
         ("p0_sent", p_sent "p0_sent" 0);
       ])
     ~symmetry:(fun vs -> [ Symmetry.rotation (Protocol.get vs "n") ])
-    ~suggested_depth:6 ~profile:ring_profile
+    ~suggested_depth:6
     (fun vs ->
       ring_spec ~n:(Protocol.get vs "n") ~rounds:(Protocol.get vs "rounds"))
 
@@ -89,42 +68,6 @@ let quorum_spec ~n ~q =
       else if Protocol.sends history = 0 then
         [ Spec.Send_to (collector, "yes") ]
       else [])
-
-(* Members are receive-free (stable): each fires exactly one send. The
-   collector receives at most [q] votes then decides once, so every
-   per-pid event bound is finite — quorum is the registry protocol
-   where flow-derived independence lets POR prune member-send
-   interleavings. *)
-let quorum_profile vs =
-  let n = Protocol.get vs "n" in
-  let q = min (Protocol.get vs "q") (n - 1) in
-  let open Protocol.Profile in
-  Array.init n (fun i ->
-      if i = 0 then
-        [
-          {
-            guard =
-              [
-                Between (C_did "decide", 0, Some 0); Between (C_recvs, q, None);
-              ];
-            acts = [ Do "decide" ];
-          };
-          {
-            guard =
-              [
-                Between (C_did "decide", 0, Some 0);
-                Between (C_recvs, 0, Some (q - 1));
-              ];
-            acts = [ Recv ];
-          };
-        ]
-      else
-        [
-          {
-            guard = [ Between (C_sends, 0, Some 0) ];
-            acts = [ Send { dst = 0; payload = "yes" } ];
-          };
-        ])
 
 (* generators of the symmetric group on pids 1..n-1, fixing the
    distinguished process 0 *)
@@ -149,7 +92,7 @@ let quorum =
         ("p1_voted", p_sent "p1_voted" 1);
       ])
     ~symmetry:(fun vs -> member_generators (Protocol.get vs "n"))
-    ~suggested_depth:6 ~profile:quorum_profile
+    ~suggested_depth:6
     (fun vs ->
       let n = Protocol.get vs "n" in
       let q = min (Protocol.get vs "q") (n - 1) in
@@ -176,28 +119,6 @@ let star_flood_spec ~n =
       else if Protocol.sends history = 0 then [ Spec.Send_to (hub, "ack") ]
       else [])
 
-(* The hub's "not yet contacted q" choice is a per-destination send
-   counter; members receive exactly once then ack. *)
-let star_flood_profile vs =
-  let n = Protocol.get vs "n" in
-  let open Protocol.Profile in
-  Array.init n (fun i ->
-      if i = 0 then
-        List.init (n - 1) (fun j ->
-            {
-              guard = [ Between (C_sends_to (j + 1), 0, Some 0) ];
-              acts = [ Send { dst = j + 1; payload = "go" } ];
-            })
-        @ [ { guard = [ Between (C_recvs, 0, Some (n - 2)) ]; acts = [ Recv ] } ]
-      else
-        [
-          { guard = [ Between (C_recvs, 0, Some 0) ]; acts = [ Recv ] };
-          {
-            guard = [ Between (C_recvs, 1, None); Between (C_sends, 0, Some 0) ];
-            acts = [ Send { dst = 0; payload = "ack" } ];
-          };
-        ])
-
 let star_flood =
   Protocol.make ~name:"star-flood"
     ~doc:"hub floods members in any order; members ack — unordered star"
@@ -211,7 +132,7 @@ let star_flood =
         ("p1_acked", p_sent "p1_acked" 1);
       ])
     ~symmetry:(fun vs -> member_generators (Protocol.get vs "n"))
-    ~suggested_depth:6 ~profile:star_flood_profile
+    ~suggested_depth:6
     (fun vs -> star_flood_spec ~n:(Protocol.get vs "n"))
 
 (* -- mesh: full symmetric group S_n ------------------------------------- *)
@@ -227,22 +148,6 @@ let mesh_spec ~n =
        else [])
       @ if Protocol.recvs history < n - 1 then [ Spec.Recv_any ] else [])
 
-let mesh_profile vs =
-  let n = Protocol.get vs "n" in
-  let open Protocol.Profile in
-  Array.init n (fun i ->
-      List.filter_map
-        (fun q ->
-          if q = i then None
-          else
-            Some
-              {
-                guard = [ Between (C_sends, 0, Some 0) ];
-                acts = [ Send { dst = q; payload = "hi" } ];
-              })
-        (List.init n Fun.id)
-      @ [ { guard = [ Between (C_recvs, 0, Some (n - 2)) ]; acts = [ Recv ] } ])
-
 let mesh =
   Protocol.make ~name:"mesh"
     ~doc:"every process greets any one peer; no process distinguished"
@@ -257,5 +162,5 @@ let mesh =
       if n = 2 then [ Symmetry.transposition n 0 1 ]
       else
         [ Symmetry.cycle n (List.init n Fun.id); Symmetry.transposition n 0 1 ])
-    ~suggested_depth:4 ~profile:mesh_profile
+    ~suggested_depth:4
     (fun vs -> mesh_spec ~n:(Protocol.get vs "n"))

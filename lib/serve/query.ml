@@ -109,6 +109,19 @@ let pos_int_exn flag s =
   | Some k when k >= 1 -> k
   | _ -> fail "bad %s %S (want a positive integer)" flag s
 
+let finite_float_exn flag sign s =
+  let fits v =
+    match sign with `Any -> true | `Positive -> v > 0.0 | `Nonneg -> v >= 0.0
+  in
+  match float_of_string_opt s with
+  | Some v when Float.is_finite v && fits v -> v
+  | _ ->
+      fail "bad %s %S (want a %sfinite number)" flag s
+        (match sign with
+        | `Any -> ""
+        | `Positive -> "positive "
+        | `Nonneg -> "nonnegative ")
+
 let max_seconds_exn s =
   match float_of_string_opt s with
   | Some v when v > 0.0 -> v
@@ -123,6 +136,7 @@ let checked f s = match f s with v -> Ok v | exception Bad m -> Error m
 let parse_depth = checked depth_exn
 let parse_pos_int flag = checked (pos_int_exn flag)
 let parse_nonneg_int flag = checked (nonneg_int_exn flag)
+let parse_finite_float flag sign = checked (finite_float_exn flag sign)
 let parse_max_seconds = checked max_seconds_exn
 let parse_faults = checked faults_exn
 

@@ -66,6 +66,12 @@ val parse_pos_int : string -> string -> (int, string) result
 val parse_nonneg_int : string -> string -> (int, string) result
 (** [parse_nonneg_int flag s]: a nonnegative integer, likewise. *)
 
+val parse_finite_float :
+  string -> [ `Any | `Positive | `Nonneg ] -> string -> (float, string) result
+(** [parse_finite_float flag sign s]: a finite number ([nan] and the
+    infinities are refused), positive or nonnegative when [sign] says
+    so — for the simulations' time flags. *)
+
 val parse_max_seconds : string -> (float, string) result
 (** A positive [--max-seconds]. *)
 
@@ -89,8 +95,9 @@ val dataflow :
   loaded:Hpl_dsl.Elaborate.loaded option ->
   Protocol.instance ->
   Dataflow.t option
-(** Flow analysis of an instance: through the elaborated AST when it
-    came from a file, through the declared profile otherwise. *)
+(** Flow analysis of an instance: through its elaborated AST when it
+    came from a file, through the registry protocol's embedded [.hpl]
+    port otherwise. *)
 
 val resolve_reduce :
   setup ->

@@ -101,6 +101,44 @@ expect 2 "deadlock partial needs 3 processes" -- deadlock -n 2 --shape partial
 expect_cli_error "unknown gossip mode" "'--mode'" -- gossip --mode bogus
 expect_cli_error "unknown deadlock shape" "'--shape'" -- deadlock --shape bogus
 
+# time flags are finite numbers; a negative crash time still means never
+expect 2 "heartbeat negative timeout" -- heartbeat --timeout=-1
+expect 2 "heartbeat zero timeout" -- heartbeat --timeout 0
+expect 2 "heartbeat nan timeout" -- heartbeat --timeout nan
+expect 2 "heartbeat infinite crash time" -- heartbeat --crash-at inf
+expect 0 "heartbeat negative crash time" -- heartbeat --crash-at=-1
+expect 2 "commit nan crash time" -- commit --crash-at nan
+expect 2 "snapshot negative time" -- snapshot --at=-5
+expect 2 "snapshot infinite time" -- snapshot --at inf
+# commit --no names participants 1..n-1
+expect 2 "commit no-voter out of range" -- commit --no 7
+expect 2 "commit negative no-voter" -- commit --no=-1
+expect 2 "commit coordinator as no-voter" -- commit --no 0
+
+# -- recorded traces (knew, analyze) -----------------------------------
+# -n must cover the trace's processes; --who and the --fact pid must
+# name one of them; unreadable traces and unknown facts are bad
+# arguments, not violated properties
+tracedir=$(mktemp -d /tmp/hpl-traces.XXXXXX)
+printf '%s\n' 'S 0 0 1 0 "m"' 'R 1 0 0 0 "m"' 'S 1 1 2 0 "m"' 'R 2 0 1 0 "m"' \
+  > "$tracedir/relay.trace"
+printf 'garbage\n' > "$tracedir/bad.trace"
+expect 0 "knew on a 3-process trace" -- knew "$tracedir/relay.trace"
+expect 0 "analyze on a 3-process trace" -- analyze "$tracedir/relay.trace" -n 3
+expect 2 "knew observer out of range" -- knew "$tracedir/relay.trace" --who 9
+expect 2 "knew negative observer" -- knew "$tracedir/relay.trace" --who=-1
+expect 2 "knew non-integer fact pid" -- knew "$tracedir/relay.trace" --fact sent:x
+expect 2 "knew negative fact pid" -- knew "$tracedir/relay.trace" --fact acted:-1
+expect 2 "knew unknown fact kind" -- knew "$tracedir/relay.trace" --fact said:1
+expect 2 "knew zero processes" -- knew "$tracedir/relay.trace" -n 0
+expect 2 "knew malformed trace" -- knew "$tracedir/bad.trace"
+expect 2 "knew missing trace" -- knew "$tracedir/missing.trace"
+expect 2 "analyze zero processes" -- analyze "$tracedir/relay.trace" -n 0
+expect 2 "analyze one process" -- analyze "$tracedir/relay.trace" -n 1
+expect 2 "analyze two processes" -- analyze "$tracedir/relay.trace" -n 2
+expect 2 "analyze malformed trace" -- analyze "$tracedir/bad.trace"
+rm -rf "$tracedir"
+
 # lint: clean spec exits 0, unlearnable assertion exits 1 with the rule named
 expect 0 "lint clean" -- lint -s token-ring
 expect 1 "lint unlearnable formula" -- lint -s underlying:3 --formula 'K p0 chaindone'
@@ -219,7 +257,7 @@ expect 0 "flow registry gate" -- flow --all
 expect 1 "flow dead rule" -- flow -f "$hpldir/dead_rule.hpl"
 expect 2 "flow -f with -s" -- flow -f "$hpldir/good.hpl" -s quorum
 expect 2 "flow unknown protocol" -- flow -s no-such-protocol
-expect 2 "flow unprofiled protocol" -- flow -s token-bus
+expect 2 "flow protocol without a port" -- flow -s token-bus
 expect 2 "flow --all with -s" -- flow --all -s quorum
 expect 2 "flow --all with -f" -- flow --all -f "$hpldir/good.hpl"
 expect 2 "flow missing spec file" -- flow -f "$hpldir/nowhere.hpl"

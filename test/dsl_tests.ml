@@ -9,21 +9,14 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
-let spec_path file =
-  let candidates =
-    List.map
-      (fun up -> Filename.concat up (Filename.concat "corpus/specs" file))
-      [ "."; ".."; "../.."; "../../.."; "../../../.."; "../../../../.." ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None ->
-      Alcotest.failf "corpus spec %s not found from %s" file (Sys.getcwd ())
-
 let load_spec file =
-  match Elaborate.load_file (spec_path file) with
-  | Ok l -> l
-  | Error d -> Alcotest.failf "cannot load %s: %s" file (Diag.to_string d)
+  let path = "corpus/specs/" ^ file in
+  match List.assoc_opt path Corpus.specs with
+  | None -> Alcotest.failf "%s is not embedded" path
+  | Some src -> (
+      match Elaborate.load_string ~file:path src with
+      | Ok l -> l
+      | Error d -> Alcotest.failf "cannot load %s: %s" file (Diag.to_string d))
 
 let builtin name =
   match Protocol.Registry.find name with
@@ -54,6 +47,17 @@ let parity_case file name () =
   check (Alcotest.list Alcotest.string) "fault scenarios"
     (Protocol.fault_scenarios b)
     (Protocol.fault_scenarios loaded.proto);
+  (* same keys, defaults and bounds: every builtin instance is then a
+     valid port instance, which is what lets flow analyze the builtin
+     through its port *)
+  let params p =
+    List.map
+      (fun (d : Protocol.param) -> ((d.key, d.default), (d.lo, d.hi)))
+      (Protocol.params p)
+  in
+  check
+    Alcotest.(list (pair (pair string int) (pair int (option int))))
+    "parameters: key, default, lo, hi" (params b) (params loaded.proto);
   let ib = Protocol.default_instance b in
   let il = Protocol.default_instance loaded.proto in
   let depth = Protocol.suggested_depth b in
@@ -92,9 +96,9 @@ let parity_case file name () =
   | Some _, None -> Alcotest.fail "loaded spec lost the symmetry group"
   | None, Some _ -> Alcotest.fail "loaded spec gained a symmetry group"
 
-(* quorum.hpl raises n's lower bound to 3 (the declared swap needs two
-   members); parity at a non-default instantiation keeps the clamp
-   q > members honest too *)
+(* parity at non-default instantiations: q above the member count
+   keeps the clamp honest, and n = 2 (one member) is where both of
+   quorum.hpl's member cycles drop out *)
 let test_quorum_clamp () =
   let loaded = load_spec "quorum.hpl" in
   let b = builtin "quorum" in
@@ -112,7 +116,7 @@ let test_quorum_clamp () =
       assert_bit_identical
         ~what:(Printf.sprintf "quorum:%s" (String.concat ":" (List.map string_of_int vals)))
         ul ub)
-    [ [ 3; 1 ]; [ 4; 9 ] ]
+    [ [ 3; 1 ]; [ 4; 9 ]; [ 2; 1 ] ]
 
 (* -- elaborator diagnostics ----------------------------------------------- *)
 
@@ -204,6 +208,17 @@ let diag_cases =
     ( "bad protocol name",
       "protocol \"Bad_Name\" {\n  processes 2\n}\n",
       1, 10, "[a-z0-9-]+" );
+    ( "loop variable shadows a parameter",
+      "protocol t {\n  param k = 2\n  processes 3\n  process 0 {\n    for k \
+       in 1 .. 2 { when len == 0 => send \"m\" to k }\n  }\n}\n",
+      5, 9, "loop variable 'k' shadows a parameter" );
+    ( "sends_to argument reads the history",
+      proto_wrap
+        "  process 0 {\n    when sends_to(recvs) == 0 => send \"m\" to 1\n  }\n",
+      4, 19, "the argument of 'sends_to' must not read the local history" );
+    ( "sends_to in a static position",
+      "protocol t {\n  processes sends_to(0)\n}\n",
+      2, 13, "'sends_to(...)' reads the local history" );
   ]
 
 (* -- fuzz pipeline --------------------------------------------------------- *)
@@ -316,6 +331,9 @@ let suite =
     Alcotest.test_case "parity: ring" `Quick (parity_case "ring.hpl" "ring");
     Alcotest.test_case "parity: quorum" `Quick
       (parity_case "quorum.hpl" "quorum");
+    Alcotest.test_case "parity: star-flood" `Quick
+      (parity_case "star_flood.hpl" "star-flood");
+    Alcotest.test_case "parity: mesh" `Quick (parity_case "mesh.hpl" "mesh");
     Alcotest.test_case "parity: quorum off-default values" `Quick
       test_quorum_clamp;
     Alcotest.test_case "fuzz: deterministic" `Quick fuzz_determinism;

@@ -14,8 +14,11 @@
      weakened contract of Reduction §10), stays a subset of the
      unreduced universe, is bit-identical on the protocols where the
      restriction never fires, and shows a strict state-count reduction
-     on quorum — the row BENCH.json tracks;
-   - profile and AST front ends agree on the ported specs. *)
+     on quorum — the row BENCH.json tracks.
+
+   A registry protocol is analyzed through its corpus port; the
+   registry cases below therefore also check each port's rules against
+   the builtin's enumerated universe. *)
 open Hpl_core
 open Hpl_protocols
 open Hpl_analysis
@@ -25,23 +28,16 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
-let spec_path file =
-  let candidates =
-    List.map
-      (fun up -> Filename.concat up (Filename.concat "corpus/specs" file))
-      [ "."; ".."; "../.."; "../../.."; "../../../.."; "../../../../.." ]
-  in
-  match List.find_opt Sys.file_exists candidates with
-  | Some p -> p
-  | None ->
-      Alcotest.failf "corpus spec %s not found from %s" file (Sys.getcwd ())
-
-let corpus_files = [ "ping_pong.hpl"; "ring.hpl"; "quorum.hpl"; "relay.hpl" ]
+let load_embedded (path, src) =
+  match Elaborate.load_string ~file:path src with
+  | Ok l -> l
+  | Error d -> Alcotest.failf "cannot load %s: %s" path (Diag.to_string d)
 
 let load_spec file =
-  match Elaborate.load_file (spec_path file) with
-  | Ok l -> l
-  | Error d -> Alcotest.failf "cannot load %s: %s" file (Diag.to_string d)
+  let path = "corpus/specs/" ^ file in
+  match List.assoc_opt path Corpus.specs with
+  | Some src -> load_embedded (path, src)
+  | None -> Alcotest.failf "%s is not embedded" path
 
 let load_inline src =
   match Elaborate.load_string ~file:"inline.hpl" src with
@@ -54,8 +50,8 @@ let flow_of_loaded l =
   | Ok t -> t
   | Error d -> Alcotest.failf "flow failed: %s" (Diag.to_string d)
 
-(* every registry protocol that declares a profile, with its analysis *)
-let profiled () =
+(* every registry protocol with a corpus port, with its analysis *)
+let ported () =
   List.filter_map
     (fun proto ->
       let inst = Protocol.default_instance proto in
@@ -64,14 +60,25 @@ let profiled () =
         (Dataflow.of_instance inst))
     (Protocol.Registry.list ())
 
-(* analyses of the ported corpus specs, through the AST front end *)
+(* analyses of every corpus spec, loaded as a -f file would be *)
 let corpus () =
   List.map
-    (fun file ->
-      let l = load_spec file in
+    (fun spec ->
+      let l = load_embedded spec in
       let inst = Protocol.default_instance l.Elaborate.proto in
-      (file, inst, flow_of_loaded l))
-    corpus_files
+      (fst spec, inst, flow_of_loaded l))
+    Corpus.specs
+
+(* flow coverage cannot shrink silently: exactly these builtins have a
+   port, and [of_instance] is [None] for every other one *)
+let test_ported_set () =
+  check
+    Alcotest.(list string)
+    "ported registry protocols"
+    [ "mesh"; "ping-pong"; "quorum"; "ring"; "star-flood" ]
+    (List.map
+       (fun (_, inst, _) -> Protocol.name (Protocol.proto inst))
+       (ported ()))
 
 let enum ?reduce inst ~depth =
   Universe.enumerate ?reduce (Protocol.spec_of inst) ~depth
@@ -119,7 +126,7 @@ let assert_verdicts_sound ~what inst df =
 
 let test_registry_verdicts_sound () =
   List.iter (fun (name, inst, df) -> assert_verdicts_sound ~what:name inst df)
-    (profiled ())
+    (ported ())
 
 let test_corpus_verdicts_sound () =
   List.iter (fun (file, inst, df) -> assert_verdicts_sound ~what:file inst df)
@@ -186,7 +193,7 @@ let assert_channels_cross ~what inst df =
 
 let test_registry_channels () =
   List.iter (fun (name, inst, df) -> assert_channels_cross ~what:name inst df)
-    (profiled ())
+    (ported ())
 
 let test_corpus_channels () =
   List.iter (fun (file, inst, df) -> assert_channels_cross ~what:file inst df)
@@ -206,7 +213,7 @@ let por_with_independence df =
   | Some ind -> Reduction.with_independence Reduction.por ind
   | None -> Alcotest.fail "expected an independence relation"
 
-(* registry-wide (profiled): por+independence preserves every blocked
+(* registry-wide (ported): por+independence preserves every blocked
    computation and never invents one — at the suggested depth, where
    the certificate may or may not apply *)
 let test_por_independence_blocked_preservation () =
@@ -224,14 +231,14 @@ let test_por_independence_blocked_preservation () =
         (name ^ ": blocked computations preserved")
         (List.map (List.map Event.to_string) (blocked u0))
         (List.map (List.map Event.to_string) (blocked u1)))
-    (profiled ())
+    (ported ())
 
 (* quorum at depth 9: the certificate applies (Σ bound = 7 <= 9) and
    the restriction really fires — 87 states, strictly fewer than plain
    por's 144, which is itself bit-identical to the unreduced run *)
 let test_quorum_strict_reduction () =
   let _, inst, df =
-    List.find (fun (n, _, _) -> n = "quorum:5:2") (profiled ())
+    List.find (fun (n, _, _) -> n = "quorum:5:2") (ported ())
   in
   let depth = 9 in
   let u0 = enum inst ~depth in
@@ -247,7 +254,7 @@ let test_quorum_strict_reduction () =
     (List.map (List.map Event.to_string) (blocked uind))
 
 let test_quorum_independence_shape () =
-  let _, _, df = List.find (fun (n, _, _) -> n = "quorum:5:2") (profiled ()) in
+  let _, _, df = List.find (fun (n, _, _) -> n = "quorum:5:2") (ported ()) in
   match Dataflow.independence df with
   | None -> Alcotest.fail "quorum has no independence relation"
   | Some ind ->
@@ -274,7 +281,7 @@ let test_quorum_independence_shape () =
 let test_por_independence_bit_identity_when_inapplicable () =
   List.iter
     (fun name ->
-      let _, inst, df = List.find (fun (n, _, _) -> n = name) (profiled ()) in
+      let _, inst, df = List.find (fun (n, _, _) -> n = name) (ported ()) in
       let depth = Protocol.depth_of inst in
       let u0 = enum ~reduce:Reduction.por inst ~depth in
       let u1 = enum ~reduce:(por_with_independence df) inst ~depth in
@@ -320,42 +327,6 @@ let restrict_cases =
         restrict_case "empty" ~want:[] [] ();
         restrict_case "one" ~want:[ a ] [ a ] () );
   ]
-
-(* -- the two front ends agree on ported specs ----------------------------- *)
-
-let test_profile_ast_agreement () =
-  List.iter
-    (fun (file, reg_name) ->
-      let ast_df = flow_of_loaded (load_spec file) in
-      let _, _, prof_df =
-        List.find (fun (n, _, _) -> n = reg_name) (profiled ())
-      in
-      check
-        Alcotest.(list (triple int int string))
-        (file ^ ": channels agree")
-        (Dataflow.channels prof_df) (Dataflow.channels ast_df);
-      check tint (file ^ ": dead rules agree")
-        (List.length (Dataflow.dead_rules prof_df))
-        (List.length (Dataflow.dead_rules ast_df));
-      match (Dataflow.independence prof_df, Dataflow.independence ast_df) with
-      | Some a, Some b ->
-          check tint (file ^ ": independence total")
-            (Reduction.Independence.total a)
-            (Reduction.Independence.total b);
-          for p = 0 to Reduction.Independence.n a - 1 do
-            check tbool
-              (Printf.sprintf "%s: p%d stability" file p)
-              (Reduction.Independence.stable a p)
-              (Reduction.Independence.stable b p);
-            check tint
-              (Printf.sprintf "%s: p%d bound" file p)
-              (Reduction.Independence.bound a p)
-              (Reduction.Independence.bound b p)
-          done
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: independence presence differs" file)
-    [ ("ping_pong.hpl", "ping-pong"); ("ring.hpl", "ring:6:2");
-      ("quorum.hpl", "quorum:5:2") ]
 
 (* -- findings: unreachable atoms and tautologies -------------------------- *)
 
@@ -446,8 +417,8 @@ let suite =
       test_quorum_independence_shape;
     Alcotest.test_case "bit-identical where restriction never fires" `Quick
       test_por_independence_bit_identity_when_inapplicable;
-    Alcotest.test_case "profile and AST front ends agree" `Quick
-      test_profile_ast_agreement;
+    Alcotest.test_case "exactly the ported builtins are analyzed" `Quick
+      test_ported_set;
     Alcotest.test_case "unreachable atom is reported" `Quick
       test_unreachable_atom_finding;
     Alcotest.test_case "guard tautology is reported at info" `Quick
