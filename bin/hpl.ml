@@ -1,19 +1,5 @@
 (* hpl — explore "How Processes Learn" systems from the command line.
 
-   Subcommands:
-     list         show every registered protocol
-     enumerate    enumerate a registered protocol's computations
-     diagram      emit the isomorphism diagram of a universe as DOT
-     knows        evaluate knowledge along the canonical run of a system
-     extent       count the computations where one named atom holds
-     serve        run the cached knowledge-query daemon (JSON over socket/stdio)
-     flow         abstractly interpret a protocol's rules (dead guards, POR)
-     fuzz         push generated .hpl specs through the whole pipeline
-     termination  run the §5 termination-detector comparison
-     heartbeat    run the §5 heartbeat failure detector
-     gossip       run the rumor-spreading simulation
-     snapshot     take a Chandy–Lamport snapshot of a running system
-
    Universe-driven subcommands take the protocol either from the
    registry (-s name[:v1...]) or from a .hpl spec file
    (-f path[:v1...]); both produce the same Protocol.instance, so
@@ -240,13 +226,16 @@ let reduce_arg =
     value & opt string "none"
     & info [ "reduce" ] ~docv:"R"
         ~doc:
-          "Reduction layer (DESIGN.md §10): 'none', 'por' (partial-order: \
-           $(b,enumerate) arms it with $(b,hpl flow)'s static independence, \
-           which may drop computations but keeps every blocked one — \
-           quorum at depth 9 goes from 144 to 87; every other subcommand \
-           gets the unreduced universe), 'sym' (symmetry quotient; requires \
-           a protocol with declared generators, see $(b,hpl list -v)), or \
-           'full' (both).")
+          "Reduction layer (DESIGN.md §10) for $(b,enumerate) and \
+           $(b,diagram): 'none', 'por' (partial-order: $(b,enumerate) arms \
+           it with $(b,hpl flow)'s static independence, which may drop \
+           computations but keeps every blocked one — quorum at depth 9 \
+           goes from 144 to 87; $(b,diagram) gets the unreduced universe), \
+           'sym' (symmetry quotient, one stored computation per orbit; \
+           requires a protocol with declared generators, see $(b,hpl list \
+           -v)), or 'full' (both). $(b,knows), $(b,check) and $(b,extent) \
+           take no reduction: their answers quantify over every \
+           computation.")
 
 let resolve_reduce st ~mode ?indep reduce_str =
   die (Query.resolve_reduce st ~mode ?indep reduce_str)
@@ -310,11 +299,7 @@ let diagram proto file depth faults max_states max_seconds mode reduce limit =
   exit_on_truncation u
 
 let diagram_cmd =
-  let limit =
-    Arg.(
-      value & opt int 16
-      & info [ "limit" ] ~docv:"N" ~doc:"Cap on diagram vertices.")
-  in
+  let limit = pos_int_arg "limit" ~default:16 ~doc:"Cap on diagram vertices." in
   Cmd.v
     (Cmd.info ~exits "diagram" ~doc:"Emit the isomorphism diagram as Graphviz DOT")
     Term.(
@@ -323,11 +308,10 @@ let diagram_cmd =
 
 (* -- knows ---------------------------------------------------------------- *)
 
-let knows proto file depth faults max_states max_seconds reduce obs =
+let knows proto file depth faults max_states max_seconds obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
-  let reduce = resolve_reduce st ~mode:`Canonical reduce in
-  let u = Query.enumerate st ~reduce in
+  let u = Query.enumerate st ~reduce:Reduction.none in
   emit_outcome obs (Query.run_knows st u)
 
 let knows_cmd =
@@ -335,18 +319,17 @@ let knows_cmd =
     (Cmd.info ~exits "knows" ~doc:"Summarize who knows what across a universe")
     Term.(
       const knows $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ reduce_arg $ obs_term)
+      $ max_states_arg $ max_seconds_arg $ obs_term)
 
 (* -- extent --------------------------------------------------------------- *)
 
 (* The smallest knowledge query: in how many stored computations does
    one named atom hold? Exists chiefly so the serve conformance battery
    can exercise the server's extent op against a CLI twin. *)
-let extent proto file depth faults max_states max_seconds reduce atom obs =
+let extent proto file depth faults max_states max_seconds atom obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
-  let reduce = resolve_reduce st ~mode:`Canonical reduce in
-  let u = Query.enumerate st ~reduce in
+  let u = Query.enumerate st ~reduce:Reduction.none in
   emit_outcome obs (Query.run_extent st u ~atom)
 
 let extent_cmd =
@@ -362,7 +345,7 @@ let extent_cmd =
        ~doc:"Count the computations of a universe where one named atom holds")
     Term.(
       const extent $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ reduce_arg $ atom $ obs_term)
+      $ max_states_arg $ max_seconds_arg $ atom $ obs_term)
 
 (* -- termination ------------------------------------------------------------ *)
 
@@ -605,12 +588,11 @@ let knew path nprocs who atom =
         fun c -> List.exists Event.is_receive (Trace.proj c p)
     | _ -> die_usage "unknown --fact %S (use acted:N, sent:N, received:N)" atom
   in
-  if Trace.length z > 16 then begin
-    Printf.eprintf
-      "trace has %d events; replay universes are exponential — use a run of ≤ 16 events\n"
+  if Trace.length z > 16 then
+    die_usage
+      "trace has %d events; replay universes are exponential — use a run of \
+       ≤ 16 events"
       (Trace.length z);
-    exit 1
-  end;
   match Replay.knew_at ~n z (Pset.singleton observer) (Prop.make atom holds) with
   | Some k when k < 0 -> Printf.printf "p%d knew %S before any event\n" who atom
   | Some k ->
@@ -690,15 +672,14 @@ let commit_cmd =
 
 (* -- check (epistemic-temporal model checking) ------------------------------------ *)
 
-let check_formula proto file depth faults max_states max_seconds mode reduce
+let check_formula proto file depth faults max_states max_seconds mode
     formula_text obs =
   obs_setup obs;
   match Formula.parse formula_text with
   | Error e -> die_usage "parse error: %s" e
   | Ok f ->
       let st = resolve proto file depth faults max_states max_seconds in
-      let reduce = resolve_reduce st ~mode reduce in
-      let u = Query.enumerate ~mode st ~reduce in
+      let u = Query.enumerate ~mode st ~reduce:Reduction.none in
       emit_outcome obs (Query.run_check st u f)
 
 let check_cmd =
@@ -716,8 +697,7 @@ let check_cmd =
        ~doc:"Model-check an epistemic-temporal formula over a system's universe")
     Term.(
       const check_formula $ proto_arg $ file_arg $ depth_arg $ faults_arg
-      $ max_states_arg $ max_seconds_arg $ mode_arg $ reduce_arg
-      $ formula $ obs_term)
+      $ max_states_arg $ max_seconds_arg $ mode_arg $ formula $ obs_term)
 
 (* -- mc (Monte Carlo statistical estimation) ------------------------------- *)
 

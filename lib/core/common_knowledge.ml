@@ -15,79 +15,19 @@ let fixpoint u ext =
 
 let common_ext u ext = fst (fixpoint u ext)
 
-(* -- symmetry-aware common knowledge ----------------------------------
-
-   On a symmetry-reduced universe (DESIGN.md §10) the greatest-fixpoint
-   characterization is computed over the orbit expansion directly.
-   Since each [\[p\]] is an equivalence relation, the fixpoint equals:
-   x ∈ CK(b) iff every computation reachable from x through the union
-   of the [\[p\]] relations satisfies b — i.e. x's connected component
-   in the "some process cannot distinguish" graph is all-[b]. Nodes
-   are pairs (representative, group element) standing for the concrete
-   computation π·(comp i); equal per-process projections are merged
-   with a union-find, then each component is checked against [b]
-   evaluated at the concrete computations. *)
-
-let common_sym u g b =
-  let size = Universe.size u in
-  let perms = Array.of_list (Symmetry.elements g) in
-  let go = Array.length perms in
-  let nn = size * go in
-  let n = Symmetry.degree g in
-  let parent = Array.init nn (fun i -> i) in
-  let rec find i =
-    if parent.(i) = i then i
-    else begin
-      let r = find parent.(i) in
-      parent.(i) <- r;
-      r
-    end
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then parent.(ra) <- rb
-  in
-  let traces =
-    Array.init nn (fun idx ->
-        let i = idx / go and k = idx mod go in
-        let z = Universe.comp u i in
-        if k = 0 then z else Symmetry.permute_trace perms.(k) z)
-  in
-  let pvs = Array.map (Symmetry.proj_vector n) traces in
-  List.iter
-    (fun p ->
-      let q = Pid.to_int p in
-      let first : int Symmetry.KeyTbl.t = Symmetry.KeyTbl.create nn in
-      Array.iteri
-        (fun idx pv ->
-          let key = [| pv.(q) |] in
-          match Symmetry.KeyTbl.find_opt first key with
-          | None -> Symmetry.KeyTbl.add first key idx
-          | Some j -> union idx j)
-        pvs)
-    (Spec.pids (Universe.spec u));
-  let ok = Array.make nn true in
-  Array.iteri
-    (fun idx y -> if not (Prop.eval b y) then ok.(find idx) <- false)
-    traces;
-  Bitset.of_pred size (fun i -> ok.(find (i * go)))
-
 let common u b =
-  let name = Printf.sprintf "CK(%s)" (Prop.name b) in
-  match Universe.symmetry u with
-  | Some g when not (Symmetry.is_trivial g) ->
-      Prop.of_extent u name (common_sym u g b)
-  | _ -> Prop.of_extent u name (common_ext u (Prop.extent u b))
+  Prop.of_extent u
+    (Printf.sprintf "CK(%s)" (Prop.name b))
+    (common_ext u (Prop.extent u b))
 
 let rec level u k b =
   if k <= 0 then b
   else
-    let prev = level u (k - 1) b in
+    let prev = Prop.extent u (level u (k - 1) b) in
     let ck_k =
       List.fold_left
         (fun acc p ->
-          Bitset.inter acc
-            (Knowledge.knows_prop_ext u (Pset.singleton p) prev))
+          Bitset.inter acc (Knowledge.knows_ext u (Pset.singleton p) prev))
         (Prop.extent u b)
         (Spec.pids (Universe.spec u))
     in

@@ -10,34 +10,15 @@ let someone_ext u g ext =
     g
     (Bitset.create (Universe.size u))
 
-(* The prop-level operators go through [Knowledge.knows_prop_ext] so
-   that on a symmetry-reduced universe each singleton's knowledge is
-   evaluated over the orbit expansion (exact); on an unreduced universe
-   the bits are identical to the [_ext] definitions above. *)
-
-let everyone_prop_ext u g b =
-  Pset.fold
-    (fun p acc ->
-      Bitset.inter acc (Knowledge.knows_prop_ext u (Pset.singleton p) b))
-    g
-    (Bitset.create_full (Universe.size u))
-
-let someone_prop_ext u g b =
-  Pset.fold
-    (fun p acc ->
-      Bitset.union acc (Knowledge.knows_prop_ext u (Pset.singleton p) b))
-    g
-    (Bitset.create (Universe.size u))
-
 let everyone u g b =
   Prop.of_extent u
     (Format.asprintf "E%a(%s)" Pset.pp g (Prop.name b))
-    (everyone_prop_ext u g b)
+    (everyone_ext u g (Prop.extent u b))
 
 let someone u g b =
   Prop.of_extent u
     (Format.asprintf "S%a(%s)" Pset.pp g (Prop.name b))
-    (someone_prop_ext u g b)
+    (someone_ext u g (Prop.extent u b))
 
 let distributed = Knowledge.knows
 
@@ -47,7 +28,7 @@ let rec e_iterate u g k b =
     let prev = e_iterate u g (k - 1) b in
     Prop.of_extent u
       (Printf.sprintf "E^%d(%s)" k (Prop.name b))
-      (everyone_prop_ext u g prev)
+      (everyone_ext u g (Prop.extent u prev))
 
 module Laws = struct
   let everyone_implies_distributed u g b =

@@ -21,59 +21,10 @@ let knows_ext_naive u ps ext =
         u;
       !ok)
 
-(* -- symmetry-aware evaluation ----------------------------------------
-
-   On a symmetry-reduced universe (DESIGN.md §10) the stored
-   computations are orbit representatives, but the paper's quantifier
-   "for all y: x [P] y : b at y" still ranges over the full computation
-   set — i.e. over every permuted image π·(comp j), π in the group.
-   Bucketing the verdict of [b] over all (j, π) by the [P]-projection
-   of π·(comp j) answers, per bucket, whether every member of that
-   [P]-class satisfies [b]; a representative knows [b] iff the bucket
-   of its own (identity) projection is all-true. [b] is always
-   evaluated at concrete computations, so this is exact for arbitrary
-   — even asymmetric — predicates. *)
-
-let knows_sym u g ps b =
-  let size = Universe.size u in
-  let perms = Array.of_list (Symmetry.elements g) in
-  let n = Symmetry.degree g in
-  let sel =
-    Array.of_list (List.rev (Pset.fold (fun p acc -> Pid.to_int p :: acc) ps []))
-  in
-  Hpl_obs.count "knowledge.orbit_expansions" (size * Array.length perms);
-  let all_true : bool Symmetry.KeyTbl.t = Symmetry.KeyTbl.create (4 * size) in
-  let id_keys = Array.make size ([||] : Symmetry.key) in
-  for i = 0 to size - 1 do
-    let z = Universe.comp u i in
-    Array.iteri
-      (fun k pi ->
-        let y = if k = 0 then z else Symmetry.permute_trace pi z in
-        let pv = Symmetry.proj_vector n y in
-        let key = Array.map (fun q -> pv.(q)) sel in
-        if k = 0 then id_keys.(i) <- key;
-        let v = Prop.eval b y in
-        match Symmetry.KeyTbl.find_opt all_true key with
-        | None -> Symmetry.KeyTbl.add all_true key v
-        | Some true -> if not v then Symmetry.KeyTbl.replace all_true key false
-        | Some false -> ())
-      perms
-  done;
-  Bitset.of_pred size (fun i -> Symmetry.KeyTbl.find all_true id_keys.(i))
-
-let knows_prop_ext u ps b =
-  match Universe.symmetry u with
-  | Some g when not (Symmetry.is_trivial g) ->
-      Hpl_obs.span "knowledge.knows_sym"
-        ~args:(fun () -> [ ("pset", Pset.to_string ps) ])
-      @@ fun () -> knows_sym u g ps b
-  | _ -> knows_ext u ps (Prop.extent u b)
-
 let knows u ps b =
-  let ext = knows_prop_ext u ps b in
   Prop.of_extent u
     (Format.asprintf "%a knows %s" Pset.pp ps (Prop.name b))
-    ext
+    (knows_ext u ps (Prop.extent u b))
 
 let knows_p u p b = knows u (Pset.singleton p) b
 

@@ -7,6 +7,12 @@
     O(universe) per application and returned as an ordinary predicate,
     so nesting ([P knows Q knows b]) is function composition.
 
+    The quantifier ranges over the stored computations. On a
+    symmetry-reduced universe those are orbit representatives only, so
+    every operator here raises [Invalid_argument] there (through
+    {!Universe.pset_class_ids}) rather than quantify over them
+    (DESIGN.md §10).
+
     The {!Laws} submodule makes the paper's twelve knowledge facts and
     Lemma 2 decidable; tests and bench E6 drive them over random
     universes and predicates. *)
@@ -20,16 +26,6 @@ val knows_ext_naive : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
     [\[P\]] test — O(size² · |P| · len) against {!knows_ext}'s
     O(size). Same answers (property-tested); kept for the P1 ablation
     bench. *)
-
-val knows_prop_ext : Universe.t -> Pset.t -> Prop.t -> Bitset.t
-(** The extent of "[P] knows [b]" over the universe's stored
-    computations. Equals [knows_ext u ps (Prop.extent u b)] on an
-    unreduced universe; on a symmetry-reduced one (DESIGN.md §10) it
-    quantifies over the orbit expansion — every permuted image of every
-    representative — so the verdict at each representative is exact
-    even for predicates that are not themselves symmetric. The other
-    epistemic operators ({!Group}, {!Common_knowledge}) build on this
-    entry point. *)
 
 val knows : Universe.t -> Pset.t -> Prop.t -> Prop.t
 (** [knows u p b] is the predicate "[P] knows [b]". Evaluating it at a

@@ -4,9 +4,11 @@
 
     - {e symmetry}: given a group of spec automorphisms (declared by the
       protocol, see {!Symmetry}), store one representative per orbit of
-      [\[D\]]-classes. Exactness of knowledge queries on the reduced
-      universe is recovered by quantifying over the orbit expansion
-      ({!Knowledge.knows} does this automatically).
+      [\[D\]]-classes. The quotient is for counting and listing only:
+      the knowledge and temporal operators quantify over every
+      computation, so they refuse a symmetry-reduced universe
+      ({!Universe.pset_class_ids}, {!Universe.successors}) and run on
+      the unreduced one.
     - {e partial order} ([por]): an ample-set restriction armed by a
       static {!Independence.t} (attach with {!with_independence};
       computed by the abstract interpreter, [Hpl_analysis.Dataflow]).

@@ -55,8 +55,6 @@ let inverse a =
   Array.iteri (fun i j -> inv.(j) <- i) a;
   inv
 
-let perm_equal (a : perm) (b : perm) = Stdlib.( = ) a b
-
 let to_string a =
   (* disjoint cycle notation, fixpoints omitted *)
   let n = Array.length a in
@@ -138,7 +136,6 @@ let trivial_group n = { n; perms = [| identity n |]; complete = true }
 let order g = Array.length g.perms
 let is_trivial g = order g = 1
 let elements g = Array.to_list g.perms
-let degree g = g.n
 let complete g = g.complete
 
 let index_of g p =
@@ -223,11 +220,11 @@ end)
    group of the renamed projection vectors identifies the orbit of the
    [D]-class. Computed lazily component-by-component so losing
    candidates exit at their first greater component. *)
-let orbit_key_witness g z =
+let orbit_key g z =
   let n = g.n in
   let projs = proj_vector n z in
   let candidate_component pi inv j = List.map (permute_event pi) projs.(inv.(j)) in
-  let best = ref projs and best_perm = ref g.perms.(0) in
+  let best = ref projs in
   for k = 1 to order g - 1 do
     let pi = g.perms.(k) in
     let inv = inverse pi in
@@ -244,17 +241,14 @@ let orbit_key_witness g z =
                 else if i = j then cj
                 else candidate_component pi inv i)
           in
-          best := full;
-          best_perm := pi
+          best := full
         end
         else if c = 0 then cmp (j + 1)
       end
     in
     cmp 0
   done;
-  (!best, !best_perm)
-
-let orbit_key g z = fst (orbit_key_witness g z)
+  !best
 
 (* --- bounded automorphism probe ------------------------------------- *)
 

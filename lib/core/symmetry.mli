@@ -18,7 +18,6 @@ val check : n:int -> perm -> unit
 (** Raises [Invalid_argument] unless the array is a permutation of
     [0 .. n-1] of length [n]. *)
 
-val identity : int -> perm
 val is_identity : perm -> bool
 
 val rotation : int -> perm
@@ -32,12 +31,6 @@ val cycle : int -> int list -> perm
     the last to the first), fixing all other pids — e.g.
     [cycle n [1; …; n-1]] rotates the members of a star, fixing the
     hub. *)
-
-val compose : perm -> perm -> perm
-(** [compose a b] is [a ∘ b] (apply [b] first). *)
-
-val inverse : perm -> perm
-val perm_equal : perm -> perm -> bool
 
 val to_string : perm -> string
 (** Disjoint-cycle notation, e.g. ["(0 1 2)"]; ["id"] for the
@@ -58,9 +51,6 @@ val of_generators : ?max_order:int -> n:int -> perm list -> group
 val trivial_group : int -> group
 val order : group -> int
 val is_trivial : group -> bool
-val degree : group -> int
-(** The number of processes the group acts on. *)
-
 val complete : group -> bool
 (** False when {!of_generators} had to drop generators. *)
 
@@ -79,18 +69,13 @@ val permute_msg : perm -> Msg.t -> Msg.t
     preserves). *)
 
 val permute_event : perm -> Event.t -> Event.t
-val permute_trace : perm -> Trace.t -> Trace.t
-(** For an automorphism [π] of the spec, [permute_trace π z] is again a
-    system computation with the same event order. *)
 
 (** {2 Orbit keys} *)
 
-val proj_vector : int -> Trace.t -> Event.t list array
-(** Per-process projections, in one pass, each component newest-first
-    (extension = cons). Two computations are [\[D\]]-equivalent iff
-    their vectors are equal. *)
-
 type key = Event.t list array
+(** Per-process projections, each component newest-first (extension =
+    cons). Two computations are [\[D\]]-equivalent iff their vectors
+    are equal. *)
 
 val orbit_key : group -> Trace.t -> key
 (** The minimum over the group of the renamed projection vectors of
@@ -98,13 +83,8 @@ val orbit_key : group -> Trace.t -> key
     [π·y] for some group element [π]. This is the canonical form
     symmetry-reduced enumeration interns. *)
 
-val orbit_key_witness : group -> Trace.t -> key * perm
-(** The key together with a minimizing [σ]: the key is the projection
-    vector of [σ·z]. *)
-
 val equal_key : key -> key -> bool
 val compare_key : key -> key -> int
-val hash_key : key -> int
 
 module KeyTbl : Hashtbl.S with type key = key
 

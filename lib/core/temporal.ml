@@ -85,58 +85,9 @@ let eval_ctl ~size ~succ ~atom formula =
   in
   eval formula
 
-(* On a symmetry-reduced universe (DESIGN.md §10) the branching
-   structure at a representative is NOT the branching structure of the
-   quotient graph: an extension of [comp i] lives in some orbit [j]
-   only up to a permutation. Model checking therefore runs on the pair
-   graph whose nodes [(i, k)] denote the concrete computation
-   [π_k · comp i]: a successor [z'] of [comp i] with
-   [find_orbit u z' = (j, ρ)] (meaning [z' ≅ ρ · comp j]) lifts to the
-   edge [(i, k) → (j, index (π_k ∘ ρ))]. Atoms are evaluated at the
-   concrete computations, and the result is projected back to the
-   identity-permutation nodes. Pair nodes that happen to denote
-   [\[D\]]-equivalent computations are bisimilar duplicates, so the
-   projection is exact. *)
-
-let check_sym u g formula =
-  let size = Universe.size u in
-  let perms = Array.of_list (Symmetry.elements g) in
-  let go = Array.length perms in
-  let nn = size * go in
-  let spec = Universe.spec u in
-  let traces =
-    Array.init nn (fun idx ->
-        let i = idx / go and k = idx mod go in
-        let z = Universe.comp u i in
-        if k = 0 then z else Symmetry.permute_trace perms.(k) z)
-  in
-  let qsucc =
-    Array.init size (fun i ->
-        List.filter_map
-          (fun z' -> Universe.find_orbit u z')
-          (Spec.extensions spec (Universe.comp u i)))
-  in
-  let succ =
-    Array.init nn (fun idx ->
-        let i = idx / go and k = idx mod go in
-        List.filter_map
-          (fun (j, rho) ->
-            match Symmetry.index_of g (Symmetry.compose perms.(k) rho) with
-            | Some kk -> Some ((j * go) + kk)
-            | None -> None)
-          qsucc.(i)
-        |> List.sort_uniq Int.compare |> Array.of_list)
-  in
-  let atom b = Bitset.of_pred nn (fun idx -> Prop.eval b traces.(idx)) in
-  let full = eval_ctl ~size:nn ~succ ~atom formula in
-  Bitset.of_pred size (fun i -> Bitset.mem full (i * go))
-
 let check u formula =
-  match Universe.symmetry u with
-  | Some g when not (Symmetry.is_trivial g) -> check_sym u g formula
-  | _ ->
-      eval_ctl ~size:(Universe.size u) ~succ:(Universe.successors u)
-        ~atom:(Prop.extent u) formula
+  eval_ctl ~size:(Universe.size u) ~succ:(Universe.successors u)
+    ~atom:(Prop.extent u) formula
 
 let holds_at u f z = Bitset.mem (check u f) (Universe.find_exn u z)
 let valid u f = Bitset.equal (check u f) (Bitset.create_full (Universe.size u))

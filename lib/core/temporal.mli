@@ -52,8 +52,9 @@ val check : Universe.t -> t -> Bitset.t
 (** The set of computations satisfying the formula (extensional, like
     {!Prop.extent}). The branching relation is {!Universe.successors},
     memoized on the universe, so only the first temporal operator
-    evaluated on a universe pays for it. A symmetry-reduced universe is
-    checked on its orbit-expansion pair graph instead. *)
+    evaluated on a universe pays for it. Raises [Invalid_argument] on a
+    symmetry-reduced universe, whose representatives' stored
+    extensions are not their branching structure (DESIGN.md §10). *)
 
 val holds_at : Universe.t -> t -> Trace.t -> bool
 (** Satisfaction at one computation. Raises [Not_found] outside the

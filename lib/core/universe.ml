@@ -80,9 +80,6 @@ type t = {
   class_ids_by_pid : int array array; (* pid index -> comp index -> class id *)
   trie_parent : int array array; (* pid index -> class id -> prefix class id *)
   orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
-  rep_sigma : Symmetry.perm array option;
-      (* sym: per index, the σ whose action on the stored representative
-         attains its orbit key *)
   pset_ids_memo : (int list, int array) Hashtbl.t;
   classes_memo : (int list, Bitset.t array) Hashtbl.t;
   mutable succ_memo : int array array option;
@@ -234,11 +231,9 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
   in
   (* symmetry bookkeeping: [class_seen] memoizes the orbit decision per
      [D]-class (identity projection vector), [orbit_idx] maps each orbit
-     key to its stored representative, [sigma_acc] records per stored
-     node the σ attaining its key (reverse discovery order, like !acc) *)
+     key to its stored representative *)
   let class_seen = Symmetry.KeyTbl.create 256 in
   let orbit_idx = Symmetry.KeyTbl.create 256 in
-  let sigma_acc = ref [] in
   let orbit_hits = ref 0 and ample_prunes = ref 0 in
   (* the group elements, identity first; each frontier node carries the
      renamed projection vector of every element's action on it, so a
@@ -268,8 +263,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
   | Some _ ->
       let empty_key = Array.make n [] in
       Symmetry.KeyTbl.replace class_seen empty_key ();
-      Symmetry.KeyTbl.replace orbit_idx empty_key 0;
-      sigma_acc := [ perms.(0) ]
+      Symmetry.KeyTbl.replace orbit_idx empty_key 0
   | None -> ());
   let rec level frontier d =
     if d >= depth || Array.length frontier = 0 then ()
@@ -328,7 +322,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                                  < 0
                                then best := k
                              done;
-                             `Key (cands.(!best), perms.(!best), cands)
+                             `Key (cands.(!best), cands)
                            end)
                          kids)
                      childlists))
@@ -349,7 +343,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                   | `Dup ->
                       incr orbit_hits;
                       false
-                  | `Key (key, _, _) ->
+                  | `Key (key, _) ->
                       if Symmetry.KeyTbl.mem orbit_idx key then begin
                         incr orbit_hits;
                         false
@@ -362,16 +356,15 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                   ids.(pi) <- trie_intern trie pi pids.(pi) e;
                   let node =
                     match fate with
-                    | `Key (_, _, cands) -> (z', ids, Some cands)
+                    | `Key (_, cands) -> (z', ids, Some cands)
                     | `Fresh | `Dup -> (z', ids, None)
                   in
                   (* push may raise on budget: register the orbit
                      entry only once the node is actually stored *)
                   push node;
                   (match fate with
-                  | `Key (key, sigma, _) ->
-                      Symmetry.KeyTbl.replace orbit_idx key (!count - 1);
-                      sigma_acc := sigma :: !sigma_acc
+                  | `Key (key, _) ->
+                      Symmetry.KeyTbl.replace orbit_idx key (!count - 1)
                   | `Fresh | `Dup -> ());
                   next := node :: !next
                 end
@@ -419,14 +412,6 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
     (comps, class_ids_by_pid, idx)
   in
-  let rep_sigma =
-    match group with
-    | None -> None
-    | Some _ ->
-        let a = Array.make !count [||] in
-        List.iteri (fun k s -> a.(!count - 1 - k) <- s) !sigma_acc;
-        Some a
-  in
   {
     spec;
     mode;
@@ -438,7 +423,6 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     class_ids_by_pid;
     trie_parent = trie_parents trie;
     orbit_idx = (match group with None -> None | Some _ -> Some orbit_idx);
-    rep_sigma;
     pset_ids_memo = Hashtbl.create 16;
     classes_memo = Hashtbl.create 16;
     succ_memo = None;
@@ -482,23 +466,6 @@ let find u z =
   | None, `Canonical -> (
       match index u z with Some i -> Some i | None -> index u (canon_trace z))
 
-let find_orbit u z =
-  match symmetry u with
-  | None ->
-      Option.map (fun i -> (i, Symmetry.identity (Spec.n u.spec))) (find u z)
-  | Some g -> (
-      let key, s1 = Symmetry.orbit_key_witness g z in
-      match u.orbit_idx with
-      | None -> None
-      | Some tbl ->
-          Option.map
-            (fun i ->
-              let s0 =
-                match u.rep_sigma with Some a -> a.(i) | None -> assert false
-              in
-              (i, Symmetry.compose (Symmetry.inverse s1) s0))
-            (Symmetry.KeyTbl.find_opt tbl key))
-
 let find_exn u z = match find u z with Some i -> i | None -> raise Not_found
 let iter f u = Array.iteri f u.comps
 
@@ -510,7 +477,21 @@ let fold f u init =
 let class_ids u p = u.class_ids_by_pid.(Pid.to_int p)
 let pset_key ps = List.map Pid.to_int (Pset.to_list ps)
 
+(* The class partitions and the extension relation are what every
+   knowledge and temporal operator reads. A symmetry-reduced universe
+   stores orbit representatives only, so a quantifier over its stored
+   computations is not the paper's quantifier over all computations:
+   refuse, rather than answer over representatives (DESIGN.md §10). *)
+let require_unreduced u fn =
+  if Option.is_some (symmetry u) then
+    invalid_arg
+      (Printf.sprintf
+         "Universe.%s: the universe is symmetry-reduced; knowledge and \
+          temporal operators need the unreduced universe"
+         fn)
+
 let pset_class_ids u ps =
+  require_unreduced u "pset_class_ids";
   let key = pset_key ps in
   match Hashtbl.find_opt u.pset_ids_memo key with
   | Some ids -> ids
@@ -569,10 +550,10 @@ let prefixes_of u i =
 
 (* --- the extension relation ------------------------------------------
 
-   In [`Canonical] mode without symmetry a stored computation is its
-   vector of per-process class ids (one computation per [D]-class, and
-   [x [D] y] iff every projection agrees), and [i → j] is an edge iff
-   [j]'s vector with one slot stepped back to its trie parent is [i]'s
+   In [`Canonical] mode a stored computation is its vector of
+   per-process class ids (one computation per [D]-class, and [x [D] y]
+   iff every projection agrees), and [i → j] is an edge iff [j]'s
+   vector with one slot stepped back to its trie parent is [i]'s
    (DESIGN.md §6). So the edges come from probing an open-addressing
    index over [class_ids_by_pid]: a probe is the triple (j, p, c), "the
    vector of j with slot p set to c", and is never materialized. A
@@ -654,8 +635,7 @@ let trie_successors u =
   succ
 
 (* the definition itself: the stored classes of every one-event
-   extension — for [`Full] mode, whose stored vectors repeat, and for
-   symmetry-reduced universes, whose lookups go through orbit keys *)
+   extension — for [`Full] mode, whose stored vectors repeat *)
 let lookup_successors u =
   Array.map
     (fun z ->
@@ -664,10 +644,11 @@ let lookup_successors u =
     u.comps
 
 let successors u =
+  require_unreduced u "successors";
   match u.succ_memo with
   | Some s -> s
   | None ->
-      let trie = u.mode = `Canonical && symmetry u = None in
+      let trie = u.mode = `Canonical in
       let s =
         Hpl_obs.span "universe.successors"
           ~args:(fun () ->
@@ -919,7 +900,6 @@ let deserialize spec blob =
         class_ids_by_pid;
         trie_parent = trie_parents trie;
         orbit_idx = None;
-        rep_sigma = None;
         pset_ids_memo = Hashtbl.create 16;
         classes_memo = Hashtbl.create 16;
         succ_memo = None;

@@ -55,11 +55,12 @@ val enumerate :
     [reduce] (default {!Reduction.none}) applies the reduction layer
     (DESIGN.md §10); requires [`Canonical] mode. With a symmetry group
     the universe stores one representative per {e orbit} of
-    [\[D\]]-classes: {!find} resolves any computation to its orbit's
-    representative, knowledge/CK/temporal operators quantify over the
-    orbit expansion automatically, and plain {!Prop.extent} ranges over
-    representatives only. Plain [por] runs the unreduced enumeration;
-    only an attached {!Reduction.Independence.t} restricts it.
+    [\[D\]]-classes: it can be counted, listed, and searched with
+    {!find}, which resolves any computation to its orbit's
+    representative, and {!Prop.extent} ranges over the representatives;
+    the knowledge and temporal operators refuse it (see
+    {!pset_class_ids}). Plain [por] runs the unreduced enumeration; only
+    an attached {!Reduction.Independence.t} restricts it.
 
     [budget] (default {!no_budget}) bounds the enumeration. When a
     ceiling is hit the BFS stops cleanly and the universe carries
@@ -107,13 +108,6 @@ val find : t -> Trace.t -> int option
     symmetry-reduced universe the lookup goes through the orbit key, so
     any interleaving of any permuted image of a stored class is found. *)
 
-val find_orbit : t -> Trace.t -> (int * Symmetry.perm) option
-(** [find_orbit u z = Some (i, ρ)]: [z] is interleaving-equivalent to
-    [ρ · comp u i]. On an unreduced universe [ρ] is the identity and
-    this is {!find}. This is the bridge that makes exact evaluation of
-    arbitrary (even asymmetric) predicates possible on a reduced
-    universe: evaluate at the concrete computation [ρ · comp u i]. *)
-
 val find_exn : t -> Trace.t -> int
 (** @raise Not_found when the trace's class is outside the universe
     (e.g. longer than [depth]). *)
@@ -134,7 +128,13 @@ val class_ids : t -> Pid.t -> int array
 val pset_class_ids : t -> Pset.t -> int array
 (** Same for a process set [P] (intersection of the per-process
     partitions); memoized per set. For the empty set all computations
-    share class 0, matching [x \[{}\] y] for all x, y. *)
+    share class 0, matching [x \[{}\] y] for all x, y.
+
+    Raises [Invalid_argument] on a symmetry-reduced universe. Every
+    knowledge operator ([K], [E], [S], [sure], [CK]) reads the
+    partitions through here, and over orbit representatives they would
+    quantify over the representatives rather than over every
+    computation; {!successors} refuses such a universe likewise. *)
 
 val class_members : t -> Pset.t -> int -> Bitset.t
 (** [class_members u ps i] is the set of indices [\[P\]]-equivalent to
@@ -157,12 +157,14 @@ val successors : t -> int array array
     Computed once per universe and memoized beside the class
     partitions, so a cached universe answers every later temporal
     query without recomputing it; the arrays are shared, do not
-    mutate them. In [`Canonical] mode without symmetry the edges are
-    read off the projection trie — [i → j] iff [j]'s class-id vector
-    with one process stepped back to its trie parent is [i]'s — with
-    no trace built or canonicalized (DESIGN.md §6). [`Full] mode and
-    symmetry-reduced universes evaluate the definition through {!find}.
-    Recorded as the [universe.successors] span. *)
+    mutate them. In [`Canonical] mode the edges are read off the
+    projection trie — [i → j] iff [j]'s class-id vector with one
+    process stepped back to its trie parent is [i]'s — with no trace
+    built or canonicalized (DESIGN.md §6); [`Full] mode evaluates the
+    definition through {!find}. Recorded as the [universe.successors]
+    span. Raises [Invalid_argument] on a symmetry-reduced universe: a
+    representative's stored extensions are not its branching
+    structure. *)
 
 val serialize : t -> (string, string) result
 (** Compact binary body of the universe's interned-projection

@@ -340,21 +340,14 @@ let run_knows st u =
               Prop.make (Prop.name fact) (fun z -> Prop.eval fact (st.view z))
             in
             Format.fprintf fmt "fact %s: %a@." name Prop.pp fact;
-            (* the atom's extent once, shared by every process; a
-               symmetry-reduced universe evaluates over orbit expansions
-               instead *)
-            let knows_ext =
-              match Universe.symmetry u with
-              | Some g when not (Symmetry.is_trivial g) ->
-                  fun ps -> Knowledge.knows_prop_ext u ps fact
-              | _ ->
-                  let ext = Prop.extent u fact in
-                  fun ps -> Knowledge.knows_ext u ps ext
-            in
+            (* the atom's extent once, shared by every process *)
+            let ext = Prop.extent u fact in
             (* report the real processes only, not fault daemons *)
             for i = 0 to st.base_n - 1 do
               let p = Pid.of_int i in
-              let count = Bitset.cardinal (knows_ext (Pset.singleton p)) in
+              let count =
+                Bitset.cardinal (Knowledge.knows_ext u (Pset.singleton p) ext)
+              in
               Format.fprintf fmt "  %a knows it in %d / %d computations@."
                 Pid.pp p count (Universe.size u)
             done)

@@ -108,8 +108,10 @@ val resolve_reduce :
 (** Parse and validate a [--reduce] argument against the setup. With
     [~indep:true] (the [enumerate] semantics) a por reduction gets the
     static independence relation attached when the protocol is
-    fault-free and analyzable; [knows]/[check]/[extent] pass false,
-    mirroring the CLI. *)
+    fault-free and analyzable; [diagram] passes false. Only
+    enumeration takes a reduction: [knows], [check] and [extent]
+    enumerate with {!Hpl_core.Reduction.none}, because the knowledge
+    and temporal operators refuse a symmetry-reduced universe. *)
 
 val enumerate :
   ?mode:Universe.mode -> setup -> reduce:Reduction.t -> Universe.t

@@ -168,6 +168,16 @@ let obtain t st ~mode ~reduce ~key =
 
 let handle_query t ~id ~op req =
   let t0 = Unix.gettimeofday () in
+  (* like the CLI's knows/check/extent, which take no --reduce: the
+     knowledge and temporal operators refuse a symmetry-reduced
+     universe *)
+  if op <> "enumerate-stats" && field req "reduce" <> None then
+    raise
+      (Bad_request
+         (Printf.sprintf
+            "field \"reduce\" is for enumerate-stats only; %s always runs \
+             on the unreduced universe"
+            op));
   let proto = field req "protocol" in
   let file = field req "file" in
   let depth = field req "depth" in
@@ -207,11 +217,10 @@ let handle_query t ~id ~op req =
             raise
               (Bad_request (Printf.sprintf "bad mode %S (want canonical|full)" m))
       in
-      (* enumerate-stats mirrors the CLI's enumerate: it is the one op
-         that attaches static independence to a por reduction *)
-      let indep = op = "enumerate-stats" in
+      (* enumerate-stats mirrors the CLI's enumerate, attaching static
+         independence to a por reduction *)
       let reduce_str = Option.value (field req "reduce") ~default:"none" in
-      match Query.resolve_reduce st ~mode ~indep reduce_str with
+      match Query.resolve_reduce st ~mode ~indep:true reduce_str with
       | Error m -> err_reply t ~id m
       | Ok reduce ->
           let key = cache_key st ~mode ~reduce in

@@ -7,13 +7,15 @@
     CLI takes as flags:
 
     {v {"op": "knows", "protocol": "token-ring:4", "depth": 6,
-        "faults": "drop:p0->p1", "reduce": "por", "id": 1} v}
+        "faults": "drop:p0->p1", "id": 1} v}
 
     Operations: ["knows"], ["check"] (["formula"] required), ["extent"]
     (["atom"] required), ["enumerate-stats"], ["server-stats"],
     ["shutdown"]. Optional fields: ["protocol"] | ["file"], ["depth"],
-    ["faults"], ["reduce"], ["mode"], ["max-states"], ["max-seconds"],
-    ["id"] (echoed back verbatim).
+    ["faults"], ["mode"], ["max-states"], ["max-seconds"], ["id"]
+    (echoed back verbatim), and ["reduce"] on ["enumerate-stats"] only:
+    like their CLI twins, the other ops take no reduction and reply
+    exit 2 to the field.
 
     Replies carry ["ok"], the CLI-equivalent ["exit"] code, the exact
     bytes the CLI would print as ["answer"] / ["error"] (conformance by

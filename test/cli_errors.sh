@@ -5,6 +5,7 @@
 # stderr and exit 2 — not a backtrace, not cmdliner's generic error.
 set -u
 HPL="$1"
+LONG_TRACE="$2" # a recorded run of more than 16 events
 fails=0
 
 expect() { # expect <code> <what> -- <args...>
@@ -73,6 +74,13 @@ expect_cli_error() { # expect_cli_error <what> <option> -- <args...>
 }
 expect_cli_error "removed --domains flag" "'--domains'" -- enumerate -s ping-pong --domains 2
 expect_cli_error "unknown mode" "'-m'" -- enumerate -s ping-pong -m weird
+# only enumerate and diagram take --reduce: knowledge answers quantify
+# over the unreduced universe
+expect_cli_error "knows has no --reduce" "'--reduce'" -- knows -s ring --reduce sym
+expect_cli_error "check has no --reduce" "'--reduce'" -- check -s ring --reduce full 'true'
+expect_cli_error "extent has no --reduce" "'--reduce'" -- extent -s ring --reduce sym all_sent
+expect 2 "diagram negative limit" -- diagram -s ring --limit=-1
+expect 2 "diagram zero limit" -- diagram -s ring --limit 0
 
 # --help documents hpl's own exit codes, not cmdliner's 123/124
 help_exits=$("$HPL" enumerate --help=plain | sed -n '/^EXIT STATUS/,/^[A-Z]/p')
@@ -133,6 +141,7 @@ expect 2 "knew unknown fact kind" -- knew "$tracedir/relay.trace" --fact said:1
 expect 2 "knew zero processes" -- knew "$tracedir/relay.trace" -n 0
 expect 2 "knew malformed trace" -- knew "$tracedir/bad.trace"
 expect 2 "knew missing trace" -- knew "$tracedir/missing.trace"
+expect 2 "knew trace too long to replay" -- knew "$LONG_TRACE"
 expect 2 "analyze zero processes" -- analyze "$tracedir/relay.trace" -n 0
 expect 2 "analyze one process" -- analyze "$tracedir/relay.trace" -n 1
 expect 2 "analyze two processes" -- analyze "$tracedir/relay.trace" -n 2

@@ -9,21 +9,18 @@
    - sym/full store one representative per orbit: every unreduced
      class resolves to exactly one representative ([Universe.find]),
      two classes share a representative iff their orbit keys agree,
-     and knowledge / CK / temporal verdicts at the representatives
-     coincide with the unreduced verdicts — including for asymmetric
-     atoms, where exactness rests on the orbit-expansion semantics;
+     and atom extents at the representatives equal the unreduced ones;
+   - knowledge, CK and temporal operators refuse a symmetry-reduced
+     universe instead of quantifying over its representatives;
    - declared generators really are spec automorphisms (and known
      non-automorphisms are rejected), and the lint rules guarding
-     both directions fire.
-
-   Random-walk cases are seeded and replayable like the §3 law suite. *)
+     both directions fire. *)
 open Hpl_core
 open Hpl_protocols
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
-let case_rng seed = Random.State.make [| 0x9e37; seed |]
 
 (* small enough that unreduced enumeration of every registry protocol
    stays cheap, deep enough that orbits are non-trivial *)
@@ -105,6 +102,21 @@ let test_sym_orbit_coverage () =
             (Printf.sprintf "%s: rep %d resolves to itself" name j)
             (Some j) (Universe.find u1 z))
         u1;
+      (* a representative is itself a computation: an atom's extent at
+         it is the atom's value at its own unreduced class *)
+      List.iter
+        (fun (aname, b) ->
+          let ext0 = Prop.extent u0 b and ext1 = Prop.extent u1 b in
+          Universe.iter
+            (fun j z ->
+              match Universe.find u0 z with
+              | None -> Alcotest.failf "%s: rep %d not in full universe" name j
+              | Some i ->
+                  checkb
+                    (Printf.sprintf "%s: extent %s at rep %d" name aname j)
+                    (Bitset.mem ext0 i) (Bitset.mem ext1 j))
+            u1)
+        (Protocol.atoms_of inst);
       let keys = Array.init (Universe.size u0) (fun i ->
           Symmetry.orbit_key g (Universe.comp u0 i))
       in
@@ -121,115 +133,34 @@ let test_sym_orbit_coverage () =
         u0)
     (symmetric_instances ())
 
-(* -- sym: operator agreement at representatives --------------------------- *)
+(* -- sym: knowledge and temporal operators refuse the quotient ---------- *)
 
-(* verdicts on the reduced universe are reported at representatives;
-   exactness means they equal the unreduced verdict at the same class *)
-let agree_at_reps name u0 u1 ~what (ext0 : Bitset.t) (ext1 : Bitset.t) =
-  Universe.iter
-    (fun j z ->
-      let i =
-        match Universe.find u0 z with
-        | Some i -> i
-        | None -> Alcotest.failf "%s: rep %d not in full universe" name j
-      in
-      checkb
-        (Printf.sprintf "%s: %s at rep %d" name what j)
-        (Bitset.mem ext0 i) (Bitset.mem ext1 j))
-    u1
-
-let test_sym_knowledge_agreement () =
-  List.iter
-    (fun (inst, g) ->
-      let name = Protocol.instance_name inst in
-      let depth = cross_depth inst in
-      let u0 = enum inst ~depth in
-      let u1 = enum ~reduce:(Reduction.full g) inst ~depth in
-      let n = Spec.n (Protocol.spec_of inst) in
-      List.iter
-        (fun (aname, b) ->
-          agree_at_reps name u0 u1
-            ~what:("extent " ^ aname)
-            (Prop.extent u0 b) (Prop.extent u1 b);
-          for p = 0 to n - 1 do
-            let ps = Pset.singleton (Pid.of_int p) in
-            agree_at_reps name u0 u1
-              ~what:(Printf.sprintf "p%d knows %s" p aname)
-              (Knowledge.knows_prop_ext u0 ps b)
-              (Knowledge.knows_prop_ext u1 ps b)
-          done)
-        (Protocol.atoms_of inst))
-    (symmetric_instances ())
-
-let test_sym_ck_and_temporal_agreement () =
-  List.iter
-    (fun (inst, g) ->
-      let name = Protocol.instance_name inst in
-      let depth = cross_depth inst in
-      let u0 = enum inst ~depth in
-      let u1 = enum ~reduce:(Reduction.full g) inst ~depth in
-      List.iter
-        (fun (aname, b) ->
-          agree_at_reps name u0 u1
-            ~what:("CK " ^ aname)
-            (Prop.extent u0 (Common_knowledge.common u0 b))
-            (Prop.extent u1 (Common_knowledge.common u1 b));
-          agree_at_reps name u0 u1
-            ~what:("E^2 " ^ aname)
-            (Prop.extent u0 (Common_knowledge.level u0 2 b))
-            (Prop.extent u1 (Common_knowledge.level u1 2 b));
-          List.iter
-            (fun (fname, f) ->
-              agree_at_reps name u0 u1
-                ~what:(Printf.sprintf "%s %s" fname aname)
-                (Temporal.check u0 f) (Temporal.check u1 f))
-            Temporal.
-              [
-                ("AF", af (atom b));
-                ("EG", eg (atom b));
-                ("EX", ex (atom b));
-                ("AG¬", ag (not_ (atom b)));
-              ])
-        (Protocol.atoms_of inst))
-    (symmetric_instances ())
-
-(* -- find_orbit on seeded random walks ------------------------------------ *)
-
-let walk rng spec depth =
-  let rec go z k =
-    if k >= depth then z
-    else
-      match Spec.enabled spec z with
-      | [] -> z
-      | events ->
-          let e = List.nth events (Random.State.int rng (List.length events)) in
-          go (Trace.snoc z e) (k + 1)
+(* over orbit representatives a nested K, or a CTL path through one,
+   would quantify over the representatives instead of every computation
+   (DESIGN.md §10), so each operator raises rather than answer *)
+let test_sym_operators_refuse () =
+  let inst =
+    Protocol.default_instance (Option.get (Protocol.Registry.find "ring"))
   in
-  go Trace.empty 0
-
-let test_find_orbit_random_walks () =
-  List.iter
-    (fun (inst, g) ->
-      let name = Protocol.instance_name inst in
-      let spec = Protocol.spec_of inst in
-      let depth = cross_depth inst in
-      let u1 = enum ~reduce:(Reduction.full g) inst ~depth in
-      let rng = case_rng 1 in
-      for c = 1 to 50 do
-        let z = walk rng spec depth in
-        match Universe.find_orbit u1 z with
-        | None ->
-            Alcotest.failf "%s: walk %d escaped the reduced universe" name c
-        | Some (i, rho) ->
-            (* z is interleaving-equivalent to rho · comp i *)
-            checkb
-              (Printf.sprintf "%s: find_orbit witness %d" name c)
-              true
-              (Trace.equal (Universe.canon u1 z)
-                 (Universe.canon u1
-                    (Symmetry.permute_trace rho (Universe.comp u1 i))))
-      done)
-    (symmetric_instances ())
+  let g = Option.get (Protocol.symmetry_of inst) in
+  let u = enum ~reduce:(Reduction.full g) inst ~depth:4 in
+  let b = snd (List.hd (Protocol.atoms_of inst)) in
+  let refuses what f =
+    match f () with
+    | () -> Alcotest.failf "%s answered on a symmetry-reduced universe" what
+    | exception Invalid_argument _ -> ()
+  in
+  let p1 = Pset.singleton (Pid.of_int 1) in
+  refuses "Knowledge.knows" (fun () -> ignore (Knowledge.knows u p1 b));
+  refuses "Knowledge.sure" (fun () -> ignore (Knowledge.sure u p1 b));
+  refuses "Group.everyone" (fun () -> ignore (Group.everyone u p1 b));
+  refuses "Common_knowledge.common" (fun () ->
+      ignore (Common_knowledge.common u b));
+  refuses "Temporal.check" (fun () ->
+      ignore (Temporal.check u Temporal.(ef (atom b))));
+  (* counting over the representatives stays allowed *)
+  checki "extent over representatives" (Universe.size u)
+    (Bitset.cardinal (Prop.extent u Prop.tt))
 
 (* -- declared generators are automorphisms -------------------------------- *)
 
@@ -347,12 +278,8 @@ let suite =
       test_por_bit_identity;
     Alcotest.test_case "sym orbit coverage and key consistency" `Quick
       test_sym_orbit_coverage;
-    Alcotest.test_case "knows/extent agree at representatives" `Quick
-      test_sym_knowledge_agreement;
-    Alcotest.test_case "CK and temporal agree at representatives" `Quick
-      test_sym_ck_and_temporal_agreement;
-    Alcotest.test_case "find_orbit resolves seeded random walks" `Quick
-      test_find_orbit_random_walks;
+    Alcotest.test_case "knowledge/CK/temporal refuse a sym universe" `Quick
+      test_sym_operators_refuse;
     Alcotest.test_case "declared generators are automorphisms" `Quick
       test_declared_generators_are_automorphisms;
     Alcotest.test_case "non-automorphisms are rejected" `Quick

@@ -476,6 +476,35 @@ let test_protocol_errors () =
   check tint "shutdown ok" 0 (jint "exit" j);
   check tbool "stopped" true (Serve.stopped t)
 
+(* Only enumerate-stats takes "reduce", as only the CLI's enumerate takes
+   --reduce: a knowledge op naming it is a bad request, refused before
+   any universe is built. *)
+let test_reduce_field_rejected () =
+  let t = server () in
+  List.iter
+    (fun (op, extra, reduce) ->
+      let j =
+        reply t
+          ([ ("op", Json.Str op); ("protocol", Json.Str "ring");
+             ("depth", Json.Int 4); ("reduce", Json.Str reduce) ]
+          @ extra)
+      in
+      let what = Printf.sprintf "%s with reduce %s" op reduce in
+      check tint (what ^ ": exit 2") 2 (jint "exit" j);
+      check tstr (what ^ ": error names the field")
+        (Printf.sprintf
+           "hpl: field \"reduce\" is for enumerate-stats only; %s always \
+            runs on the unreduced universe\n"
+           op)
+        (jstr "error" j))
+    [
+      ("knows", [], "sym");
+      ("check", [ ("formula", Json.Str "true") ], "full");
+      ("extent", [ ("atom", Json.Str "all_sent") ], "por");
+    ];
+  let j = reply t [ ("op", Json.Str "server-stats") ] in
+  check tint "no universe requested" 0 (counter "requests" j)
+
 (* -- cache behavior through the server -------------------------------------- *)
 
 let test_server_cache_provenance () =
@@ -564,6 +593,9 @@ let test_property_stream () =
         | 2 -> ("check", [ ("formula", Json.Str "true") ])
         | _ -> ("enumerate-stats", [])
       in
+      (* drawn for every frame so the stream stays the same; only
+         enumerate-stats takes it *)
+      let reduce = if op = "enumerate-stats" then reduce else None in
       let opt k = function None -> [] | Some v -> [ (k, Json.Str v) ] in
       let fields =
         [ ("op", Json.Str op); ("protocol", Json.Str proto);
@@ -784,6 +816,8 @@ let suite =
       test_conformance_errors;
     Alcotest.test_case "frame discipline: malformed input, ids, shutdown"
       `Quick test_protocol_errors;
+    Alcotest.test_case "knowledge ops reject the reduce field" `Quick
+      test_reduce_field_rejected;
     Alcotest.test_case "cache provenance: memory, snapshot, corruption, bypass"
       `Quick test_server_cache_provenance;
     Alcotest.test_case "seeded stream: eviction never changes answers" `Quick
