@@ -20,53 +20,73 @@ let rule_of s p = s.rule p
 let local_send_count history =
   List.fold_left (fun k e -> if Event.is_send e then k + 1 else k) 0 history
 
-(* The per-process alphabet: the events one intent stands for, given the
-   process's local history and a pool of deliverable messages. Shared by
-   [enabled_on] (which passes the trace's actual in-flight messages) and
-   the static analyzer in [lib/analysis] (which passes an
-   over-approximate candidate pool). *)
-let intent_events p ~history ~pool intent =
-  let lseq = List.length history in
+(* The per-process alphabet, defined once: what one intent stands for
+   given the process's local history. A send or an internal event is
+   fixed by the history; a receive intent is a test on deliverable
+   messages, which come from a pool — the in-flight messages of a
+   computation, or an over-approximate candidate pool in the static
+   analyzer ([lib/analysis]). *)
+type letter = Fixed of Event.t | Accepts of (Msg.t -> bool)
+
+let letter p ~history ~lseq intent =
   let here m = Pid.equal m.Msg.dst p in
   match intent with
   | Send_to (dst, payload) ->
-      let sends = local_send_count history in
-      [ Event.send ~pid:p ~lseq (Msg.make ~src:p ~dst ~seq:sends ~payload) ]
-  | Recv_any ->
-      List.filter_map
-        (fun m -> if here m then Some (Event.receive ~pid:p ~lseq m) else None)
-        pool
-  | Recv_from src ->
-      List.filter_map
-        (fun m ->
-          if here m && Pid.equal m.Msg.src src then
-            Some (Event.receive ~pid:p ~lseq m)
-          else None)
-        pool
-  | Recv_if (_, accept) ->
-      List.filter_map
-        (fun m ->
-          if here m && accept m then Some (Event.receive ~pid:p ~lseq m)
-          else None)
-        pool
-  | Do tag -> [ Event.internal ~pid:p ~lseq tag ]
+      let seq = local_send_count history in
+      Fixed (Event.send ~pid:p ~lseq (Msg.make ~src:p ~dst ~seq ~payload))
+  | Do tag -> Fixed (Event.internal ~pid:p ~lseq tag)
+  | Recv_any -> Accepts here
+  | Recv_from src -> Accepts (fun m -> here m && Pid.equal m.Msg.src src)
+  | Recv_if (_, accept) -> Accepts (fun m -> here m && accept m)
 
-let step_events s p ~history ~pool =
-  s.rule p history
-  |> List.concat_map (intent_events p ~history ~pool)
-  |> List.sort_uniq Event.compare
+let intent_events p ~history ~pool intent =
+  let lseq = List.length history in
+  match letter p ~history ~lseq intent with
+  | Fixed e -> [ e ]
+  | Accepts ok ->
+      List.filter_map
+        (fun m -> if ok m then Some (Event.receive ~pid:p ~lseq m) else None)
+        pool
 
-let enabled_on s z p =
-  step_events s p ~history:(Trace.proj z p) ~pool:(Trace.in_flight z)
+(* One run of [p]'s rule. All of [p]'s next events share its pid and
+   [lseq], and [Event.compare] then ranks sends before receives before
+   internal events, so the sorted alphabet is the fixed sends, the
+   pool's receives, then the fixed internal events. *)
+let stage s p ~history =
+  let lseq = List.length history in
+  let fixed, accepts =
+    List.partition_map
+      (fun intent ->
+        match letter p ~history ~lseq intent with
+        | Fixed e -> Left e
+        | Accepts ok -> Right ok)
+      (s.rule p history)
+  in
+  let fixed = List.sort_uniq Event.compare fixed in
+  match accepts with
+  | [] -> fun _ -> fixed
+  | _ ->
+      let sends, internals = List.partition Event.is_send fixed in
+      fun pool ->
+        match
+          List.filter_map
+            (fun m ->
+              if List.exists (fun ok -> ok m) accepts then
+                Some (Event.receive ~pid:p ~lseq m)
+              else None)
+            pool
+        with
+        | [] -> fixed
+        | recvs -> sends @ List.sort_uniq Event.compare recvs @ internals
+
+let enabled_on s z p = stage s p ~history:(Trace.proj z p) (Trace.in_flight z)
 
 (* [Trace.in_flight] scans the whole trace: compute the pool once per
-   state, not once per process *)
+   state, not once per process. [Event.compare] is pid-major, so the
+   per-process lists concatenated in pid order are sorted. *)
 let enabled s z =
   let pool = Trace.in_flight z in
-  List.concat_map
-    (fun p -> step_events s p ~history:(Trace.proj z p) ~pool)
-    (pids s)
-  |> List.sort_uniq Event.compare
+  List.concat_map (fun p -> stage s p ~history:(Trace.proj z p) pool) (pids s)
 
 let extensions s z = List.map (Trace.snoc z) (enabled s z)
 

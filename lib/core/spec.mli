@@ -26,7 +26,9 @@ type rule = Event.t list -> intent list
 (** A process's behaviour: local history ↦ enabled intents. The history
     is the process's computation so far, in order. Must be
     deterministic (a function); nondeterminism is expressed by returning
-    several intents. *)
+    several intents. Enumeration runs a rule once per distinct local
+    history ({!stage}), not once per computation, so a rule must have no
+    side effects, counters included. *)
 
 type t
 
@@ -48,21 +50,24 @@ val intent_events :
     intent: the events process [p] would perform next for it, given its
     local history and a pool of candidate deliverable messages. Sequence
     numbers and local positions are derived from [history], exactly as
-    enumeration does. *)
+    {!stage} derives them. The static analyzer ([lib/analysis]) passes
+    an over-approximate pool, which is what makes channel-graph
+    extraction sound without enumerating interleavings. *)
 
-val step_events :
-  t -> Pid.t -> history:Event.t list -> pool:Msg.t list -> Event.t list
-(** [step_events s p ~history ~pool] is the sorted, deduplicated set of
-    events [p] is willing to perform next. {!enabled_on} is this applied
-    to the projection and the actual in-flight messages of a trace; the
-    static analyzer ([lib/analysis]) passes an over-approximate pool
-    instead, which is what makes channel-graph extraction sound without
-    enumerating interleavings. *)
+val stage : t -> Pid.t -> history:Event.t list -> Msg.t list -> Event.t list
+(** [stage s p ~history] runs [p]'s rule on [history] once and returns
+    the function from a pool of deliverable messages to the sorted,
+    deduplicated set of events [p] is willing to perform next. Sends and
+    internal events are built once, here; receives are built from each
+    pool. A process's next steps are a function of its own history (§2),
+    so {!Universe.enumerate} stages each distinct local history once and
+    applies the result to every computation that shares it. *)
 
 val enabled : t -> Trace.t -> Event.t list
 (** [enabled s z] is the set of events [e] such that [(z; e)] is a
     system computation of [s], sorted by {!Event.compare} and
-    deduplicated. *)
+    deduplicated: each process's {!stage} applied to the messages in
+    flight after [z]. *)
 
 val enabled_on : t -> Trace.t -> Pid.t -> Event.t list
 (** Enabled events on one process. *)

@@ -13,6 +13,7 @@ let empty = { rev = []; len = 0; h = 0x811c9dc5 }
 let snoc z e = { rev = e :: z.rev; len = z.len + 1; h = mix z.h (Event.hash e) }
 let of_list es = List.fold_left snoc empty es
 let to_list z = List.rev z.rev
+let to_rev_list z = z.rev
 let length z = z.len
 let is_empty z = z.len = 0
 let last z = match z.rev with [] -> None | e :: _ -> Some e

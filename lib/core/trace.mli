@@ -20,6 +20,10 @@ val of_list : Event.t list -> t
 val to_list : t -> Event.t list
 (** Events in execution order. *)
 
+val to_rev_list : t -> Event.t list
+(** Events newest first, in O(1): the trace's own representation, not a
+    copy. *)
+
 val length : t -> int
 val is_empty : t -> bool
 val last : t -> Event.t option

@@ -76,7 +76,7 @@ type t = {
   status : status;
   reduce : Reduction.t;
   comps : Trace.t array;
-  idx : int TraceTbl.t;
+  idx : int TraceTbl.t Lazy.t; (* built on first lookup *)
   class_ids_by_pid : int array array; (* pid index -> comp index -> class id *)
   trie_parent : int array array; (* pid index -> class id -> prefix class id *)
   orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
@@ -127,30 +127,56 @@ let canon_trace z =
 
 (* [z] canonical, [e] enabled after [z]: is [(z;e)] canonical?  [e]
    becomes available right after its last direct predecessor; canonical
-   means no later-placed event exceeds [e]. *)
+   means no later-placed event exceeds [e]. Scanning newest first stops
+   at that predecessor, and [z] is never copied. *)
 let snoc_is_canonical z e =
-  let events = Trace.to_list z in
-  let _, avail =
-    List.fold_left
-      (fun (i, avail) c ->
-        (i + 1, if is_direct_pred ~of_:e c then i + 1 else avail))
-      (0, 0) events
-  in
-  let rec check i = function
+  let rec after_last_pred = function
     | [] -> true
-    | c :: rest ->
-        if i < avail then check (i + 1) rest
-        else Event.compare c e < 0 && check (i + 1) rest
+    | c :: older ->
+        is_direct_pred ~of_:e c
+        || (Event.compare c e < 0 && after_last_pred older)
   in
-  check 0 events
+  after_last_pred (Trace.to_rev_list z)
+
+(* The trace → index table behind [index], [find] and [serialize],
+   built on first lookup: enumeration, [Prop.extent] and the counting
+   answers never look a trace up. *)
+let trace_index comps =
+  lazy
+    (Hpl_obs.span "universe.index"
+       ~args:(fun () -> [ ("size", string_of_int (Array.length comps)) ])
+    @@ fun () ->
+    let idx = TraceTbl.create (2 * Array.length comps) in
+    Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
+    idx)
 
 (* --- enumeration --------------------------------------------------- *)
 
-(* Each BFS node carries its trace plus the vector of per-process class
-   ids of its projections. A child differs from its parent in exactly
-   one slot (the extending event's process), so maintaining the vector
-   is O(n) per child and the post-hoc O(N·n·depth) re-projection pass
-   is gone entirely. *)
+(* A BFS node: its trace, the vector of per-process class ids of its
+   projections, and the messages in flight, newest first. A child
+   differs from its parent in one class-id slot (the extending event's
+   process) and in one message at most (a send adds it, a receive
+   removes it), so both are maintained per child, never recomputed from
+   the trace. Under symmetry a node also carries every group element's
+   renamed projection vector. *)
+type node = {
+  z : Trace.t;
+  ids : int array;
+  pool : Msg.t list;
+  cands : Event.t list array array option;
+}
+
+let rec remove_msg m = function
+  | [] -> []
+  | m' :: rest ->
+      if m' == m || Msg.equal m' m then rest else m' :: remove_msg m rest
+
+let child_pool pool e =
+  match e.Event.kind with
+  | Event.Send m -> m :: pool
+  | Event.Receive m -> remove_msg m pool
+  | Event.Internal _ -> pool
+
 exception Out_of_budget of trunc_reason
 
 let enumerate ?(mode = `Canonical) ?(budget = no_budget)
@@ -179,45 +205,61 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
   in
   let n = Spec.n spec in
   let trie = trie_create n in
+  (* each process's staged rule per trie class id: a class id names a
+     local history, and a process's next steps are a function of its
+     history alone, so [Spec.stage] runs the rule once per class and
+     every node in the class applies the result to its own pool *)
+  let staged = Array.make n [||] in
+  let stage_at node pi =
+    let c = node.ids.(pi) in
+    let memo = staged.(pi) in
+    match if c < Array.length memo then memo.(c) else None with
+    | Some f -> f
+    | None ->
+        let p = Pid.of_int pi in
+        let f = Spec.stage spec p ~history:(Trace.proj node.z p) in
+        if c >= Array.length memo then begin
+          let grown = Array.make (2 * trie.next_ids.(pi)) None in
+          Array.blit memo 0 grown 0 (Array.length memo);
+          staged.(pi) <- grown
+        end;
+        staged.(pi).(c) <- Some f;
+        f
+  in
   (* under symmetry the canonicity filter is unsound — a stored orbit
      representative can reach a fresh orbit only through a non-canonical
      interleaving — so sym mode keeps every extension and dedups by
      orbit key in the merge instead *)
-  let keep z e =
-    match mode with
-    | `Full -> true
-    | `Canonical -> Option.is_some group || snoc_is_canonical z e
-  in
+  let canonical_only = mode = `Canonical && Option.is_none group in
   (* ample-set restriction: only with por, only when the static
      independence relation certifies no depth-truncation — then every
      leaf is blocked and Reduction.restrict preserves all blocked
      classes (see reduction.ml) *)
   let indep_active =
-    if por && mode = `Canonical && group = None then
+    if por && canonical_only then
       match Reduction.independence reduce with
       | Some ind when Reduction.Independence.applicable ind ~depth -> Some ind
       | _ -> None
     else None
   in
-  let children z =
-    let cands = Spec.enabled spec z in
+  (* the enabled set is the per-process staged lists in pid order,
+     already sorted since [Event.compare] is pid-major *)
+  let children node =
+    let rec gather pi acc =
+      if pi < 0 then acc
+      else gather (pi - 1) (stage_at node pi node.pool @ acc)
+    in
+    let cands = gather (n - 1) [] in
     let restricted =
       match indep_active with
       | Some ind -> Reduction.restrict ind cands
       | None -> cands
     in
-    let kept = List.filter (keep z) restricted in
-    ( List.map (fun e -> (e, Trace.snoc z e)) kept,
-      List.length cands - List.length kept )
-  in
-  let expand frontier =
-    let m = Array.length frontier in
-    let out = Array.make m ([], 0) in
-    for i = 0 to m - 1 do
-      let z, _, _ = frontier.(i) in
-      out.(i) <- children z
-    done;
-    out
+    let kept =
+      if canonical_only then List.filter (snoc_is_canonical node.z) restricted
+      else restricted
+    in
+    (kept, List.length cands - List.length kept)
   in
   let acc = ref [] and count = ref 0 in
   let push node =
@@ -252,12 +294,17 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     c.(j) <- pe :: c.(j);
     c
   in
-  let root_cands =
-    match group with
-    | None -> None
-    | Some _ -> Some (Array.make (Array.length perms) (Array.make n []))
+  let root =
+    {
+      z = Trace.empty;
+      ids = Array.make n 0;
+      pool = [];
+      cands =
+        Option.map
+          (fun _ -> Array.make (Array.length perms) (Array.make n []))
+          group;
+    }
   in
-  let root = (Trace.empty, Array.make n 0, root_cands) in
   push root;
   (match group with
   | Some _ ->
@@ -272,17 +319,19 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       let m = Array.length frontier in
       if !Hpl_obs.enabled then
         Hpl_obs.set_gauge "enumerate.frontier_size" (float_of_int m);
-      (* per-depth frontier span: the effect-free half *)
+      (* per-depth frontier span: each parent's kept extension events,
+         in frontier order; its only effect is filling the staged-rule
+         memo *)
       let childlists =
         Hpl_obs.span "enumerate.frontier"
           ~args:(fun () ->
             [ ("depth", string_of_int d); ("frontier", string_of_int m) ])
-          (fun () -> expand frontier)
+          (fun () -> Array.map children frontier)
       in
       (* merge: frontier order, then per-parent order. Budget checks
          live here, so [max_states] truncation keeps the same states on
-         every run (time-based truncation is inherently wall-clock
-         dependent, but is only detected between whole parents, never
+         every run (time-based truncation depends on the CPU time taken,
+         but is only detected between whole parents, never
          mid-parent). *)
       (* symmetry: decide each child's fate first — skip if its
          [D]-class (identity projection vector) was already seen,
@@ -299,12 +348,13 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                 Some
                   (Array.mapi
                      (fun i (kids, _) ->
-                       let _, _, pcands = frontier.(i) in
                        let pcands =
-                         match pcands with Some c -> c | None -> assert false
+                         match frontier.(i).cands with
+                         | Some c -> c
+                         | None -> assert false
                        in
                        List.map
-                         (fun (e, _) ->
+                         (fun e ->
                            let v = extend_cand 0 pcands.(0) e in
                            if Symmetry.KeyTbl.mem class_seen v then `Dup
                            else begin
@@ -335,8 +385,8 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
             (fun i (kids, pruned) ->
               check_time ();
               ample_prunes := !ample_prunes + pruned;
-              let _, pids, _ = frontier.(i) in
-              let merge (e, z') fate =
+              let parent = frontier.(i) in
+              let merge e fate =
                 let admit =
                   match fate with
                   | `Fresh -> true
@@ -352,12 +402,18 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                 in
                 if admit then begin
                   let pi = Pid.to_int e.Event.pid in
-                  let ids = Array.copy pids in
-                  ids.(pi) <- trie_intern trie pi pids.(pi) e;
+                  let ids = Array.copy parent.ids in
+                  ids.(pi) <- trie_intern trie pi parent.ids.(pi) e;
                   let node =
-                    match fate with
-                    | `Key (_, cands) -> (z', ids, Some cands)
-                    | `Fresh | `Dup -> (z', ids, None)
+                    {
+                      z = Trace.snoc parent.z e;
+                      ids;
+                      pool = child_pool parent.pool e;
+                      cands =
+                        (match fate with
+                        | `Key (_, cands) -> Some cands
+                        | `Fresh | `Dup -> None);
+                    }
                   in
                   (* push may raise on budget: register the orbit
                      entry only once the node is actually stored *)
@@ -370,7 +426,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                 end
               in
               match fates with
-              | None -> List.iter (fun c -> merge c `Fresh) kids
+              | None -> List.iter (fun e -> merge e `Fresh) kids
               | Some f -> List.iter2 merge kids f.(i))
             childlists);
       level (Array.of_list (List.rev !next)) (d + 1)
@@ -391,9 +447,9 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       Hpl_obs.count "reduce.ample_prunes" !ample_prunes
     end
   end;
-  let comps, class_ids_by_pid, idx =
-    (* the interning half: materialize the computations and build the
-       O(1)-lookup trace index *)
+  let comps, class_ids_by_pid =
+    (* the interning half: materialize the computations and transpose
+       the class-id vectors into the pid-major arrays *)
     Hpl_obs.span "enumerate.intern"
       ~args:(fun () -> [ ("states", string_of_int !count) ])
     @@ fun () ->
@@ -401,16 +457,14 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     let class_ids_by_pid = Array.init n (fun _ -> Array.make !count 0) in
     (* [!acc] holds nodes in reverse discovery order *)
     List.iteri
-      (fun k (z, ids, _) ->
+      (fun k node ->
         let i = !count - 1 - k in
-        comps.(i) <- z;
+        comps.(i) <- node.z;
         for pi = 0 to n - 1 do
-          class_ids_by_pid.(pi).(i) <- ids.(pi)
+          class_ids_by_pid.(pi).(i) <- node.ids.(pi)
         done)
       !acc;
-    let idx = TraceTbl.create (2 * !count) in
-    Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
-    (comps, class_ids_by_pid, idx)
+    (comps, class_ids_by_pid)
   in
   {
     spec;
@@ -419,7 +473,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     status;
     reduce;
     comps;
-    idx;
+    idx = trace_index comps;
     class_ids_by_pid;
     trie_parent = trie_parents trie;
     orbit_idx = (match group with None -> None | Some _ -> Some orbit_idx);
@@ -445,7 +499,7 @@ let sample u ~choose =
     invalid_arg "Universe.sample: choose returned an out-of-range index";
   u.comps.(i)
 let index u z =
-  let r = TraceTbl.find_opt u.idx z in
+  let r = TraceTbl.find_opt (Lazy.force u.idx) z in
   if !Hpl_obs.enabled then begin
     Hpl_obs.count "universe.lookups" 1;
     if r <> None then Hpl_obs.count "universe.lookup_hits" 1
@@ -741,7 +795,7 @@ let serialize u =
       in
       let init, e = split [] events in
       let parent =
-        match TraceTbl.find_opt u.idx (Trace.of_list init) with
+        match TraceTbl.find_opt (Lazy.force u.idx) (Trace.of_list init) with
         | Some j when j < i -> j
         | _ -> invalid_arg "Universe.serialize: universe is not prefix-closed"
       in
@@ -886,8 +940,6 @@ let deserialize spec blob =
        computations (catches key collisions and spec drift) *)
     if count > 1 && not (Spec.valid spec comps.(count - 1)) then
       fail "snapshot is not a universe of the given spec";
-    let idx = TraceTbl.create (2 * count) in
-    Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
     Ok
       {
         spec;
@@ -896,7 +948,7 @@ let deserialize spec blob =
         status;
         reduce;
         comps;
-        idx;
+        idx = trace_index comps;
         class_ids_by_pid;
         trie_parent = trie_parents trie;
         orbit_idx = None;

@@ -24,7 +24,7 @@ type mode = [ `Full | `Canonical ]
 type budget = { max_states : int option; max_seconds : float option }
 (** Resource ceiling for {!enumerate}. Fault transformers multiply
     branching, so an unbounded enumeration of a fault-blown state space
-    can exhaust memory or wall-clock; a budget turns that failure mode
+    can exhaust memory or time; a budget turns that failure mode
     into graceful degradation — a valid, prefix-closed universe plus a
     {!status} saying it is incomplete. *)
 
@@ -50,7 +50,11 @@ val enumerate :
   depth:int ->
   t
 (** [enumerate spec ~depth] explores breadth-first from the empty
-    computation. Default mode is [`Canonical].
+    computation. Default mode is [`Canonical]. A node's enabled events
+    come from {!Spec.stage}, run once per process and distinct local
+    history (projection class) and applied to the node's in-flight
+    messages, so each rule runs once per class, not once per
+    computation (DESIGN.md §6).
 
     [reduce] (default {!Reduction.none}) applies the reduction layer
     (DESIGN.md §10); requires [`Canonical] mode. With a symmetry group
@@ -69,8 +73,9 @@ val enumerate :
     every query below remains sound — it just quantifies over fewer
     computations than the depth bound implies. [max_states] truncation
     is deterministic (checks happen in frontier order, then per-parent
-    order); [max_seconds] is wall-clock dependent by nature and
-    detected between parent expansions. *)
+    order); [max_seconds] bounds the CPU time the enumeration takes
+    ([Sys.time]), so where it cuts depends on the machine and its load;
+    it is detected between parent expansions. *)
 
 val spec : t -> Spec.t
 val mode : t -> mode
@@ -100,11 +105,16 @@ val sample : t -> choose:(int -> int) -> Trace.t
 
 val index : t -> Trace.t -> int option
 (** Exact lookup of a trace (as stored — canonical form in
-    [`Canonical] mode). *)
+    [`Canonical] mode). The trace → index table is built on the first
+    [index], {!find} or {!serialize} of a universe (the
+    [universe.index] span) and kept on it: enumeration, {!Prop.extent}
+    and the counting answers never look a trace up, so they never pay
+    for it. *)
 
 val find : t -> Trace.t -> int option
-(** Like {!index} but canonicalizes first in [`Canonical] mode, so any
-    valid interleaving of a stored class is found. On a
+(** Like {!index} (and, like it, builds the index on first use) but
+    canonicalizes first in [`Canonical] mode, so any valid interleaving
+    of a stored class is found. On a
     symmetry-reduced universe the lookup goes through the orbit key, so
     any interleaving of any permuted image of a stored class is found. *)
 

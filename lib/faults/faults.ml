@@ -222,10 +222,7 @@ let route s faults =
   in
   Spec.make ~n:(n + k) (fun p history ->
       let pi = Pid.to_int p in
-      if pi >= n then begin
-        if !Hpl_obs.enabled then Hpl_obs.count "faults.daemon_probes" 1;
-        daemon_rule (pi - n) history
-      end
+      if pi >= n then daemon_rule (pi - n) history
       else
         let local = List.map (translate_event ~is_daemon p) history in
         Spec.rule_of s p local

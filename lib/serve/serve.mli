@@ -28,7 +28,7 @@
 
     Universes are memoized across requests in an LRU {!Cache} and,
     when [cache_dir] is set, persisted as {!Snapshot} files keyed by
-    {!cache_key} for warm starts. Requests with a wall-clock budget
+    {!cache_key} for warm starts. Requests with a CPU-time budget
     ([max-seconds]) bypass both layers — their universes are
     nondeterministic by nature. Counters keep the invariant
     [cache_hit + cache_miss = requests] (bypassed and failed requests

@@ -161,6 +161,127 @@ let test_prefix_closed_universe () =
         u)
     [ `Full; `Canonical ]
 
+(* -- the BFS against a literal reading of it ---------------------------
+
+   A naive reference enumeration. Its children come from the enabled
+   set as defined, not as staged: every process's intents on its
+   projection, each read by [Spec.intent_events] against the trace's
+   in-flight messages, sorted and deduplicated; [Spec.enabled] must
+   equal that set. [z;e] is kept in [`Canonical] mode only when
+   [Universe.canon] fixes it, and levels go in frontier order and then
+   per-parent order. [Universe.enumerate] must store the same
+   computations at the same indices, and number each process's
+   projections by first occurrence in that order. *)
+
+let reference_enabled spec z =
+  let pool = Trace.in_flight z in
+  List.concat_map
+    (fun p ->
+      let history = Trace.proj z p in
+      List.concat_map
+        (Spec.intent_events p ~history ~pool)
+        (Spec.rule_of spec p history))
+    (Spec.pids spec)
+  |> List.sort_uniq Event.compare
+
+let reference_comps ~mode u spec ~depth =
+  let keep z =
+    match mode with
+    | `Full -> true
+    | `Canonical -> Trace.equal z (Universe.canon u z)
+  in
+  let enabled z =
+    let es = reference_enabled spec z in
+    if not (List.equal Event.equal es (Spec.enabled spec z)) then
+      Alcotest.failf "Spec.enabled after %s is [%s], reference has [%s]"
+        (Trace.to_string z)
+        (String.concat "; " (List.map Event.to_string (Spec.enabled spec z)))
+        (String.concat "; " (List.map Event.to_string es));
+    es
+  in
+  let rec levels frontier d =
+    if d >= depth || frontier = [] then []
+    else
+      let next =
+        List.concat_map
+          (fun z -> List.filter keep (List.map (Trace.snoc z) (enabled z)))
+          frontier
+      in
+      next :: levels next (d + 1)
+  in
+  Array.of_list (List.concat ([ Trace.empty ] :: levels [ Trace.empty ] 0))
+
+let first_occurrence_ids comps p =
+  let seen = Hashtbl.create 64 in
+  Array.map
+    (fun z ->
+      let h = List.map Event.to_string (Trace.proj z p) in
+      match Hashtbl.find_opt seen h with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length seen in
+          Hashtbl.add seen h id;
+          id)
+    comps
+
+let check_against_reference what ~mode spec ~depth =
+  let u = Universe.enumerate ~mode spec ~depth in
+  let expected = reference_comps ~mode u spec ~depth in
+  check tint (what ^ ": size") (Array.length expected) (Universe.size u);
+  Array.iteri
+    (fun i z ->
+      if not (Trace.equal z (Universe.comp u i)) then
+        Alcotest.failf "%s: computation %d is %s, reference has %s" what i
+          (Trace.to_string (Universe.comp u i))
+          (Trace.to_string z))
+    expected;
+  List.iter
+    (fun p ->
+      check
+        Alcotest.(array int)
+        (Printf.sprintf "%s: class ids %s" what (Pid.to_string p))
+        (first_occurrence_ids expected p)
+        (Universe.class_ids u p))
+    (Spec.pids spec)
+
+let test_reference_enumeration () =
+  let open Hpl_protocols in
+  Builtins.init ();
+  let mode_name = function `Full -> "full" | `Canonical -> "canonical" in
+  let both what spec ~depth =
+    List.iter
+      (fun mode ->
+        check_against_reference
+          (Printf.sprintf "%s %s" what (mode_name mode))
+          ~mode spec ~depth)
+      [ `Canonical; `Full ]
+  in
+  List.iter
+    (fun proto ->
+      let inst = Protocol.default_instance proto in
+      both (Protocol.instance_name inst) (Protocol.spec_of inst)
+        ~depth:(min 4 (Protocol.depth_of inst)))
+    (Protocol.Registry.list ());
+  let crash = Result.get_ok (Hpl_faults.Faults.Scenario.parse "crash-any:1") in
+  List.iter
+    (fun name ->
+      let inst =
+        Protocol.default_instance (Option.get (Protocol.Registry.find name))
+      in
+      both (name ^ " crash-any:1")
+        (Hpl_faults.Faults.Scenario.apply_exn crash (Protocol.spec_of inst))
+        ~depth:(min 4 (Protocol.depth_of inst)))
+    [ "ring"; "token-ring" ];
+  List.iter
+    (fun (path, src) ->
+      match Hpl_dsl.Elaborate.load_string ~file:path src with
+      | Error d -> Alcotest.failf "%s: %s" path (Hpl_dsl.Diag.to_string d)
+      | Ok l ->
+          let inst = Protocol.default_instance l.Hpl_dsl.Elaborate.proto in
+          both path (Protocol.spec_of inst)
+            ~depth:(min 4 (Protocol.depth_of inst)))
+    Hpl_dsl.Corpus.specs
+
 let qcheck_props =
   let spec = Fixtures.chatter ~n:2 ~k:2 in
   let ucan = Universe.enumerate ~mode:`Canonical spec ~depth:4 in
@@ -200,5 +321,6 @@ let suite =
     ("class members", `Quick, test_class_members);
     ("prefixes_of", `Quick, test_prefixes_of);
     ("prefix-closed storage", `Quick, test_prefix_closed_universe);
+    ("enumeration = naive reference BFS", `Quick, test_reference_enumeration);
   ]
   @ List.map (fun p -> QCheck_alcotest.to_alcotest ~verbose:false p) qcheck_props
