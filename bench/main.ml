@@ -396,50 +396,23 @@ let reduce_rows () =
       rows)
     [ "ring"; "star-flood"; "quorum" ]
 
-(* -- DSL rows (lib/dsl) --------------------------------------------------
+(* -- DSL rows ---------------------------------------------------------------
 
-   Two questions the trajectory should answer: what does loading a spec
-   from text cost (lex + parse + elaborate + validate), and do the
-   closures the elaborator compiles enumerate as fast as the hand-written
-   builtin they mirror. The parity rows time the same universe — a
-   parity assert guards that — so their ratio is pure interpreter
-   overhead. *)
+   What loading a spec from text costs: lex + parse + elaborate +
+   validate of the embedded ring.hpl, which is also how the registry's
+   ring is defined. *)
 let dsl_rows () =
   fresh_heap ();
-  Hpl_protocols.Builtins.init ();
   let path = "corpus/specs/ring.hpl" in
-  let src = List.assoc path Hpl_dsl.Corpus.specs in
+  let src = List.assoc path Hpl_protocols.Corpus.specs in
   let load () =
-    match Hpl_dsl.Elaborate.load_string ~file:path src with
+    match Hpl_protocols.Elaborate.load_string ~file:path src with
     | Ok l -> l
-    | Error d -> failwith (Hpl_dsl.Diag.to_string d)
+    | Error d -> failwith (Hpl_protocols.Diag.to_string d)
   in
-  let loaded = load () in
-  let inst_spec =
-    Hpl_protocols.Protocol.default_instance loaded.Hpl_dsl.Elaborate.proto
-  in
-  let inst_builtin =
-    match Hpl_protocols.Protocol.Registry.find "ring" with
-    | Some p -> Hpl_protocols.Protocol.default_instance p
-    | None -> failwith "bench: ring not registered"
-  in
-  let depth = Hpl_protocols.Protocol.depth_of inst_builtin in
-  let enum inst () =
-    Universe.size
-      (Universe.enumerate (Hpl_protocols.Protocol.spec_of inst) ~depth)
-  in
-  assert (enum inst_spec () = enum inst_builtin ());
   [
     ( "hpl/dsl/parse+elaborate/ring",
       Some (min_time_ns ~runs:25 (fun () -> load ())),
-      "ns/run",
-      None );
-    ( Printf.sprintf "hpl/dsl/enumerate-parity/spec/depth=%d" depth,
-      Some (min_time_ns ~runs:10 (enum inst_spec)),
-      "ns/run",
-      None );
-    ( Printf.sprintf "hpl/dsl/enumerate-parity/compiled/depth=%d" depth,
-      Some (min_time_ns ~runs:10 (enum inst_builtin)),
       "ns/run",
       None );
   ]
@@ -469,9 +442,9 @@ let phase_rows () =
 (* -- flow rows (lib/analysis/dataflow.ml) --------------------------------
 
    The acceptance claim of `hpl flow`: one sweep of the abstract
-   interpreter over the whole registry (every protocol with a corpus
-   port) plus every corpus spec finishes well under a second — the
-   analysis must stay cheap enough to run before every enumeration.
+   interpreter over the whole registry (every protocol defined by
+   corpus text) plus every corpus spec finishes well under a second —
+   the analysis must stay cheap enough to run before every enumeration.
    The /rules row counts how many rules the sweep passed verdicts on,
    so a silently shrinking analysis surface would show in the
    trajectory; a false dead-rule report anywhere fails the bench
@@ -482,10 +455,10 @@ let flow_rows () =
   let specs =
     List.map
       (fun (file, src) ->
-        match Hpl_dsl.Elaborate.load_string ~file src with
+        match Hpl_protocols.Elaborate.load_string ~file src with
         | Ok l -> l
-        | Error d -> failwith (Hpl_dsl.Diag.to_string d))
-      Hpl_dsl.Corpus.specs
+        | Error d -> failwith (Hpl_protocols.Diag.to_string d))
+      Hpl_protocols.Corpus.specs
   in
   let sweep () =
     let rules = ref 0 in
@@ -505,11 +478,11 @@ let flow_rows () =
       (fun l ->
         match
           Hpl_analysis.Dataflow.of_loaded l
-            (Hpl_protocols.Protocol.defaults l.Hpl_dsl.Elaborate.proto)
+            (Hpl_protocols.Protocol.defaults l.Hpl_protocols.Elaborate.proto)
         with
         | Ok df ->
             rules := !rules + List.length (Hpl_analysis.Dataflow.rules df)
-        | Error d -> failwith (Hpl_dsl.Diag.to_string d))
+        | Error d -> failwith (Hpl_protocols.Diag.to_string d))
       specs;
     !rules
   in

@@ -98,8 +98,9 @@ let exits =
 (* [-s] and [-f] are two sources for the same thing: a loaded spec flows
    through enumeration, knowledge, checking, linting and reduction as an
    ordinary instance. The returned [loaded] AST (for [-f] specs) is what
-   the flow analyzer reads; compiled rule closures are opaque, so it
-   reads a registry protocol through its corpus port. *)
+   the flow analyzer reads; OCaml rule closures are opaque, so for a
+   registry protocol it reads the embedded spec that defines it, if
+   any. *)
 let resolve_proto proto_str file_str =
   die (Query.resolve_proto ?proto:proto_str ?file:file_str ())
 
@@ -1203,12 +1204,12 @@ let fuzz seed count verbose =
       fmt
   in
   for index = 0 to count - 1 do
-    let src = Hpl_dsl.Fuzz.spec_text ~seed ~index in
+    let src = Fuzz.spec_text ~seed ~index in
     let name = Printf.sprintf "fuzz-%d-%d" seed index in
-    match Hpl_dsl.Elaborate.load_string ~file:name src with
-    | Error d -> fail index src "load failed: %s" (Hpl_dsl.Diag.to_string d)
+    match Elaborate.load_string ~file:name src with
+    | Error d -> fail index src "load failed: %s" (Diag.to_string d)
     | Ok loaded -> (
-        let inst = Protocol.default_instance loaded.Hpl_dsl.Elaborate.proto in
+        let inst = Protocol.default_instance loaded.Elaborate.proto in
         let report = Lint.lint_instance inst in
         List.iter
           (fun f ->
@@ -1261,7 +1262,7 @@ let fuzz seed count verbose =
                Dataflow.of_loaded loaded (Protocol.values inst)
              with
             | Error d ->
-                fail index src "flow failed: %s" (Hpl_dsl.Diag.to_string d)
+                fail index src "flow failed: %s" (Diag.to_string d)
             | Ok df ->
                 List.iter
                   (fun (r : Dataflow.rule_report) ->

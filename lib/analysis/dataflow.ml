@@ -1,7 +1,7 @@
 (* Abstract interpretation over protocol rules — see dataflow.mli.
 
    Rules come from the elaborated .hpl AST — a loaded spec's, or for a
-   registry protocol the embedded corpus port of the same name — and
+   registry protocol the embedded spec that defines it — and
    are normalized into one internal shape, [srule]: an abstract guard
    evaluator (a closure over a counter-hull lookup), a concrete guard
    oracle (for the soundness tests), and a list of intents each carrying
@@ -10,9 +10,9 @@
 
 open Hpl_core
 module P = Hpl_protocols.Protocol
-module Ast = Hpl_dsl.Ast
-module Elab = Hpl_dsl.Elaborate
-module Diag = Hpl_dsl.Diag
+module Ast = Hpl_protocols.Ast
+module Elab = Hpl_protocols.Elaborate
+module Diag = Hpl_protocols.Diag
 
 (* -- interval domain ------------------------------------------------------ *)
 
@@ -663,17 +663,6 @@ let of_loaded (l : Elab.loaded) values =
         Ok (analyze ~n rules ~atom_exprs)
   with Diag.Error d -> Error d
 
-(* the corpus ports, by protocol name; they ship inside hpl_dsl, so one
-   that fails to load is a build bug, not a user error *)
-let ports =
-  lazy
-    (List.map
-       (fun (file, src) ->
-         match Elab.load_string ~file src with
-         | Ok l -> (P.name l.Elab.proto, l)
-         | Error d -> failwith ("Dataflow: embedded " ^ Diag.to_string d))
-       Hpl_dsl.Corpus.specs)
-
 let of_instance inst =
   Option.map
     (fun l ->
@@ -683,7 +672,7 @@ let of_instance inst =
           failwith
             (Printf.sprintf "Dataflow.of_instance %s: %s" (P.instance_name inst)
                (Diag.to_string d)))
-    (List.assoc_opt (P.name (P.proto inst)) (Lazy.force ports))
+    (Hpl_protocols.Builtins.port (P.name (P.proto inst)))
 
 (* -- accessors -------------------------------------------------------------- *)
 

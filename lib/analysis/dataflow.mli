@@ -4,8 +4,8 @@
 
     The analyzer interprets the elaborated [.hpl] AST of a spec's rules:
     a loaded spec's ({!of_loaded}), or for a registry protocol the
-    embedded [corpus/specs] port of the same name ({!of_instance}) —
-    compiled rule closures are opaque. Guards are evaluated in an
+    embedded [corpus/specs] text that defines it ({!of_instance}) —
+    rule closures are opaque. Guards are evaluated in an
     interval domain over the local-history counters ([len], [sends],
     [recvs], [sends "m"], [recvs "m"], [sends_to(d)], [did "t"]);
     parameters, loop variables and [me] are concrete at the analyzed
@@ -63,21 +63,21 @@ type rule_report = {
 (** {1 Building an analysis} *)
 
 val of_loaded :
-  Hpl_dsl.Elaborate.loaded ->
+  Hpl_protocols.Elaborate.loaded ->
   Hpl_protocols.Protocol.values ->
-  (t, Hpl_dsl.Diag.t) result
+  (t, Hpl_protocols.Diag.t) result
 (** Analyze a loaded [.hpl] spec at [values] (use
     [Protocol.defaults l.proto] for the declared defaults). [Error] only
     on value-dependent elaboration failure (bad process count or
-    selector) — the same conditions {!Hpl_dsl.Elaborate.validate}
+    selector) — the same conditions {!Hpl_protocols.Elaborate.validate}
     reports. *)
 
 val of_instance : Hpl_protocols.Protocol.instance -> t option
-(** Analyze a registry instance through the embedded [.hpl] port whose
-    protocol name matches, at the instance's values; [None] when the
-    protocol has no port. The ports are loaded once, on first use. An
-    embedded spec that fails to load or resolve is a build bug and
-    raises [Failure]. *)
+(** Analyze a registry instance through the embedded [.hpl] spec that
+    defines the builtin of its protocol's name
+    ({!Hpl_protocols.Builtins.port}), at the instance's values; [None]
+    for a builtin defined in OCaml. An embedded spec that fails to load
+    or resolve is a build bug and raises [Failure]. *)
 
 (** {1 Results} *)
 

@@ -199,18 +199,21 @@ let first_walk spec ~depth =
 (* -- registry ------------------------------------------------------------ *)
 
 module Registry = struct
-  let table : (string, t) Hashtbl.t = Hashtbl.create 64
+  let table : (string, t Lazy.t) Hashtbl.t = Hashtbl.create 64
 
-  let register t =
-    if Hashtbl.mem table t.name then
-      invalid_arg ("Protocol.Registry.register: duplicate name " ^ t.name);
-    Hashtbl.replace table t.name t
+  let register_lazy name t =
+    if Hashtbl.mem table name then
+      invalid_arg ("Protocol.Registry.register: duplicate name " ^ name);
+    Hashtbl.replace table name t
 
-  let find name = Hashtbl.find_opt table name
+  let register t = register_lazy t.name (Lazy.from_val t)
+  let find name = Option.map Lazy.force (Hashtbl.find_opt table name)
 
-  let list () =
-    Hashtbl.fold (fun _ t acc -> t :: acc) table []
-    |> List.sort (fun a b -> String.compare a.name b.name)
+  (* sorted keys; reading them forces no entry *)
+  let names () =
+    List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) table [])
+
+  let list () = List.filter_map find (names ())
 
   (* Levenshtein with the classic two-row table; names are short, so no
      need for banding or early exit *)
@@ -233,12 +236,12 @@ module Registry = struct
   let suggestion name =
     let best =
       List.fold_left
-        (fun acc t ->
-          let d = edit_distance name t.name in
+        (fun acc candidate ->
+          let d = edit_distance name candidate in
           match acc with
           | Some (_, bd) when bd <= d -> acc
-          | _ -> Some (t.name, d))
-        None (list ())
+          | _ -> Some (candidate, d))
+        None (names ())
     in
     match best with
     | Some (candidate, d) when d * 3 <= String.length candidate ->

@@ -1,14 +1,15 @@
 (** First-class protocols and the central registry.
 
-    Every module under [lib/protocols/] describes one protocol; this
-    module gives them a single uniform surface — a {!t} record carrying
-    the protocol's name, documentation, integer parameters (with
-    defaults and validation), a generative {!Hpl_core.Spec.t} for the
-    exact knowledge engine, named atomic predicates for the formula
-    language, and optionally a canonical trace plus a suggested
-    enumeration depth — and a {!Registry} keyed by name, so the CLI,
-    tests, and examples can drive {e any} protocol without
-    protocol-specific code.
+    Each builtin protocol is defined either by an OCaml module under
+    [lib/protocols/] or by its embedded [.hpl] text ({!Corpus},
+    elaborated by {!Elaborate}); this module gives them a single uniform
+    surface — a {!t} record carrying the protocol's name, documentation,
+    integer parameters (with defaults and validation), a generative
+    {!Hpl_core.Spec.t} for the exact knowledge engine, named atomic
+    predicates for the formula language, and optionally a canonical
+    trace plus a suggested enumeration depth — and a {!Registry} keyed
+    by name, so the CLI, tests, and examples can drive {e any} protocol
+    without protocol-specific code.
 
     The paper's results (isomorphism, the twelve knowledge facts,
     Theorems 4–6) are quantified over arbitrary systems; the registry is
@@ -176,10 +177,16 @@ module Registry : sig
   (** Raises [Invalid_argument] on a duplicate name. Protocols register
       via {!Builtins}; out-of-tree protocols may call this directly. *)
 
+  val register_lazy : string -> t Lazy.t -> unit
+  (** [register_lazy name t] registers [t] under [name] without forcing
+      it; the first {!find} or {!list} that reaches it does. [t] must
+      force to a protocol named [name]. Raises [Invalid_argument] on a
+      duplicate name. *)
+
   val find : string -> t option
 
   val list : unit -> t list
-  (** All registered protocols, sorted by name. *)
+  (** All registered protocols, sorted by name; forces every entry. *)
 
   val parse : string -> (instance, string) result
   (** One generic parser for the CLI surface: ["name[:v1[:v2…]]"],

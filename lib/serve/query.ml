@@ -14,7 +14,7 @@ let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
 type setup = {
   inst : Protocol.instance;
-  loaded : Hpl_dsl.Elaborate.loaded option;
+  loaded : Elaborate.loaded option;
   spec : Spec.t;
   base_n : int;
   depth : int;
@@ -41,58 +41,58 @@ let load_exn arg =
                   fail "-f %s: parameters must be integers (got %S)" path s)
             rest )
   in
+  let src =
+    match Elaborate.read_file path with
+    | Ok src -> src
+    | Error d -> fail "%s" (Diag.to_string d)
+  in
   let loaded =
-    match Hpl_dsl.Elaborate.load_file path with
+    match Elaborate.load_string ~file:path src with
     | Ok l -> l
-    | Error d -> fail "%s" (Hpl_dsl.Diag.to_string d)
+    | Error d -> fail "%s" (Diag.to_string d)
   in
   let inst =
-    match Protocol.instantiate loaded.Hpl_dsl.Elaborate.proto vals with
+    match Protocol.instantiate loaded.Elaborate.proto vals with
     | Ok i -> i
     | Error e -> fail "%s: %s" path e
   in
-  (match Hpl_dsl.Elaborate.validate loaded (Protocol.values inst) with
+  (match Elaborate.validate loaded (Protocol.values inst) with
   | Ok () -> ()
-  | Error d -> fail "%s" (Hpl_dsl.Diag.to_string d));
-  (inst, loaded, path)
+  | Error d -> fail "%s" (Diag.to_string d));
+  (* the cache-key identity of a spec file: path, hash of the very bytes
+     elaborated above, and instance name, so editing a spec never
+     resurrects a stale cached universe *)
+  let src_key =
+    Printf.sprintf "file=%s#%s:%s" path
+      (Fnv.hex64 (Fnv.fnv64 src))
+      (Protocol.instance_name inst)
+  in
+  (inst, loaded, src_key)
 
 let load arg =
   match load_exn arg with
   | inst, loaded, _ -> Ok (inst, loaded)
   | exception Bad m -> Error m
 
-(* The cache-key identity of a protocol source. Registry instances are
-   pinned by their canonical name (params included); .hpl files by
-   path, content hash and instance name, so editing a spec never
-   resurrects a stale cached universe. *)
-let src_key_of ~file inst =
-  match file with
-  | None -> Protocol.instance_name inst
-  | Some path ->
-      let content =
-        try In_channel.with_open_bin path In_channel.input_all
-        with Sys_error e -> fail "%s: %s" path e
-      in
-      Printf.sprintf "file=%s#%s:%s" path
-        (Fnv.hex64 (Fnv.fnv64 content))
-        (Protocol.instance_name inst)
-
+(* the instance, its elaborated spec when it came from a file, and its
+   cache-key identity; a registry instance is pinned by its canonical
+   name (params included) *)
 let resolve_proto_exn ?proto ?file () =
   match (proto, file) with
   | Some _, Some _ ->
       fail "use either -s (registry) or -f (spec file), not both"
   | None, Some f ->
-      let inst, loaded, _ = load_exn f in
-      (inst, Some loaded)
+      let inst, loaded, src_key = load_exn f in
+      (inst, Some loaded, src_key)
   | _, None -> (
       let s = Option.value proto ~default:"ping-pong" in
       match Protocol.Registry.parse s with
-      | Ok i -> (i, None)
+      | Ok i -> (i, None, Protocol.instance_name i)
       | Error e -> fail "%s" e)
 
 let resolve_proto ?proto ?file () =
   match resolve_proto_exn ?proto ?file () with
-  | r -> Ok r
+  | inst, loaded, _ -> Ok (inst, loaded)
   | exception Bad m -> Error m
 
 (* -- argument validators ----------------------------------------------- *)
@@ -144,12 +144,7 @@ let parse_faults = checked faults_exn
 
 let resolve_exn ?proto ?file ?depth:depth_str ?faults:faults_str
     ?max_states:max_states_str ?max_seconds:max_seconds_str () =
-  let inst, loaded = resolve_proto_exn ?proto ?file () in
-  let file_path =
-    match file with
-    | None -> None
-    | Some f -> Some (List.hd (String.split_on_char ':' f))
-  in
+  let inst, loaded, src_key = resolve_proto_exn ?proto ?file () in
   let scenario = Option.map faults_exn faults_str in
   let base = Protocol.spec_of inst in
   let base_n = Spec.n base in
@@ -211,7 +206,6 @@ let resolve_exn ?proto ?file ?depth:depth_str ?faults:faults_str
     | None -> Fun.id
     | Some t -> Faults.Scenario.view t ~n:base_n
   in
-  let src_key = src_key_of ~file:file_path inst in
   {
     inst;
     loaded;

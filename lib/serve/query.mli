@@ -23,7 +23,7 @@ open Hpl_analysis
 
 type setup = {
   inst : Protocol.instance;
-  loaded : Hpl_dsl.Elaborate.loaded option;
+  loaded : Elaborate.loaded option;
       (** elaborated AST when the protocol came from a .hpl file *)
   spec : Spec.t;  (** fault-transformed when a scenario is given *)
   base_n : int;  (** process count before fault routing *)
@@ -40,14 +40,14 @@ type setup = {
 }
 
 val load :
-  string -> (Protocol.instance * Hpl_dsl.Elaborate.loaded, string) result
+  string -> (Protocol.instance * Elaborate.loaded, string) result
 (** Load a [.hpl] spec as [path[:v1[:v2...]]]. *)
 
 val resolve_proto :
   ?proto:string ->
   ?file:string ->
   unit ->
-  (Protocol.instance * Hpl_dsl.Elaborate.loaded option, string) result
+  (Protocol.instance * Elaborate.loaded option, string) result
 (** Registry ([-s], default [ping-pong]) or spec file ([-f]), mutually
     exclusive. *)
 
@@ -92,12 +92,12 @@ val resolve :
     channel validation of [drop:]/[dup:] scenarios). *)
 
 val dataflow :
-  loaded:Hpl_dsl.Elaborate.loaded option ->
+  loaded:Elaborate.loaded option ->
   Protocol.instance ->
   Dataflow.t option
 (** Flow analysis of an instance: through its elaborated AST when it
-    came from a file, through the registry protocol's embedded [.hpl]
-    port otherwise. *)
+    came from a file, otherwise through the embedded [.hpl] spec that
+    defines the registry protocol ([None] for one defined in OCaml). *)
 
 val resolve_reduce :
   setup ->

@@ -1,29 +1,114 @@
-(* The protocol DSL (lib/dsl): parity of the ported corpus/specs/*.hpl
-   against their compiled builtins, elaborator diagnostics, and the
-   seeded fuzz pipeline (§3 laws + lint soundness on generated specs). *)
+(* The protocol DSL (lexer, parser and elaborator in lib/protocols): the
+   five builtins defined by corpus/specs/*.hpl against a hand-written
+   reference, every in-bound instance of them validating, elaborator
+   diagnostics, and the seeded fuzz pipeline (§3 laws + lint soundness
+   on generated specs). *)
 open Hpl_core
 open Hpl_protocols
-open Hpl_dsl
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
-
-let load_spec file =
-  let path = "corpus/specs/" ^ file in
-  match List.assoc_opt path Corpus.specs with
-  | None -> Alcotest.failf "%s is not embedded" path
-  | Some src -> (
-      match Elaborate.load_string ~file:path src with
-      | Ok l -> l
-      | Error d -> Alcotest.failf "cannot load %s: %s" file (Diag.to_string d))
 
 let builtin name =
   match Protocol.Registry.find name with
   | Some p -> p
   | None -> Alcotest.failf "builtin %s not registered" name
 
-(* -- parity: ported specs are bit-identical to their builtins ------------ *)
+(* -- parity: the text-defined builtins against a reference ---------------
+
+   ping-pong, ring, quorum, star-flood and mesh exist only as .hpl text.
+   Each registry entry is compared with the hand-written rules and atoms
+   in [Fixtures], and its parameters, suggested depth, fault scenarios
+   and symmetry-group orders with pinned literals, so that an edit to a
+   spec cannot change any of them unnoticed. *)
+
+type reference = {
+  params : ((string * int) * (int * int option)) list;
+      (* key, default; lo, hi *)
+  depth : int;
+  faults : string list;
+  spec : Protocol.values -> Spec.t;
+  atoms : Protocol.values -> (string * Prop.t) list;
+}
+
+let references =
+  let get = Protocol.get in
+  [
+    ( "ping-pong",
+      {
+        params = [];
+        depth = 4;
+        faults = [ "drop:p0->p1"; "dup:p1->p0"; "crash:p1@1" ];
+        spec = (fun _ -> Fixtures.ping_pong);
+        atoms =
+          (fun _ ->
+            [
+              ("sent", Fixtures.has_sent "sent" 0);
+              ("received", Fixtures.has_received "received" 1);
+            ]);
+      } );
+    ( "ring",
+      {
+        params = [ (("n", 6), (2, None)); (("rounds", 2), (1, None)) ];
+        depth = 6;
+        faults = [];
+        spec =
+          (fun vs -> Fixtures.ring ~n:(get vs "n") ~rounds:(get vs "rounds"));
+        atoms =
+          (fun vs ->
+            [
+              ("all_sent", Fixtures.all_sent (get vs "n"));
+              ("p0_sent", Fixtures.has_sent "p0_sent" 0);
+            ]);
+      } );
+    ( "quorum",
+      {
+        params = [ (("n", 5), (2, None)); (("q", 2), (1, None)) ];
+        depth = 6;
+        faults = [];
+        (* the vote threshold clamps to the member count *)
+        spec =
+          (fun vs ->
+            let n = get vs "n" in
+            Fixtures.quorum ~n ~q:(min (get vs "q") (n - 1)));
+        atoms =
+          (fun _ ->
+            [
+              ("decided", Fixtures.has_done "decided" 0 "decide");
+              ("p1_voted", Fixtures.has_sent "p1_voted" 1);
+            ]);
+      } );
+    ( "star-flood",
+      {
+        params = [ (("n", 5), (2, None)) ];
+        depth = 6;
+        faults = [];
+        spec = (fun vs -> Fixtures.star_flood ~n:(get vs "n"));
+        atoms =
+          (fun vs ->
+            [
+              ( "all_acked",
+                Prop.make "all_acked" (fun z ->
+                    Fixtures.recvs (Trace.proj z Fixtures.p0) = get vs "n" - 1)
+              );
+              ("p1_acked", Fixtures.has_sent "p1_acked" 1);
+            ]);
+      } );
+    ( "mesh",
+      {
+        params = [ (("n", 4), (2, None)) ];
+        depth = 4;
+        faults = [];
+        spec = (fun vs -> Fixtures.mesh ~n:(get vs "n"));
+        atoms =
+          (fun vs ->
+            [
+              ("all_sent", Fixtures.all_sent (get vs "n"));
+              ("p0_sent", Fixtures.has_sent "p0_sent" 0);
+            ]);
+      } );
+  ]
 
 (* Size equality plus pairwise Trace.equal in index order: enumeration
    is deterministic, so identical enabled sets force identical
@@ -38,85 +123,98 @@ let assert_bit_identical ~what ua ub =
           (Trace.to_string (Universe.comp ub i)))
     ua
 
-let parity_case file name () =
-  let loaded = load_spec file in
+(* [instances]: registry instance names, each with the order of its
+   symmetry group ([None]: no generators at those values) *)
+let parity_case name instances () =
+  let r = List.assoc name references in
   let b = builtin name in
-  check Alcotest.string "name" (Protocol.name b) (Protocol.name loaded.proto);
-  check tint "suggested depth" (Protocol.suggested_depth b)
-    (Protocol.suggested_depth loaded.proto);
-  check (Alcotest.list Alcotest.string) "fault scenarios"
-    (Protocol.fault_scenarios b)
-    (Protocol.fault_scenarios loaded.proto);
-  (* same keys, defaults and bounds: every builtin instance is then a
-     valid port instance, which is what lets flow analyze the builtin
-     through its port *)
-  let params p =
-    List.map
-      (fun (d : Protocol.param) -> ((d.key, d.default), (d.lo, d.hi)))
-      (Protocol.params p)
-  in
+  check Alcotest.string "name" name (Protocol.name b);
+  check tint "suggested depth" r.depth (Protocol.suggested_depth b);
+  check (Alcotest.list Alcotest.string) "fault scenarios" r.faults
+    (Protocol.fault_scenarios b);
   check
     Alcotest.(list (pair (pair string int) (pair int (option int))))
-    "parameters: key, default, lo, hi" (params b) (params loaded.proto);
-  let ib = Protocol.default_instance b in
-  let il = Protocol.default_instance loaded.proto in
-  let depth = Protocol.suggested_depth b in
-  let ub = Universe.enumerate (Protocol.spec_of ib) ~depth in
-  let ul = Universe.enumerate (Protocol.spec_of il) ~depth in
-  assert_bit_identical ~what:(name ^ " universe") ul ub;
-  (* atoms: same names, same extent over the (identical) universe *)
-  let atoms_b = Protocol.atoms_of ib and atoms_l = Protocol.atoms_of il in
-  check tint "atom count" (List.length atoms_b) (List.length atoms_l);
+    "parameters: key, default, lo, hi" r.params
+    (List.map
+       (fun (d : Protocol.param) -> ((d.key, d.default), (d.lo, d.hi)))
+       (Protocol.params b));
   List.iter
-    (fun (aname, pb) ->
-      match List.assoc_opt aname atoms_l with
-      | None -> Alcotest.failf "atom %s missing from the loaded spec" aname
-      | Some pl ->
+    (fun (s, order) ->
+      let inst =
+        match Protocol.Registry.parse s with
+        | Ok i -> i
+        | Error e -> Alcotest.failf "%s: %s" s e
+      in
+      let vs = Protocol.values inst in
+      let ur = Universe.enumerate (r.spec vs) ~depth:r.depth in
+      let ub = Universe.enumerate (Protocol.spec_of inst) ~depth:r.depth in
+      assert_bit_identical ~what:(s ^ " universe") ub ur;
+      (* atoms: same names in the same order, same extent over the
+         (identical) universe *)
+      let atoms_r = r.atoms vs and atoms_b = Protocol.atoms_of inst in
+      check
+        (Alcotest.list Alcotest.string)
+        (s ^ " atom names") (List.map fst atoms_r) (List.map fst atoms_b);
+      List.iter2
+        (fun (a, pr) (_, pb) ->
           check tbool
-            (Printf.sprintf "atom %s extent" aname)
+            (Printf.sprintf "%s atom %s extent" s a)
             true
-            (Bitset.equal (Prop.extent ub pb) (Prop.extent ub pl)))
-    atoms_b;
-  (* symmetry: every loaded generator is an automorphism, and the
-     generated groups coincide (same order, each generator a member) *)
-  List.iter
-    (fun g ->
-      check tbool "generator is an automorphism" true
-        (Symmetry.is_automorphism (Protocol.spec_of il) g))
-    (Protocol.generators_of il);
-  match (Protocol.symmetry_of ib, Protocol.symmetry_of il) with
-  | None, None -> ()
-  | Some gb, Some gl ->
-      check tint "group order" (Symmetry.order gb) (Symmetry.order gl);
+            (Bitset.equal (Prop.extent ur pr) (Prop.extent ur pb)))
+        atoms_r atoms_b;
+      (* symmetry: every generator is an automorphism of the reference
+         rules, and the generated group has the recorded order *)
       List.iter
         (fun g ->
-          check tbool "loaded generator in builtin group" true
-            (Symmetry.index_of gb g <> None))
-        (Protocol.generators_of il)
-  | Some _, None -> Alcotest.fail "loaded spec lost the symmetry group"
-  | None, Some _ -> Alcotest.fail "loaded spec gained a symmetry group"
+          check tbool
+            (Printf.sprintf "%s generator %s is an automorphism" s
+               (Symmetry.to_string g))
+            true
+            (Symmetry.is_automorphism (r.spec vs) g))
+        (Protocol.generators_of inst);
+      check
+        (Alcotest.option tint)
+        (s ^ " group order") order
+        (Option.map Symmetry.order (Protocol.symmetry_of inst)))
+    instances
 
-(* parity at non-default instantiations: q above the member count
-   keeps the clamp honest, and n = 2 (one member) is where both of
-   quorum.hpl's member cycles drop out *)
-let test_quorum_clamp () =
-  let loaded = load_spec "quorum.hpl" in
-  let b = builtin "quorum" in
-  let inst p vals =
-    match Protocol.instantiate p vals with
-    | Ok i -> i
-    | Error e -> Alcotest.failf "instantiate: %s" e
+(* -- every in-bound instance of a text-defined builtin validates ---------
+
+   [-f] runs [Elaborate.validate] at the instance's values; [-s] does
+   not, so a spec edit that broke some in-bound instance would surface
+   there as an uncaught [Diag.Error] rather than a diagnostic. Each
+   parameter runs over lo .. min hi (lo + 6). *)
+let test_ports_validate_on_grid () =
+  let ported =
+    List.filter_map
+      (fun p -> Option.map (fun l -> (p, l)) (Builtins.port (Protocol.name p)))
+      (Protocol.Registry.list ())
+  in
+  check tint "text-defined builtins" (List.length references)
+    (List.length ported);
+  let rec grid = function
+    | [] -> [ [] ]
+    | vs :: rest ->
+        List.concat_map (fun v -> List.map (List.cons v) (grid rest)) vs
   in
   List.iter
-    (fun vals ->
-      let ub = Universe.enumerate (Protocol.spec_of (inst b vals)) ~depth:6 in
-      let ul =
-        Universe.enumerate (Protocol.spec_of (inst loaded.proto vals)) ~depth:6
+    (fun (p, l) ->
+      let range (d : Protocol.param) =
+        let hi = min (Option.value d.hi ~default:max_int) (d.lo + 6) in
+        List.init (hi - d.lo + 1) (fun i -> d.lo + i)
       in
-      assert_bit_identical
-        ~what:(Printf.sprintf "quorum:%s" (String.concat ":" (List.map string_of_int vals)))
-        ul ub)
-    [ [ 3; 1 ]; [ 4; 9 ]; [ 2; 1 ] ]
+      List.iter
+        (fun vals ->
+          match Protocol.instantiate p vals with
+          | Error e -> Alcotest.failf "%s: %s" (Protocol.name p) e
+          | Ok inst -> (
+              match Elaborate.validate l (Protocol.values inst) with
+              | Ok () -> ()
+              | Error d ->
+                  Alcotest.failf "%s: %s" (Protocol.instance_name inst)
+                    (Diag.to_string d)))
+        (grid (List.map range (Protocol.params p))))
+    ported
 
 (* -- elaborator diagnostics ----------------------------------------------- *)
 
@@ -327,15 +425,36 @@ let test_registry_suggestion () =
 let suite =
   [
     Alcotest.test_case "parity: ping-pong" `Quick
-      (parity_case "ping_pong.hpl" "ping-pong");
-    Alcotest.test_case "parity: ring" `Quick (parity_case "ring.hpl" "ring");
+      (parity_case "ping-pong" [ ("ping-pong", None) ]);
+    Alcotest.test_case "parity: ring" `Quick
+      (parity_case "ring"
+         [
+           ("ring", Some 6);
+           ("ring:3", Some 3);
+           ("ring:2:1", Some 2);
+           ("ring:4:3", Some 4);
+         ]);
     Alcotest.test_case "parity: quorum" `Quick
-      (parity_case "quorum.hpl" "quorum");
+      (parity_case "quorum" [ ("quorum", Some 24) ]);
     Alcotest.test_case "parity: star-flood" `Quick
-      (parity_case "star_flood.hpl" "star-flood");
-    Alcotest.test_case "parity: mesh" `Quick (parity_case "mesh.hpl" "mesh");
+      (parity_case "star-flood"
+         [
+           ("star-flood", Some 24);
+           ("star-flood:2", None);
+           ("star-flood:4", Some 6);
+         ]);
+    Alcotest.test_case "parity: mesh" `Quick
+      (parity_case "mesh"
+         [ ("mesh", Some 24); ("mesh:2", Some 2); ("mesh:5", Some 120) ]);
+    (* q above the member count keeps the clamp honest, and n = 2 (one
+       member) is where both of quorum.hpl's member cycles drop out *)
     Alcotest.test_case "parity: quorum off-default values" `Quick
-      test_quorum_clamp;
+      (parity_case "quorum"
+         [
+           ("quorum:2:1", None); ("quorum:3:1", Some 2); ("quorum:4:9", Some 6);
+         ]);
+    Alcotest.test_case "ported builtins validate on a parameter grid" `Quick
+      test_ports_validate_on_grid;
     Alcotest.test_case "fuzz: deterministic" `Quick fuzz_determinism;
     Alcotest.test_case "registry: nearest-name suggestion" `Quick
       test_registry_suggestion;

@@ -37,6 +37,95 @@ let ping_pong =
         | [ _ ] -> [ Spec.Send_to (p0, "pong") ]
         | _ -> [])
 
+(* -- reference readings of the builtins defined by .hpl text ------------
+
+   The registry's ping-pong, ring, quorum, star-flood and mesh are
+   elaborated from corpus/specs. [ping_pong] above and the rules and
+   atoms below are an independent hand-written reading of the same five
+   protocols; dsl_tests compares every registry entry against them. *)
+
+let sends history = List.length (List.filter Event.is_send history)
+let recvs history = List.length (List.filter Event.is_receive history)
+
+let did history tag =
+  List.exists
+    (fun e ->
+      match e.Event.kind with
+      | Event.Internal t -> String.equal t tag
+      | Event.Send _ | Event.Receive _ -> false)
+    history
+
+let sent_to history q =
+  List.exists
+    (fun e ->
+      match e.Event.kind with
+      | Event.Send m -> Pid.to_int m.Msg.dst = q
+      | Event.Receive _ | Event.Internal _ -> false)
+    history
+
+(* ring: each process relays [rounds] messages to its right neighbour,
+   never more sends than receives *)
+let ring ~n ~rounds =
+  Spec.make ~n (fun p history ->
+      let s = sends history and r = recvs history in
+      let right = Pid.of_int ((Pid.to_int p + 1) mod n) in
+      (if s < rounds && s <= r then [ Spec.Send_to (right, "r") ] else [])
+      @ if r < rounds then [ Spec.Recv_any ] else [])
+
+(* quorum: members vote once for collector 0, which decides after [q]
+   votes *)
+let quorum ~n ~q =
+  Spec.make ~n (fun p history ->
+      if Pid.equal p p0 then
+        if did history "decide" then []
+        else if recvs history >= q then [ Spec.Do "decide" ]
+        else [ Spec.Recv_any ]
+      else if sends history = 0 then [ Spec.Send_to (p0, "yes") ]
+      else [])
+
+(* star-flood: hub 0 offers a "go" to every member it has not contacted
+   yet, in any order; each member acks once *)
+let star_flood ~n =
+  Spec.make ~n (fun p history ->
+      if Pid.equal p p0 then
+        List.filter_map
+          (fun q ->
+            if sent_to history q then None
+            else Some (Spec.Send_to (Pid.of_int q, "go")))
+          (List.init (n - 1) (fun i -> i + 1))
+        @ if recvs history < n - 1 then [ Spec.Recv_any ] else []
+      else if recvs history = 0 then [ Spec.Recv_any ]
+      else if sends history = 0 then [ Spec.Send_to (p0, "ack") ]
+      else [])
+
+(* mesh: every process greets any one peer, and receives up to n - 1 *)
+let mesh ~n =
+  Spec.make ~n (fun p history ->
+      (if sends history = 0 then
+         List.filter_map
+           (fun q ->
+             if q = Pid.to_int p then None
+             else Some (Spec.Send_to (Pid.of_int q, "hi")))
+           (List.init n Fun.id)
+       else [])
+      @ if recvs history < n - 1 then [ Spec.Recv_any ] else [])
+
+(* "process i has sent / received / done [tag]"; local to i *)
+let has_sent name i =
+  Prop.make name (fun z -> Trace.send_count z (Pid.of_int i) > 0)
+
+let has_received name i =
+  Prop.make name (fun z -> recvs (Trace.proj z (Pid.of_int i)) > 0)
+
+let has_done name i tag =
+  Prop.make name (fun z -> did (Trace.proj z (Pid.of_int i)) tag)
+
+let all_sent n =
+  Prop.make "all_sent" (fun z ->
+      List.for_all
+        (fun i -> Trace.send_count z (Pid.of_int i) > 0)
+        (List.init n Fun.id))
+
 (* p0 flips a local bit (internal events "flip"), forever up to depth;
    p1 ticks. Used for local-predicate tests. *)
 let flipper =

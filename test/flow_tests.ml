@@ -16,13 +16,12 @@
      restriction never fires, and shows a strict state-count reduction
      on quorum — the row BENCH.json tracks.
 
-   A registry protocol is analyzed through its corpus port; the
-   registry cases below therefore also check each port's rules against
-   the builtin's enumerated universe. *)
+   A registry protocol is analyzed through the embedded spec that
+   defines it ([Builtins.port]); the registry cases below cover those
+   five builtins along with the corpus files. *)
 open Hpl_core
 open Hpl_protocols
 open Hpl_analysis
-open Hpl_dsl
 
 let check = Alcotest.check
 let tbool = Alcotest.bool

@@ -28,6 +28,12 @@ let cross_depth inst = min 4 (Protocol.depth_of inst)
 
 let registry () = Protocol.Registry.list ()
 
+(* the spec of a registry instance such as ["quorum:3:1"] *)
+let registry_spec s =
+  match Protocol.Registry.parse s with
+  | Ok inst -> Protocol.spec_of inst
+  | Error e -> Alcotest.failf "%s: %s" s e
+
 let enum ?reduce inst ~depth =
   Universe.enumerate ?reduce (Protocol.spec_of inst) ~depth
 
@@ -182,12 +188,11 @@ let test_non_automorphisms_rejected () =
   (* the quorum collector is distinguished: swapping it with a member
      is not an automorphism *)
   checkb "quorum: collector swap rejected" false
-    (Symmetry.is_automorphism
-       (Symmetric.quorum_spec ~n:3 ~q:1)
+    (Symmetry.is_automorphism (registry_spec "quorum:3:1")
        (Symmetry.transposition 3 0 1));
   (* the star hub likewise cannot be rotated into a member *)
   checkb "star-flood: rotation rejected" false
-    (Symmetry.is_automorphism (Symmetric.star_flood_spec ~n:4)
+    (Symmetry.is_automorphism (registry_spec "star-flood:4")
        (Symmetry.rotation 4));
   (* Protocol.star_spec contacts members in pid order — even the
      member swap fails, which is why star-flood exists *)
@@ -207,7 +212,8 @@ let test_lint_undeclared_symmetry () =
     Protocol.make ~name:"lint-probe-undeclared"
       ~doc:"ring spec without a symmetry declaration"
       ~params:[ Protocol.param ~lo:2 "n" 3 "ring size" ]
-      (fun vs -> Symmetric.ring_spec ~n:(Protocol.get vs "n") ~rounds:1)
+      (fun vs ->
+        registry_spec (Printf.sprintf "ring:%d:1" (Protocol.get vs "n")))
   in
   let report =
     Hpl_analysis.Lint.lint_instance (Protocol.default_instance proto)
@@ -223,7 +229,8 @@ let test_lint_invalid_symmetry () =
       ~doc:"quorum spec with a bogus generator"
       ~params:[ Protocol.param ~lo:3 "n" 3 "processes" ]
       ~symmetry:(fun vs -> [ Symmetry.transposition (Protocol.get vs "n") 0 1 ])
-      (fun vs -> Symmetric.quorum_spec ~n:(Protocol.get vs "n") ~q:1)
+      (fun vs ->
+        registry_spec (Printf.sprintf "quorum:%d:1" (Protocol.get vs "n")))
   in
   let report =
     Hpl_analysis.Lint.lint_instance (Protocol.default_instance proto)

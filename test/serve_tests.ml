@@ -558,6 +558,46 @@ let test_server_cache_provenance () =
       check tint "bypass: counted" 1 (counter "bypass" j);
       check tint "bypass: requests untouched" 1 (counter "requests" j))
 
+(* A spec file edited between two identical frames: the cache key
+   hashes the bytes that were elaborated, so the second frame misses
+   and answers from the new text. *)
+let test_server_spec_edit () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let path = Filename.concat dir "edit.hpl" in
+      let write k =
+        Out_channel.with_open_bin path (fun oc ->
+            Printf.fprintf oc
+              "protocol edit {\n\
+              \  processes 2\n\
+              \  depth 4\n\
+              \  process 0 { when sends < %d => send \"m\" to 1 }\n\
+              \  process 1 { when recvs < %d => recv }\n\
+               }\n"
+              k k)
+      in
+      let fields =
+        [ ("op", Json.Str "enumerate-stats"); ("file", Json.Str path) ]
+      in
+      let size j =
+        match Json.member "universe" j with
+        | Some u -> jint "size" u
+        | None -> Alcotest.fail "reply missing universe"
+      in
+      let t = server () in
+      write 1;
+      let j = reply t fields in
+      check tstr "first frame: miss" "miss" (jstr "cache" j);
+      check tint "one message: 3 computations" 3 (size j);
+      check tstr "same text: hit" "hit" (jstr "cache" (reply t fields));
+      write 2;
+      let j = reply t fields in
+      check tstr "edited spec: miss" "miss" (jstr "cache" j);
+      check tint "two messages, either delivery order: 8 computations" 8
+        (size j))
+
 (* Seeded random query stream against a deliberately tiny cache: LRU
    eviction mid-stream must never change an answer, malformed frames
    must not derail the session, and the counters must keep
@@ -820,6 +860,8 @@ let suite =
       test_reduce_field_rejected;
     Alcotest.test_case "cache provenance: memory, snapshot, corruption, bypass"
       `Quick test_server_cache_provenance;
+    Alcotest.test_case "cache: an edited spec file misses" `Quick
+      test_server_spec_edit;
     Alcotest.test_case "seeded stream: eviction never changes answers" `Quick
       test_property_stream;
     Alcotest.test_case "obs counters mirror the server's" `Quick

@@ -274,13 +274,13 @@ let test_reference_enumeration () =
     [ "ring"; "token-ring" ];
   List.iter
     (fun (path, src) ->
-      match Hpl_dsl.Elaborate.load_string ~file:path src with
-      | Error d -> Alcotest.failf "%s: %s" path (Hpl_dsl.Diag.to_string d)
+      match Elaborate.load_string ~file:path src with
+      | Error d -> Alcotest.failf "%s: %s" path (Diag.to_string d)
       | Ok l ->
-          let inst = Protocol.default_instance l.Hpl_dsl.Elaborate.proto in
+          let inst = Protocol.default_instance l.Elaborate.proto in
           both path (Protocol.spec_of inst)
             ~depth:(min 4 (Protocol.depth_of inst)))
-    Hpl_dsl.Corpus.specs
+    Corpus.specs
 
 let qcheck_props =
   let spec = Fixtures.chatter ~n:2 ~k:2 in
