@@ -37,8 +37,10 @@ type token =
   | TComma
   | TPid of int
 
+let is_digit c = c >= '0' && c <= '9'
+
 let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || is_digit c || c = '_'
 
 let lex input =
   let n = String.length input in
@@ -56,34 +58,33 @@ let lex input =
       | '}' -> go (i + 1) (TRBrace :: acc)
       | ',' -> go (i + 1) (TComma :: acc)
       | '-' when i + 1 < n && input.[i + 1] = '>' -> go (i + 2) (TArrow :: acc)
-      | c when (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ->
+      | c when is_ident_char c && c <> '_' ->
           let j = ref i in
           while !j < n && is_ident_char input.[!j] do
             incr j
           done;
           let word = String.sub input i (!j - i) in
-          let tok =
-            match word with
-            | "true" -> TTrue
-            | "false" -> TFalse
-            | w -> (
-                (* bare digits or pN are process ids in pset positions;
-                   we classify lazily: emit TPid when purely numeric or
-                   p<digits>, else identifier — the parser treats TPid
-                   as an identifier when a formula atom is expected *)
-                match int_of_string_opt w with
-                | Some k -> TPid k
-                | None ->
-                    if
-                      String.length w >= 2
-                      && w.[0] = 'p'
-                      && String.for_all
-                           (fun c -> c >= '0' && c <= '9')
-                           (String.sub w 1 (String.length w - 1))
-                    then TPid (int_of_string (String.sub w 1 (String.length w - 1)))
-                    else TIdent w)
+          (* a pid is an optional 'p' and decimal digits whose value is an
+             int; the parser reads one in formula position as the atom
+             "pN". Any other word is an identifier. *)
+          let digits =
+            if word.[0] = 'p' then String.sub word 1 (String.length word - 1)
+            else word
           in
-          go !j (tok :: acc)
+          if digits <> "" && String.for_all is_digit digits then
+            match int_of_string_opt digits with
+            | Some k -> go !j (TPid k :: acc)
+            | None ->
+                Error
+                  (Printf.sprintf "process id %s too large at offset %d" word i)
+          else
+            let tok =
+              match word with
+              | "true" -> TTrue
+              | "false" -> TFalse
+              | w -> TIdent w
+            in
+            go !j (tok :: acc)
       | c -> Error (Printf.sprintf "unexpected character %C at offset %d" c i)
   in
   go 0 []
@@ -363,6 +364,9 @@ let eval_at ~env formula z =
 
 let ( let* ) = Result.bind
 
+(* Bottom up on extents: an atom is evaluated once per occurrence, every
+   operator maps its operands' extents to its own, and no computation is
+   ever looked up by its trace. *)
 let eval u ~env formula =
   let nprocs = Spec.n (Universe.spec u) in
   let pset_of ks =
@@ -370,80 +374,42 @@ let eval u ~env formula =
       Ok (Pset.of_list (List.map Pid.of_int ks))
     else Error (Printf.sprintf "process id out of range (system has %d)" nprocs)
   in
-  (* temporal subformulas compile through Temporal; epistemic and
-     boolean ones directly to Props. We interleave by evaluating to a
-     Prop at every level (Temporal.check gives extents, wrapped back). *)
-  let of_temporal tf = Prop.of_extent u "tmp" (Temporal.check u tf) in
   let rec go = function
-    | True -> Ok Prop.tt
-    | False -> Ok Prop.ff
+    | True -> Ok (Bitset.create_full (Universe.size u))
+    | False -> Ok (Bitset.create (Universe.size u))
     | Atom a -> (
         match env a with
-        | Some p -> Ok p
+        | Some p -> Ok (Prop.extent u p)
         | None -> Error (Printf.sprintf "unbound atom %S" a))
-    | Not f ->
-        let* p = go f in
-        Ok (Prop.not_ p)
-    | And (a, b) ->
-        let* pa = go a in
-        let* pb = go b in
-        Ok (Prop.and_ pa pb)
-    | Or (a, b) ->
-        let* pa = go a in
-        let* pb = go b in
-        Ok (Prop.or_ pa pb)
+    | Not f -> unary Bitset.complement f
+    | And (a, b) -> binary Bitset.inter a b
+    | Or (a, b) -> binary Bitset.union a b
     | Implies (a, b) ->
-        let* pa = go a in
-        let* pb = go b in
-        Ok (Prop.implies pa pb)
-    | Know (ks, f) ->
-        let* ps = pset_of ks in
-        let* p = go f in
-        Ok (Knowledge.knows u ps p)
-    | Sure (ks, f) ->
-        let* ps = pset_of ks in
-        let* p = go f in
-        Ok (Knowledge.sure u ps p)
-    | Everyone (ks, f) ->
-        let* ps = pset_of ks in
-        let* p = go f in
-        Ok (Group.everyone u ps p)
-    | Someone (ks, f) ->
-        let* ps = pset_of ks in
-        let* p = go f in
-        Ok (Group.someone u ps p)
-    | Common f ->
-        let* p = go f in
-        Ok (Common_knowledge.common u p)
-    | Ag f ->
-        let* p = go f in
-        Ok (of_temporal (Temporal.ag (Temporal.atom p)))
-    | Ef f ->
-        let* p = go f in
-        Ok (of_temporal (Temporal.ef (Temporal.atom p)))
-    | Af f ->
-        let* p = go f in
-        Ok (of_temporal (Temporal.af (Temporal.atom p)))
-    | Eg f ->
-        let* p = go f in
-        Ok (of_temporal (Temporal.eg (Temporal.atom p)))
-    | Ax f ->
-        let* p = go f in
-        Ok (of_temporal (Temporal.ax (Temporal.atom p)))
-    | Ex f ->
-        let* p = go f in
-        Ok (of_temporal (Temporal.ex (Temporal.atom p)))
+        binary (fun sa sb -> Bitset.union (Bitset.complement sa) sb) a b
+    | Know (ks, f) -> epistemic Knowledge.knows_ext ks f
+    | Sure (ks, f) -> epistemic Knowledge.sure_ext ks f
+    | Everyone (ks, f) -> epistemic Group.everyone_ext ks f
+    | Someone (ks, f) -> epistemic Group.someone_ext ks f
+    | Common f -> unary (Common_knowledge.common_ext u) f
+    | Ag f -> unary (Temporal.ag u) f
+    | Ef f -> unary (Temporal.ef u) f
+    | Af f -> unary (Temporal.af u) f
+    | Eg f -> unary (Temporal.eg u) f
+    | Ax f -> unary (Temporal.ax u) f
+    | Ex f -> unary (Temporal.ex u) f
+  and unary op f = Result.map op (go f)
+  and binary op a b =
+    let* sa = go a in
+    let* sb = go b in
+    Ok (op sa sb)
+  and epistemic op ks f =
+    let* ps = pset_of ks in
+    unary (op u ps) f
   in
   go formula
 
 let check u ~env formula =
-  let* p = eval u ~env formula in
-  let witness =
-    Universe.fold
-      (fun _ z acc ->
-        match acc with
-        | Some _ -> acc
-        | None -> if Prop.eval p z then None else Some z)
-      u None
-  in
-  match witness with None -> Ok `Valid | Some z -> Ok (`Fails_at z)
+  let* ext = eval u ~env formula in
+  match Bitset.choose (Bitset.complement ext) with
+  | None -> Ok `Valid
+  | Some i -> Ok (`Fails_at (Universe.comp u i))

@@ -22,6 +22,10 @@
     atom ::= identifier, resolved in the caller's environment
     v}
 
+    A pid's digits are decimal and its value must be an [int]; a longer
+    digit string is a parse error. A pid in formula position is the
+    atom named ["p"] followed by its value.
+
     Parsing is total ([Error] with position); evaluation needs a
     universe and an atom environment. The printer round-trips
     ([parse ∘ print = id] up to parentheses — property-tested). *)
@@ -87,15 +91,23 @@ val eval_at : env:(string -> Prop.t option) -> t -> Trace.t -> bool option
     contains a knowledge/temporal operator or an unbound atom. *)
 
 val eval :
-  Universe.t -> env:(string -> Prop.t option) -> t -> (Prop.t, string) result
-(** Compile to a predicate over the universe. [Error] names any unbound
-    atom or a process id outside the system. Temporal operators use
-    {!Temporal}'s finite-tree semantics. *)
+  Universe.t -> env:(string -> Prop.t option) -> t -> (Bitset.t, string) result
+(** The formula's extent: the indices of the computations where it
+    holds, computed bottom up — each atom occurrence through
+    {!Prop.extent}, connectives as bitset operations, [K]/[sure]/[E]/[S]/
+    [CK] through {!Knowledge.knows_ext}, {!Knowledge.sure_ext},
+    {!Group.everyone_ext}/{!Group.someone_ext} and
+    {!Common_knowledge.common_ext}, and temporal operators through
+    {!Temporal}'s finite-tree semantics. No computation is looked up by
+    its trace, so evaluation never builds the universe's trace index.
+    Both operands of a connective are evaluated everywhere (atoms must
+    be total). [Error] names any unbound atom or a process id outside
+    the system. *)
 
 val check :
   Universe.t ->
   env:(string -> Prop.t option) ->
   t ->
   ([ `Valid | `Fails_at of Trace.t ], string) result
-(** Evaluate and test at every computation: [`Valid] or a witness
-    computation where the formula fails. *)
+(** Evaluate and test at every computation: [`Valid], or the witness
+    [Universe.comp u i] for the least index [i] outside the extent. *)

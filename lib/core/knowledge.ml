@@ -32,12 +32,13 @@ let nested u psets b = List.fold_right (fun ps acc -> knows u ps acc) psets b
 
 let holds_at _u b x = Prop.eval b x
 
+let sure_ext u ps ext =
+  Bitset.union (knows_ext u ps ext) (knows_ext u ps (Bitset.complement ext))
+
 let sure u ps b =
-  let kb = Prop.extent u (knows u ps b) in
-  let knb = Prop.extent u (knows u ps (Prop.not_ b)) in
   Prop.of_extent u
     (Format.asprintf "%a sure %s" Pset.pp ps (Prop.name b))
-    (Bitset.union kb knb)
+    (sure_ext u ps (Prop.extent u b))
 
 let unsure u ps b = Prop.not_ (sure u ps b)
 

@@ -41,6 +41,10 @@ val nested : Universe.t -> Pset.t list -> Prop.t -> Prop.t
 val holds_at : Universe.t -> Prop.t -> Trace.t -> bool
 (** [holds_at u b x] evaluates [b] at [x] ("b at x"). *)
 
+val sure_ext : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
+(** Extensional [sure]: the union of {!knows_ext} of the extent and of
+    its complement. *)
+
 val sure : Universe.t -> Pset.t -> Prop.t -> Prop.t
 (** [(P sure b) at x ≡ (P knows b) at x ∨ (P knows ¬b) at x] (§4.2). *)
 

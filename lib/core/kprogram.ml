@@ -73,7 +73,7 @@ let guard_of_formula env f =
   Ok
     (fun u ->
       match Formula.eval u ~env f with
-      | Ok p -> p
+      | Ok ext -> Prop.of_extent u (Formula.print f) ext
       | Error e -> invalid_arg ("Kprogram.guard_of_formula: " ^ e))
 
 type solution = { universe : Universe.t; spec : Spec.t; iterations : int }

@@ -1,8 +1,4 @@
-let sure_ext u ps b =
-  let ext = Prop.extent u b in
-  Bitset.union
-    (Knowledge.knows_ext u ps ext)
-    (Knowledge.knows_ext u ps (Bitset.complement ext))
+let sure_ext u ps b = Knowledge.sure_ext u ps (Prop.extent u b)
 
 let is_local u ps b =
   Bitset.equal (sure_ext u ps b) (Bitset.create_full (Universe.size u))

@@ -1,11 +1,20 @@
-(** Branching-time properties of computation universes.
+(** Branching-time operators on extents.
 
     A bounded universe is a prefix tree: each computation's successors
     are its one-event extensions within the universe. CTL over that
     tree makes statements like "whenever r holds the token, r knows …"
-    ([ag (implies r_holds assertion)]) or "knowledge, once gained, is
-    kept unless the knower sends" directly checkable — the temporal
-    glue the paper leaves implicit when it says "and later, p knows…".
+    ([AG (r_holds -> assertion)]) or "knowledge, once gained, is kept
+    unless the knower sends" directly checkable — the temporal glue the
+    paper leaves implicit when it says "and later, p knows…".
+
+    Each operator maps extents (sets of universe indices, like
+    {!Prop.extent}) to the extent of the operator applied to them;
+    {!Formula} is the syntax that composes them. The branching relation
+    is {!Universe.successors}, memoized on the universe, so only the
+    first operator evaluated on a universe pays for it. Every operator
+    raises [Invalid_argument] on a symmetry-reduced universe, whose
+    representatives' stored extensions are not their branching
+    structure (DESIGN.md §10).
 
     Semantics note: leaves (computations with no extension inside the
     universe) have no successors; [ax φ] is vacuously true there and
@@ -14,56 +23,27 @@
     the horizon behaves like livelock at the frontier — the same
     caveat as for knowledge quantifiers (DESIGN.md). *)
 
-type t
+val ex : Universe.t -> Bitset.t -> Bitset.t
+(** EX φ: some one-event extension satisfies φ. *)
 
-val atom : Prop.t -> t
-val tt : t
-val ff : t
-val not_ : t -> t
-val and_ : t -> t -> t
-val or_ : t -> t -> t
-val implies : t -> t -> t
+val ax : Universe.t -> Bitset.t -> Bitset.t
+(** AX φ: every one-event extension satisfies φ. *)
 
-val ex : t -> t
-(** Some one-event extension satisfies φ. *)
+val eu : Universe.t -> Bitset.t -> Bitset.t -> Bitset.t
+(** [eu u φ ψ] is E[φ U ψ] (least fixpoint). *)
 
-val ax : t -> t
-(** Every one-event extension satisfies φ. *)
+val au : Universe.t -> Bitset.t -> Bitset.t -> Bitset.t
+(** [au u φ ψ] is A[φ U ψ] (least fixpoint); a leaf satisfies it only
+    through ψ. *)
 
-val ef : t -> t
-(** Some reachable extension (reflexive) satisfies φ. *)
+val ef : Universe.t -> Bitset.t -> Bitset.t
+(** EF φ: some reachable extension (reflexive) satisfies φ. *)
 
-val af : t -> t
-(** Every maximal path hits φ (reflexive). *)
+val af : Universe.t -> Bitset.t -> Bitset.t
+(** AF φ: every maximal path hits φ (reflexive). *)
 
-val eg : t -> t
-(** Some maximal path satisfies φ everywhere. *)
+val eg : Universe.t -> Bitset.t -> Bitset.t
+(** EG φ: some maximal path satisfies φ everywhere. *)
 
-val ag : t -> t
-(** All reachable extensions satisfy φ — invariants. *)
-
-val eu : t -> t -> t
-(** E[φ U ψ]. *)
-
-val au : t -> t -> t
-(** A[φ U ψ]. *)
-
-val check : Universe.t -> t -> Bitset.t
-(** The set of computations satisfying the formula (extensional, like
-    {!Prop.extent}). The branching relation is {!Universe.successors},
-    memoized on the universe, so only the first temporal operator
-    evaluated on a universe pays for it. Raises [Invalid_argument] on a
-    symmetry-reduced universe, whose representatives' stored
-    extensions are not their branching structure (DESIGN.md §10). *)
-
-val holds_at : Universe.t -> t -> Trace.t -> bool
-(** Satisfaction at one computation. Raises [Not_found] outside the
-    universe. *)
-
-val valid : Universe.t -> t -> bool
-(** Holds at every computation. *)
-
-val holds_initially : Universe.t -> t -> bool
-(** Holds at the empty computation. *)
-
-val pp : Format.formatter -> t -> unit
+val ag : Universe.t -> Bitset.t -> Bitset.t
+(** AG φ: all reachable extensions satisfy φ — invariants. *)

@@ -544,9 +544,7 @@ let require_unreduced u fn =
           temporal operators need the unreduced universe"
          fn)
 
-let pset_class_ids u ps =
-  require_unreduced u "pset_class_ids";
-  let key = pset_key ps in
+let combined_class_ids u ps key =
   match Hashtbl.find_opt u.pset_ids_memo key with
   | Some ids -> ids
   | None ->
@@ -572,6 +570,15 @@ let pset_class_ids u ps =
       in
       Hashtbl.add u.pset_ids_memo key ids;
       ids
+
+(* a one-process partition is the enumeration's own class-id column:
+   dense, and numbered in first-occurrence order, exactly as combining
+   it would renumber it *)
+let pset_class_ids u ps =
+  require_unreduced u "pset_class_ids";
+  match pset_key ps with
+  | [ p ] -> u.class_ids_by_pid.(p)
+  | key -> combined_class_ids u ps key
 
 let classes u ps =
   let key = pset_key ps in

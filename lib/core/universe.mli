@@ -107,9 +107,9 @@ val index : t -> Trace.t -> int option
 (** Exact lookup of a trace (as stored — canonical form in
     [`Canonical] mode). The trace → index table is built on the first
     [index], {!find} or {!serialize} of a universe (the
-    [universe.index] span) and kept on it: enumeration, {!Prop.extent}
-    and the counting answers never look a trace up, so they never pay
-    for it. *)
+    [universe.index] span) and kept on it: enumeration, {!Prop.extent},
+    the counting answers and {!Formula.check} (which evaluates on
+    extents) never look a trace up, so they never pay for it. *)
 
 val find : t -> Trace.t -> int option
 (** Like {!index} (and, like it, builds the index on first use) but
@@ -137,8 +137,11 @@ val class_ids : t -> Pid.t -> int array
 
 val pset_class_ids : t -> Pset.t -> int array
 (** Same for a process set [P] (intersection of the per-process
-    partitions); memoized per set. For the empty set all computations
-    share class 0, matching [x \[{}\] y] for all x, y.
+    partitions). For a one-process set it is {!class_ids} itself, whose
+    ids are already dense and numbered in first-occurrence order; a
+    larger set combines the per-process ids into fresh ones, memoized
+    per set. For the empty set all computations share class 0, matching
+    [x \[{}\] y] for all x, y. The array is shared; do not mutate it.
 
     Raises [Invalid_argument] on a symmetry-reduced universe. Every
     knowledge operator ([K], [E], [S], [sure], [CK]) reads the
@@ -160,7 +163,7 @@ val prefixes_of : t -> int -> int list
 val successors : t -> int array array
 (** [(successors u).(i)] are the indices of computation [i]'s one-event
     extensions that the universe stores, ascending and distinct — the
-    branching relation {!Temporal} model-checks over: [{find u (z;e) |
+    branching relation of {!Temporal}'s operators: [{find u (z;e) |
     e ∈ Spec.enabled z}] for [z = comp u i]. A leaf (including a
     computation whose extensions a budget cut off) has none.
 

@@ -511,8 +511,10 @@ let exact_formula_prevalence ?(view = Fun.id) ?(max_states = 200_000) spec
   | Universe.Complete -> (
       match Formula.eval u ~env:env' f with
       | Error _ as e -> e |> Result.map (fun _ -> assert false)
-      | Ok p ->
-          let b = Prop.make "mc-exact" (fun z -> Prop.eval p z) in
+      | Ok ext ->
+          (* the universe is complete and [`Full], so every walk
+             endpoint is stored *)
+          let b = Prop.of_extent u "mc-exact" ext in
           Ok (exact_prevalence ~max_nodes:max_int spec ~depth b))
 
 (* -- cross-validation ---------------------------------------------------- *)

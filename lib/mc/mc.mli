@@ -233,8 +233,9 @@ val exact_formula_prevalence :
   (Rat.t option, string) result
 (** Same measure for a full epistemic formula, with the {e exact}
     knowledge semantics: the universe is enumerated ([`Full] mode, so
-    it contains every walk endpoint), the formula compiled against it
-    via {!Hpl_core.Formula.eval}, and the DP weighs endpoints by μ.
+    it contains every walk endpoint), the formula's extent computed on
+    it by {!Hpl_core.Formula.eval} and read back at each endpoint, and
+    the DP weighs endpoints by μ.
     [Ok None] when enumeration hits [max_states] (default 200_000).
     Partition windows are not supported here (the exact knowledge
     classes are over the unfiltered universe). Used to test the peer

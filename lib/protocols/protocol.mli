@@ -112,8 +112,8 @@ val spec_of : instance -> Spec.t
 val atoms_of : instance -> (string * Prop.t) list
 
 val atom_env : instance -> string -> Prop.t option
-(** The instance's atoms as a formula environment
-    (cf. {!Hpl_core.Formula.eval}). *)
+(** The instance's atoms as a formula environment: the [env] of
+    {!Hpl_core.Formula.eval} and {!Hpl_core.Formula.check}. *)
 
 val generators_of : instance -> Symmetry.perm list
 (** The declared symmetry generators at this instance's parameters. *)

@@ -48,6 +48,11 @@ expect 2 "fault pid out of range" -- knows -s ping-pong --faults 'crash:p7@1'
 expect 2 "bad max-states" -- enumerate -s ping-pong --max-states 0
 expect 2 "bad max-seconds" -- enumerate -s ping-pong --max-seconds nope
 expect 2 "formula parse error" -- check -s ping-pong 'AG (('
+# a formula pid is decimal digits whose value is an int
+expect 2 "oversized formula pid" -- check -s ring -d 2 'K p99999999999999999999 p0_sent'
+expect 2 "hex formula pid" -- check -s ring -d 2 'K 0x1 p0_sent'
+expect 2 "lint oversized formula pid" -- lint -s ring --formula 'K p99999999999999999999 p0_sent'
+expect 2 "mc oversized formula pid" -- mc -s ring -d 3 --formula 'K p99999999999999999999 p0_sent'
 expect 2 "unknown drop channel" -- enumerate -s token-ring --faults 'drop:p0->p2'
 expect 2 "unknown dup channel" -- knows -s token-ring --faults 'dup:p2->p1'
 expect 2 "lint unknown protocol" -- lint -s no-such-protocol

@@ -82,11 +82,9 @@ let test_ctl_ef_expansion () =
   (* EF φ = φ ∨ EX EF φ *)
   List.iter
     (fun b ->
-      let phi = Temporal.atom b in
-      let lhs = Temporal.check u (Temporal.ef phi) in
-      let rhs =
-        Temporal.check u (Temporal.or_ phi (Temporal.ex (Temporal.ef phi)))
-      in
+      let phi = Prop.extent u b in
+      let lhs = Temporal.ef u phi in
+      let rhs = Bitset.union phi (Temporal.ex u (Temporal.ef u phi)) in
       check tbool "EF expansion" true (Bitset.equal lhs rhs))
     props
 
@@ -95,12 +93,12 @@ let test_ctl_af_expansion () =
      satisfy φ itself *)
   List.iter
     (fun b ->
-      let phi = Temporal.atom b in
-      let lhs = Temporal.check u (Temporal.af phi) in
-      let has_succ = Temporal.ex Temporal.tt in
+      let phi = Prop.extent u b in
+      let lhs = Temporal.af u phi in
+      let has_succ = Temporal.ex u (Bitset.create_full (Universe.size u)) in
       let rhs =
-        Temporal.check u
-          (Temporal.or_ phi (Temporal.and_ has_succ (Temporal.ax (Temporal.af phi))))
+        Bitset.union phi
+          (Bitset.inter has_succ (Temporal.ax u (Temporal.af u phi)))
       in
       check tbool "AF expansion" true (Bitset.equal lhs rhs))
     props
@@ -108,22 +106,20 @@ let test_ctl_af_expansion () =
 let test_ctl_ag_duality () =
   List.iter
     (fun b ->
-      let phi = Temporal.atom b in
-      let lhs = Temporal.check u (Temporal.ag phi) in
-      let rhs =
-        Bitset.complement (Temporal.check u (Temporal.ef (Temporal.not_ phi)))
-      in
+      let phi = Prop.extent u b in
+      let lhs = Temporal.ag u phi in
+      let rhs = Bitset.complement (Temporal.ef u (Bitset.complement phi)) in
       check tbool "AG = ¬EF¬" true (Bitset.equal lhs rhs))
     props
 
 let test_ctl_monotonicity () =
   (* φ ⊆ ψ pointwise ⇒ EF φ ⊆ EF ψ and AG φ ⊆ AG ψ *)
-  let phi = Temporal.atom (Prop.and_ sent received) in
-  let psi = Temporal.atom sent in
+  let phi = Prop.extent u (Prop.and_ sent received) in
+  let psi = Prop.extent u sent in
   check tbool "EF monotone" true
-    (Bitset.subset (Temporal.check u (Temporal.ef phi)) (Temporal.check u (Temporal.ef psi)));
+    (Bitset.subset (Temporal.ef u phi) (Temporal.ef u psi));
   check tbool "AG monotone" true
-    (Bitset.subset (Temporal.check u (Temporal.ag phi)) (Temporal.check u (Temporal.ag psi)))
+    (Bitset.subset (Temporal.ag u phi) (Temporal.ag u psi))
 
 let suite =
   [

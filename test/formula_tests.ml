@@ -25,7 +25,7 @@ let parse_ok s =
 
 let eval_ok s =
   match Formula.eval u ~env (parse_ok s) with
-  | Ok p -> p
+  | Ok ext -> ext
   | Error e -> Alcotest.failf "eval %S: %s" s e
 
 (* -- parsing ------------------------------------------------------------ *)
@@ -56,7 +56,21 @@ let test_parse_errors () =
       match Formula.parse s with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "accepted %S" s)
-    [ "K sent"; "(sent"; "sent &"; "K {0,} sent"; "sent extra"; "@" ]
+    [
+      "K sent";
+      "(sent";
+      "sent &";
+      "K {0,} sent";
+      "sent extra";
+      "@";
+      (* a pid is decimal digits whose value is an int *)
+      "K p99999999999999999999 sent";
+      "K 99999999999999999999 sent";
+      "p99999999999999999999";
+      "K 0x1 sent";
+      "K 0b1 sent";
+      "K 1_0 sent";
+    ]
 
 let test_precedence () =
   (* -> binds loosest and associates right; & over | *)
@@ -129,18 +143,21 @@ let test_eval_matches_api () =
   in
   List.iter
     (fun (s, direct) ->
-      let p = eval_ok s in
+      let ext = eval_ok s in
       Universe.iter
-        (fun _ z ->
-          check tbool ("agrees: " ^ s) (Prop.eval direct z) (Prop.eval p z))
+        (fun i z ->
+          check tbool ("agrees: " ^ s) (Prop.eval direct z) (Bitset.mem ext i))
         u)
     pairs
 
 let test_eval_temporal () =
   let p = eval_ok "AG (sent -> AG sent)" in
-  Universe.iter (fun _ z -> check tbool "stability valid" true (Prop.eval p z)) u;
+  Universe.iter
+    (fun i _ -> check tbool "stability valid" true (Bitset.mem p i))
+    u;
   let q = eval_ok "EF received" in
-  check tbool "EF received at start" true (Prop.eval q Trace.empty)
+  check tbool "EF received at start" true
+    (Bitset.mem q (Universe.find_exn u Trace.empty))
 
 let test_eval_errors () =
   check tbool "unbound atom" true
@@ -179,6 +196,161 @@ let test_token_bus_formula () =
   | Ok (`Fails_at z) -> Alcotest.failf "fails at %s" (Trace.to_string z)
   | Error e -> Alcotest.fail e
 
+(* -- the extent evaluator against the definitions read literally ----------
+
+   Booleans pointwise; K/sure/E/S through the all-pairs
+   [Knowledge.knows_ext_naive]; CK as the greatest fixpoint of
+   b ∧ ⋀p K_p; EX/AX over the successor relation read off [Spec.enabled];
+   EF/AF as least fixpoints iterated to stability, EG/AG as their
+   duals. *)
+
+let reference u ~env =
+  let pointwise f = Bitset.of_pred (Universe.size u) f in
+  let all = pointwise (fun _ -> true) and none = pointwise (fun _ -> false) in
+  let and_ a b = pointwise (fun i -> Bitset.mem a i && Bitset.mem b i) in
+  let or_ a b = pointwise (fun i -> Bitset.mem a i || Bitset.mem b i) in
+  let not_ a = pointwise (fun i -> not (Bitset.mem a i)) in
+  let knows ks s =
+    Knowledge.knows_ext_naive u (Pset.of_list (List.map Pid.of_int ks)) s
+  in
+  let everyone ks s =
+    List.fold_left (fun acc k -> and_ acc (knows [ k ] s)) all ks
+  in
+  let someone ks s =
+    List.fold_left (fun acc k -> or_ acc (knows [ k ] s)) none ks
+  in
+  let pids = List.init (Spec.n (Universe.spec u)) Fun.id in
+  let succ = Temporal_tests.definitional_successors u in
+  let ex s = pointwise (fun i -> Array.exists (Bitset.mem s) succ.(i)) in
+  let ax s = pointwise (fun i -> Array.for_all (Bitset.mem s) succ.(i)) in
+  let has_succ = pointwise (fun i -> succ.(i) <> [||]) in
+  let rec fix f s =
+    let s' = f s in
+    if Bitset.equal s s' then s else fix f s'
+  in
+  let ef s = fix (fun r -> or_ s (ex r)) none in
+  let af s = fix (fun r -> or_ s (and_ has_succ (ax r))) none in
+  let rec go = function
+    | Formula.True -> all
+    | False -> none
+    | Atom a ->
+        let b = Option.get (env a) in
+        pointwise (fun i -> Prop.eval b (Universe.comp u i))
+    | Not f -> not_ (go f)
+    | And (a, b) -> and_ (go a) (go b)
+    | Or (a, b) -> or_ (go a) (go b)
+    | Implies (a, b) -> or_ (not_ (go a)) (go b)
+    | Know (ks, f) -> knows ks (go f)
+    | Sure (ks, f) ->
+        let s = go f in
+        or_ (knows ks s) (knows ks (not_ s))
+    | Everyone (ks, f) -> everyone ks (go f)
+    | Someone (ks, f) -> someone ks (go f)
+    | Common f ->
+        let s = go f in
+        fix (fun r -> and_ s (everyone pids r)) all
+    | Ex f -> ex (go f)
+    | Ax f -> ax (go f)
+    | Ef f -> ef (go f)
+    | Af f -> af (go f)
+    | Eg f -> not_ (af (not_ (go f)))
+    | Ag f -> not_ (ef (not_ (go f)))
+  in
+  go
+
+(* every constructor; pids in range *)
+let gen_any_formula ~atoms ~n =
+  let open QCheck.Gen in
+  let pset =
+    map (List.sort_uniq Int.compare)
+      (list_size (int_range 1 n) (int_bound (n - 1)))
+  in
+  let leaf =
+    oneof
+      [
+        return Formula.True;
+        return Formula.False;
+        map (fun a -> Formula.Atom a) (oneofl atoms);
+      ]
+  in
+  let rec formula depth =
+    if depth = 0 then leaf
+    else
+      let sub = formula (depth - 1) in
+      let unary k = map k sub and epistemic k = map2 k pset sub in
+      oneof
+        [
+          leaf;
+          unary (fun f -> Formula.Not f);
+          map2 (fun a b -> Formula.And (a, b)) sub sub;
+          map2 (fun a b -> Formula.Or (a, b)) sub sub;
+          map2 (fun a b -> Formula.Implies (a, b)) sub sub;
+          epistemic (fun p f -> Formula.Know (p, f));
+          epistemic (fun p f -> Formula.Sure (p, f));
+          epistemic (fun p f -> Formula.Everyone (p, f));
+          epistemic (fun p f -> Formula.Someone (p, f));
+          unary (fun f -> Formula.Common f);
+          unary (fun f -> Formula.Ag f);
+          unary (fun f -> Formula.Ef f);
+          unary (fun f -> Formula.Af f);
+          unary (fun f -> Formula.Eg f);
+          unary (fun f -> Formula.Ax f);
+          unary (fun f -> Formula.Ex f);
+        ]
+  in
+  formula 3
+
+let registry_universe ?budget name ~depth =
+  Hpl_protocols.Builtins.init ();
+  let inst = Result.get_ok (Hpl_protocols.Protocol.Registry.parse name) in
+  let u =
+    Universe.enumerate ~mode:`Canonical ?budget
+      (Hpl_protocols.Protocol.spec_of inst) ~depth
+  in
+  ( u,
+    Hpl_protocols.Protocol.atom_env inst,
+    List.map fst (Hpl_protocols.Protocol.atoms_of inst) )
+
+let qcheck_eval_reference (what, count, case) =
+  let case = Lazy.from_fun case in
+  let gen st =
+    let u, _, atoms = Lazy.force case in
+    gen_any_formula ~atoms ~n:(Spec.n (Universe.spec u)) st
+  in
+  QCheck.Test.make ~name:("reference eval: " ^ what) ~count
+    (QCheck.make ~print:Formula.print gen)
+    (fun f ->
+      let u, env, _ = Lazy.force case in
+      let expected = reference u ~env f in
+      let least_false =
+        let rec first i =
+          if i >= Universe.size u then None
+          else if Bitset.mem expected i then first (i + 1)
+          else Some i
+        in
+        first 0
+      in
+      (match Formula.eval u ~env f with
+      | Ok ext -> Bitset.equal ext expected
+      | Error e -> QCheck.Test.fail_reportf "eval: %s" e)
+      &&
+      match (Formula.check u ~env f, least_false) with
+      | Ok `Valid, None -> true
+      | Ok (`Fails_at z), Some i -> Trace.equal z (Universe.comp u i)
+      | Ok _, _ -> false
+      | Error e, _ -> QCheck.Test.fail_reportf "check: %s" e)
+
+let reference_cases =
+  [
+    ("ping-pong full", 200, fun () -> (u, env, [ "sent"; "received" ]));
+    ("chatter:3", 60, fun () -> registry_universe "chatter:3" ~depth:4);
+    ( "ring cut at 40",
+      200,
+      fun () ->
+        registry_universe "ring" ~depth:6
+          ~budget:(Universe.budget ~max_states:40 ()) );
+  ]
+
 let test_atoms () =
   check Alcotest.(list string) "atoms in order" [ "sent"; "received" ]
     (Formula.atoms (parse_ok "K p1 sent & (received | sent)"))
@@ -197,3 +369,7 @@ let suite =
     ("token bus formula", `Quick, test_token_bus_formula);
     ("atoms", `Quick, test_atoms);
   ]
+  @ List.map
+      (fun c ->
+        QCheck_alcotest.to_alcotest ~verbose:false (qcheck_eval_reference c))
+      reference_cases

@@ -70,6 +70,24 @@ let test_extent_evals_counter () =
       check_int "prop.extent.evals = Universe.size" (Universe.size u)
         (Hpl_obs.counter "prop.extent.evals"))
 
+(* every formula operator maps extents to extents, so [check] never
+   builds the trace index nor looks a computation up by its trace *)
+let test_check_no_lookups () =
+  with_obs (fun () ->
+      let u = Universe.enumerate ~mode:`Canonical chatter ~depth:4 in
+      let sent =
+        Prop.make "sent" (fun z -> Trace.send_count z (Pid.of_int 0) > 0)
+      in
+      let env = function "sent" -> Some sent | _ -> None in
+      let f = Result.get_ok (Formula.parse "AG (sent -> EF (K p1 sent))") in
+      (match Formula.check u ~env f with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e);
+      check "probes recorded the check" true
+        (Hpl_obs.span_count "knowledge.knows_ext" > 0);
+      check_int "universe.lookups" 0 (Hpl_obs.counter "universe.lookups");
+      check_int "universe.index spans" 0 (Hpl_obs.span_count "universe.index"))
+
 let test_lint_findings_counter () =
   Hpl_protocols.Builtins.init ();
   let inst =
@@ -211,6 +229,7 @@ let suite =
     ("states counter = universe size", `Quick, test_states_counter_matches_size);
     ("extent evals counter", `Quick, test_extent_evals_counter);
     ("lint findings counter", `Quick, test_lint_findings_counter);
+    ("check never looks a trace up", `Quick, test_check_no_lookups);
     ("lint child spans sum to total", `Quick, test_lint_children_account_for_total);
     ("stats json schema", `Quick, test_stats_json_schema);
     ("chrome trace schema", `Quick, test_chrome_trace_schema);

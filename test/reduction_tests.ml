@@ -162,8 +162,7 @@ let test_sym_operators_refuse () =
   refuses "Group.everyone" (fun () -> ignore (Group.everyone u p1 b));
   refuses "Common_knowledge.common" (fun () ->
       ignore (Common_knowledge.common u b));
-  refuses "Temporal.check" (fun () ->
-      ignore (Temporal.check u Temporal.(ef (atom b))));
+  refuses "Temporal.ef" (fun () -> ignore (Temporal.ef u (Prop.extent u b)));
   (* counting over the representatives stays allowed *)
   checki "extent over representatives" (Universe.size u)
     (Bitset.cardinal (Prop.extent u Prop.tt))

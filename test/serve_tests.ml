@@ -439,6 +439,16 @@ let test_conformance_errors () =
        (match Formula.parse "AG ((" with
        | Error e -> "parse error: " ^ e
        | Ok _ -> Alcotest.fail "bad formula parsed"));
+  (* an oversized pid is a parse error like any other, not an internal
+     error of the daemon *)
+  let big = "K p99999999999999999999 p0_sent" in
+  assert_conform t "oversized formula pid"
+    [ ("op", Json.Str "check"); ("protocol", Json.Str "ring");
+      ("depth", Json.Int 2); ("formula", Json.Str big) ]
+    (oracle_err
+       (match Formula.parse big with
+       | Error e -> "parse error: " ^ e
+       | Ok _ -> Alcotest.fail "oversized pid parsed"));
   (* a failing formula is exit 1 with the witness, same as the CLI *)
   assert_conform t "failing check"
     [ ("op", Json.Str "check"); ("protocol", Json.Str "token-ring");

@@ -9,46 +9,58 @@ let p1 = Fixtures.p1
 let u = Universe.enumerate ~mode:`Full Fixtures.ping_pong ~depth:4
 
 let sent = Prop.make "sent" (fun z -> Trace.send_count z p0 > 0)
-let a_sent = Temporal.atom sent
 
 let received =
-  Temporal.atom
-    (Prop.make "received" (fun z -> List.exists Event.is_receive (Trace.proj z p1)))
+  Prop.make "received" (fun z -> List.exists Event.is_receive (Trace.proj z p1))
+
+let s_sent = Prop.extent u sent
+let s_received = Prop.extent u received
+let full u = Bitset.create_full (Universe.size u)
+let none u = Bitset.create (Universe.size u)
+let valid u s = Bitset.equal s (full u)
+let holds_at u s z = Bitset.mem s (Universe.find_exn u z)
+let initially u s = holds_at u s Trace.empty
 
 let test_boolean_layer () =
-  check tbool "tt valid" true (Temporal.valid u Temporal.tt);
-  check tbool "ff nowhere" true
-    (Bitset.is_empty (Temporal.check u Temporal.ff));
-  check tbool "not ff = tt" true (Temporal.valid u (Temporal.not_ Temporal.ff));
-  check tbool "and" true
-    (Temporal.valid u (Temporal.or_ a_sent (Temporal.not_ a_sent)))
+  let env = function
+    | "sent" -> Some sent
+    | "received" -> Some received
+    | _ -> None
+  in
+  let eval s =
+    match Formula.eval u ~env (Result.get_ok (Formula.parse s)) with
+    | Ok ext -> ext
+    | Error e -> Alcotest.failf "eval %S: %s" s e
+  in
+  check tbool "tt valid" true (valid u (eval "true"));
+  check tbool "ff nowhere" true (Bitset.is_empty (eval "false"));
+  check tbool "not ff = tt" true (valid u (eval "~false"));
+  check tbool "and" true (valid u (eval "sent | ~sent"))
 
 let test_ef_initial () =
   (* from the start, the send is eventually possible *)
-  check tbool "EF sent" true (Temporal.holds_initially u (Temporal.ef a_sent));
-  check tbool "EF received" true (Temporal.holds_initially u (Temporal.ef received));
+  check tbool "EF sent" true (initially u (Temporal.ef u s_sent));
+  check tbool "EF received" true (initially u (Temporal.ef u s_received));
   (* but not yet true *)
-  check tbool "¬sent initially" false (Temporal.holds_initially u a_sent)
+  check tbool "¬sent initially" false (initially u s_sent)
 
 let test_af_initial () =
   (* ping-pong has a single maximal behaviour: the send is inevitable *)
-  check tbool "AF sent" true (Temporal.holds_initially u (Temporal.af a_sent));
-  check tbool "AF received" true (Temporal.holds_initially u (Temporal.af received))
+  check tbool "AF sent" true (initially u (Temporal.af u s_sent));
+  check tbool "AF received" true (initially u (Temporal.af u s_received))
 
 let test_ag_stability () =
   (* 'sent' is stable: once true, always true — AG(sent ⇒ AG sent) *)
   check tbool "sent stable" true
-    (Temporal.valid u
-       (Temporal.implies a_sent (Temporal.ag a_sent)));
+    (Bitset.subset s_sent (Temporal.ag u s_sent));
   (* knowledge of a stable local fact is stable here too *)
-  let k1 = Temporal.atom (Knowledge.knows_p u p1 sent) in
-  check tbool "p1 knowledge stable" true
-    (Temporal.valid u (Temporal.implies k1 (Temporal.ag k1)))
+  let k1 = Knowledge.knows_ext u (Pset.singleton p1) s_sent in
+  check tbool "p1 knowledge stable" true (Bitset.subset k1 (Temporal.ag u k1))
 
 let test_ex_ax () =
   (* at ε the only extension is the send *)
-  check tbool "EX sent at ε" true (Temporal.holds_initially u (Temporal.ex a_sent));
-  check tbool "AX sent at ε" true (Temporal.holds_initially u (Temporal.ax a_sent));
+  check tbool "EX sent at ε" true (initially u (Temporal.ex u s_sent));
+  check tbool "AX sent at ε" true (initially u (Temporal.ax u s_sent));
   (* at a leaf, AX ff is vacuously true and EX tt false *)
   let leaf =
     Universe.fold
@@ -58,19 +70,18 @@ let test_ex_ax () =
   match leaf with
   | None -> Alcotest.fail "expected a depth-4 computation"
   | Some z ->
-      check tbool "AX ff at leaf" true (Temporal.holds_at u (Temporal.ax Temporal.ff) z);
-      check tbool "EX tt at leaf" false (Temporal.holds_at u (Temporal.ex Temporal.tt) z)
+      check tbool "AX ff at leaf" true (holds_at u (Temporal.ax u (none u)) z);
+      check tbool "EX tt at leaf" false (holds_at u (Temporal.ex u (full u)) z)
 
 let test_until () =
   (* ¬received holds until sent — along every path *)
   check tbool "A[¬recv U sent]" true
-    (Temporal.holds_initially u
-       (Temporal.au (Temporal.not_ received) a_sent));
+    (initially u (Temporal.au u (Bitset.complement s_received) s_sent));
   (* E[tt U received] = EF received *)
   check tbool "EU = EF" true
     (Bitset.equal
-       (Temporal.check u (Temporal.eu Temporal.tt received))
-       (Temporal.check u (Temporal.ef received)))
+       (Temporal.eu u (full u) s_received)
+       (Temporal.ef u s_received))
 
 let test_eg () =
   (* some path keeps ¬received forever? no: the only maximal run
@@ -81,25 +92,25 @@ let test_eg () =
      path hits received. After the send, the only enabled event is the
      receive, so yes. *)
   check tbool "EG ¬received fails at ε" false
-    (Temporal.holds_initially u (Temporal.eg (Temporal.not_ received)))
+    (initially u (Temporal.eg u (Bitset.complement s_received)))
 
 let test_token_bus_ag_claim () =
   (* the paper's §4.1 claim as a CTL invariant *)
   let ub = Universe.enumerate ~mode:`Canonical (Hpl_protocols.Token_bus.spec ~n:5) ~depth:8 in
-  let r_holds = Temporal.atom (Hpl_protocols.Token_bus.holds (Pid.of_int 2)) in
-  let assertion = Temporal.atom (Hpl_protocols.Token_bus.paper_assertion ub) in
+  let r_holds = Prop.extent ub (Hpl_protocols.Token_bus.holds (Pid.of_int 2)) in
+  let assertion = Prop.extent ub (Hpl_protocols.Token_bus.paper_assertion ub) in
   check tbool "AG (r holds ⇒ assertion)" true
-    (Temporal.valid ub (Temporal.implies r_holds assertion));
+    (valid ub (Bitset.union (Bitset.complement r_holds) assertion));
   (* and r can actually get the token: EF r_holds *)
-  check tbool "EF r holds" true (Temporal.holds_initially ub (Temporal.ef r_holds))
+  check tbool "EF r holds" true (initially ub (Temporal.ef ub r_holds))
 
 let test_canonical_dag () =
   (* CTL works on the canonical quotient too (prefix DAG) *)
   let uc = Universe.enumerate ~mode:`Canonical Fixtures.indep ~depth:4 in
   let a_done =
-    Temporal.atom (Prop.make "both moved" (fun z -> Trace.length z = 2))
+    Prop.extent uc (Prop.make "both moved" (fun z -> Trace.length z = 2))
   in
-  check tbool "AF both" true (Temporal.holds_initially uc (Temporal.af a_done))
+  check tbool "AF both" true (initially uc (Temporal.af uc a_done))
 
 (* -- the extension relation against its definition ------------------------
 

@@ -126,7 +126,45 @@ let test_pset_class_ids () =
     u;
   (* empty set: everything equivalent *)
   let ids_e = Universe.pset_class_ids u Pset.empty in
-  Array.iter (fun id -> check tint "one class" 0 id) ids_e
+  Array.iter (fun id -> check tint "one class" 0 id) ids_e;
+  (* a one-process set reads the enumeration's own class ids: they must
+     still be projection equality, numbered densely (no empty class) *)
+  let singletons what u =
+    List.iter
+      (fun p ->
+        let ps = Pset.singleton p in
+        let ids = Universe.pset_class_ids u ps in
+        let agree = ref true in
+        Universe.iter
+          (fun i x ->
+            Universe.iter
+              (fun j y ->
+                if ids.(i) = ids.(j) <> Isomorphism.iso_p x y p then
+                  agree := false)
+              u)
+          u;
+        check tbool (what ^ ": [p] iff same projection") true !agree;
+        check tbool (what ^ ": no empty class") true
+          (Array.for_all
+             (fun cls -> not (Bitset.is_empty cls))
+             (Universe.classes u ps)))
+      (Spec.pids (Universe.spec u))
+  in
+  let spec = Fixtures.chatter ~n:3 ~k:2 in
+  let uc = Universe.enumerate ~mode:`Canonical spec ~depth:4 in
+  let ut =
+    Universe.enumerate ~mode:`Canonical
+      ~budget:(Universe.budget ~max_states:40 ())
+      spec ~depth:4
+  in
+  let roundtrip u =
+    Universe.serialize u |> Result.get_ok |> Universe.deserialize spec
+    |> Result.get_ok
+  in
+  singletons "canonical" uc;
+  singletons "truncated" ut;
+  singletons "round-tripped" (roundtrip uc);
+  singletons "truncated, round-tripped" (roundtrip ut)
 
 let test_class_members () =
   let u = Universe.enumerate ~mode:`Full Fixtures.indep ~depth:5 in
