@@ -227,34 +227,65 @@ let parse input =
 
 (* ---------------------------------------------------------------- printer *)
 
-let print_pset = function
-  | [ k ] -> "p" ^ string_of_int k
-  | ks -> "{" ^ String.concat "," (List.map (fun k -> "p" ^ string_of_int k) ks) ^ "}"
+(* One buffer for the whole formula: concatenating each level onto its
+   printed operand would copy the operand once per enclosing level. *)
+let print_pset b = function
+  | [ k ] -> Printf.bprintf b "p%d" k
+  | ks ->
+      Buffer.add_char b '{';
+      List.iteri
+        (fun i k ->
+          if i > 0 then Buffer.add_char b ',';
+          Printf.bprintf b "p%d" k)
+        ks;
+      Buffer.add_char b '}'
 
-let rec print = function
-  | True -> "true"
-  | False -> "false"
-  | Atom a -> a
-  | Not f -> "~" ^ print_atomic f
-  | And (a, b) -> print_atomic a ^ " & " ^ print_atomic b
-  | Or (a, b) -> print_atomic a ^ " | " ^ print_atomic b
-  | Implies (a, b) -> print_atomic a ^ " -> " ^ print_atomic b
-  | Know (ps, f) -> "K " ^ print_pset ps ^ " " ^ print_atomic f
-  | Sure (ps, f) -> "sure " ^ print_pset ps ^ " " ^ print_atomic f
-  | Everyone (ps, f) -> "E " ^ print_pset ps ^ " " ^ print_atomic f
-  | Someone (ps, f) -> "S " ^ print_pset ps ^ " " ^ print_atomic f
-  | Common f -> "CK " ^ print_atomic f
-  | Ag f -> "AG " ^ print_atomic f
-  | Ef f -> "EF " ^ print_atomic f
-  | Af f -> "AF " ^ print_atomic f
-  | Eg f -> "EG " ^ print_atomic f
-  | Ax f -> "AX " ^ print_atomic f
-  | Ex f -> "EX " ^ print_atomic f
-
-and print_atomic f =
+let rec print_into b f =
+  let prefix s g =
+    Buffer.add_string b s;
+    print_atomic b g
+  and binary l op r =
+    print_atomic b l;
+    Buffer.add_string b op;
+    print_atomic b r
+  and modal s ps g =
+    Buffer.add_string b s;
+    print_pset b ps;
+    Buffer.add_char b ' ';
+    print_atomic b g
+  in
   match f with
-  | True | False | Atom _ -> print f
-  | _ -> "(" ^ print f ^ ")"
+  | True -> Buffer.add_string b "true"
+  | False -> Buffer.add_string b "false"
+  | Atom a -> Buffer.add_string b a
+  | Not f -> prefix "~" f
+  | And (l, r) -> binary l " & " r
+  | Or (l, r) -> binary l " | " r
+  | Implies (l, r) -> binary l " -> " r
+  | Know (ps, f) -> modal "K " ps f
+  | Sure (ps, f) -> modal "sure " ps f
+  | Everyone (ps, f) -> modal "E " ps f
+  | Someone (ps, f) -> modal "S " ps f
+  | Common f -> prefix "CK " f
+  | Ag f -> prefix "AG " f
+  | Ef f -> prefix "EF " f
+  | Af f -> prefix "AF " f
+  | Eg f -> prefix "EG " f
+  | Ax f -> prefix "AX " f
+  | Ex f -> prefix "EX " f
+
+and print_atomic b f =
+  match f with
+  | True | False | Atom _ -> print_into b f
+  | _ ->
+      Buffer.add_char b '(';
+      print_into b f;
+      Buffer.add_char b ')'
+
+let print f =
+  let b = Buffer.create 64 in
+  print_into b f;
+  Buffer.contents b
 
 let pp fmt f = Format.pp_print_string fmt (print f)
 

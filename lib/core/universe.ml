@@ -69,6 +69,11 @@ let trie_parents t =
       parent)
     t.steps
 
+(* A universe is stored as its run tree (DESIGN.md §6): computation [i]
+   extends [parent.(i)] by one event, on process [pid.(i)], which reaches
+   that process's class id [cid.(i)]; the root has parent and pid -1 and
+   class 0 everywhere. Parents precede children, so a process's class-id
+   column is one pass in index order, built on first use. *)
 type t = {
   spec : Spec.t;
   mode : mode;
@@ -77,7 +82,10 @@ type t = {
   reduce : Reduction.t;
   comps : Trace.t array;
   idx : int TraceTbl.t Lazy.t; (* built on first lookup *)
-  class_ids_by_pid : int array array; (* pid index -> comp index -> class id *)
+  parent : int array; (* comp index -> parent comp index *)
+  pid : int array; (* comp index -> pid index of its last event *)
+  cid : int array; (* comp index -> class id [pid.(i)] reaches *)
+  columns : int array option array; (* pid index -> class-id column *)
   trie_parent : int array array; (* pid index -> class id -> prefix class id *)
   orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
   pset_ids_memo : (int list, int array) Hashtbl.t;
@@ -138,8 +146,8 @@ let snoc_is_canonical z e =
   in
   after_last_pred (Trace.to_rev_list z)
 
-(* The trace → index table behind [index], [find] and [serialize],
-   built on first lookup: enumeration, [Prop.extent] and the counting
+(* The trace → index table behind [index] and [find], built on first
+   lookup: enumeration, [serialize], [Prop.extent] and the counting
    answers never look a trace up. *)
 let trace_index comps =
   lazy
@@ -152,19 +160,46 @@ let trace_index comps =
 
 (* --- enumeration --------------------------------------------------- *)
 
-(* A BFS node: its trace, the vector of per-process class ids of its
-   projections, and the messages in flight, newest first. A child
-   differs from its parent in one class-id slot (the extending event's
-   process) and in one message at most (a send adds it, a receive
-   removes it), so both are maintained per child, never recomputed from
-   the trace. Under symmetry a node also carries every group element's
-   renamed projection vector. *)
+(* A BFS node of the level being expanded: its index, its trace, the
+   vector of per-process class ids of its projections, and the messages
+   in flight, newest first. A child differs from its parent in one
+   class-id slot (the extending event's process) and in one message at
+   most (a send adds it, a receive removes it), so both are maintained
+   per child, never recomputed from the trace. Under symmetry a node
+   also carries every group element's renamed projection vector. Only
+   the frontier has nodes: the universe keeps the run tree alone. *)
 type node = {
+  i : int;
   z : Trace.t;
   ids : int array;
   pool : Msg.t list;
   cands : Event.t list array array option;
 }
+
+(* The run tree as the BFS grows it, in index order. Before its merge a
+   level reserves room for every child its frontier phase kept. Without
+   symmetry the merge stores them all, so the arrays grow once per level
+   to their exact size and the final trim copies nothing. *)
+type tree = {
+  mutable count : int;
+  mutable traces : Trace.t array;
+  mutable parents : int array;
+  mutable pids : int array;
+  mutable cids : int array;
+}
+
+let tree_reserve t cap =
+  if cap > Array.length t.parents then begin
+    let grow a fill =
+      let b = Array.make cap fill in
+      Array.blit a 0 b 0 t.count;
+      b
+    in
+    t.traces <- grow t.traces Trace.empty;
+    t.parents <- grow t.parents 0;
+    t.pids <- grow t.pids 0;
+    t.cids <- grow t.cids 0
+  end
 
 let rec remove_msg m = function
   | [] -> []
@@ -261,15 +296,22 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     in
     (kept, List.length cands - List.length kept)
   in
-  let acc = ref [] and count = ref 0 in
-  let push node =
+  let tree =
+    { count = 0; traces = [| Trace.empty |]; parents = [| 0 |]; pids = [| 0 |];
+      cids = [| 0 |] }
+  in
+  let push z ~parent ~pid ~cid =
     (match budget.max_states with
-    | Some k when !count >= k ->
+    | Some k when tree.count >= k ->
         Hpl_obs.instant "enumerate.budget" ~args:[ ("reason", "max_states") ];
         raise (Out_of_budget (Max_states k))
     | _ -> ());
-    acc := node :: !acc;
-    incr count
+    let k = tree.count in
+    tree.traces.(k) <- z;
+    tree.parents.(k) <- parent;
+    tree.pids.(k) <- pid;
+    tree.cids.(k) <- cid;
+    tree.count <- k + 1
   in
   (* symmetry bookkeeping: [class_seen] memoizes the orbit decision per
      [D]-class (identity projection vector), [orbit_idx] maps each orbit
@@ -296,6 +338,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
   in
   let root =
     {
+      i = 0;
       z = Trace.empty;
       ids = Array.make n 0;
       pool = [];
@@ -305,7 +348,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
           group;
     }
   in
-  push root;
+  push Trace.empty ~parent:(-1) ~pid:(-1) ~cid:0;
   (match group with
   | Some _ ->
       let empty_key = Array.make n [] in
@@ -378,9 +421,18 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                      childlists))
       in
       let next = ref [] in
+      (* children on the last level are never expanded: they get no node *)
+      let expand = d + 1 < depth in
       Hpl_obs.span "enumerate.merge"
         ~args:(fun () -> [ ("depth", string_of_int d) ])
         (fun () ->
+          let room =
+            Array.fold_left
+              (fun acc (kids, _) -> acc + List.length kids)
+              tree.count childlists
+          in
+          tree_reserve tree
+            (match budget.max_states with Some k -> min k room | None -> room);
           Array.iteri
             (fun i (kids, pruned) ->
               check_time ();
@@ -402,27 +454,27 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
                 in
                 if admit then begin
                   let pi = Pid.to_int e.Event.pid in
-                  let ids = Array.copy parent.ids in
-                  ids.(pi) <- trie_intern trie pi parent.ids.(pi) e;
-                  let node =
-                    {
-                      z = Trace.snoc parent.z e;
-                      ids;
-                      pool = child_pool parent.pool e;
-                      cands =
-                        (match fate with
-                        | `Key (_, cands) -> Some cands
-                        | `Fresh | `Dup -> None);
-                    }
-                  in
+                  let c = trie_intern trie pi parent.ids.(pi) e in
+                  let z = Trace.snoc parent.z e in
                   (* push may raise on budget: register the orbit
-                     entry only once the node is actually stored *)
-                  push node;
+                     entry only once the computation is actually stored *)
+                  push z ~parent:parent.i ~pid:pi ~cid:c;
+                  let i = tree.count - 1 in
                   (match fate with
-                  | `Key (key, _) ->
-                      Symmetry.KeyTbl.replace orbit_idx key (!count - 1)
+                  | `Key (key, _) -> Symmetry.KeyTbl.replace orbit_idx key i
                   | `Fresh | `Dup -> ());
-                  next := node :: !next
+                  if expand then begin
+                    let ids = Array.copy parent.ids in
+                    ids.(pi) <- c;
+                    let cands =
+                      match fate with
+                      | `Key (_, cands) -> Some cands
+                      | `Fresh | `Dup -> None
+                    in
+                    next :=
+                      { i; z; ids; pool = child_pool parent.pool e; cands }
+                      :: !next
+                  end
                 end
               in
               match fates with
@@ -437,8 +489,9 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     | () -> Complete
     | exception Out_of_budget reason -> Truncated reason
   in
+  let count = tree.count in
   if !Hpl_obs.enabled then begin
-    Hpl_obs.count "enumerate.states" !count;
+    Hpl_obs.count "enumerate.states" count;
     let classes = ref 0 in
     Array.iter (fun next -> classes := !classes + next - 1) trie.next_ids;
     Hpl_obs.count "enumerate.proj_classes" !classes;
@@ -447,24 +500,13 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       Hpl_obs.count "reduce.ample_prunes" !ample_prunes
     end
   end;
-  let comps, class_ids_by_pid =
-    (* the interning half: materialize the computations and transpose
-       the class-id vectors into the pid-major arrays *)
+  let comps, parent, pid, cid =
+    (* the interning half: trim the run tree to its size *)
     Hpl_obs.span "enumerate.intern"
-      ~args:(fun () -> [ ("states", string_of_int !count) ])
+      ~args:(fun () -> [ ("states", string_of_int count) ])
     @@ fun () ->
-    let comps = Array.make !count Trace.empty in
-    let class_ids_by_pid = Array.init n (fun _ -> Array.make !count 0) in
-    (* [!acc] holds nodes in reverse discovery order *)
-    List.iteri
-      (fun k node ->
-        let i = !count - 1 - k in
-        comps.(i) <- node.z;
-        for pi = 0 to n - 1 do
-          class_ids_by_pid.(pi).(i) <- node.ids.(pi)
-        done)
-      !acc;
-    (comps, class_ids_by_pid)
+    let trim a = if Array.length a = count then a else Array.sub a 0 count in
+    (trim tree.traces, trim tree.parents, trim tree.pids, trim tree.cids)
   in
   {
     spec;
@@ -474,7 +516,10 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     reduce;
     comps;
     idx = trace_index comps;
-    class_ids_by_pid;
+    parent;
+    pid;
+    cid;
+    columns = Array.make n None;
     trie_parent = trie_parents trie;
     orbit_idx = (match group with None -> None | Some _ -> Some orbit_idx);
     pset_ids_memo = Hashtbl.create 16;
@@ -528,7 +573,20 @@ let fold f u init =
   Array.iteri (fun i z -> acc := f i z !acc) u.comps;
   !acc
 
-let class_ids u p = u.class_ids_by_pid.(Pid.to_int p)
+(* a column is one pass in index order, since parents precede children:
+   computation [i] is in its parent's class unless its event is on [p] *)
+let class_ids u p =
+  let p = Pid.to_int p in
+  match u.columns.(p) with
+  | Some col -> col
+  | None ->
+      let col = Array.make (size u) 0 in
+      for i = 1 to size u - 1 do
+        col.(i) <- (if u.pid.(i) = p then u.cid.(i) else col.(u.parent.(i)))
+      done;
+      u.columns.(p) <- Some col;
+      col
+
 let pset_key ps = List.map Pid.to_int (Pset.to_list ps)
 
 (* The class partitions and the extension relation are what every
@@ -577,7 +635,7 @@ let combined_class_ids u ps key =
 let pset_class_ids u ps =
   require_unreduced u "pset_class_ids";
   match pset_key ps with
-  | [ p ] -> u.class_ids_by_pid.(p)
+  | [ p ] -> class_ids u (Pid.of_int p)
   | key -> combined_class_ids u ps key
 
 let classes u ps =
@@ -597,17 +655,11 @@ let class_members u ps i =
   let ids = pset_class_ids u ps in
   (classes u ps).(ids.(i))
 
+(* the parent chain: a stored computation extends its parent by one
+   event, so its stored prefixes are its ancestors *)
 let prefixes_of u i =
-  let z = comp u i in
-  let rec go prefix events acc =
-    let acc =
-      match find u prefix with Some j -> j :: acc | None -> acc
-    in
-    match events with
-    | [] -> acc
-    | e :: rest -> go (Trace.snoc prefix e) rest acc
-  in
-  List.rev (go Trace.empty (Trace.to_list z) [])
+  let rec up i acc = if i < 0 then acc else up u.parent.(i) (i :: acc) in
+  up i []
 
 (* --- the extension relation ------------------------------------------
 
@@ -616,13 +668,13 @@ let prefixes_of u i =
    iff every projection agrees), and [i → j] is an edge iff [j]'s
    vector with one slot stepped back to its trie parent is [i]'s
    (DESIGN.md §6). So the edges come from probing an open-addressing
-   index over [class_ids_by_pid]: a probe is the triple (j, p, c), "the
+   index over the class-id columns: a probe is the triple (j, p, c), "the
    vector of j with slot p set to c", and is never materialized. A
    vector's hash is [Σ ids.(p) * mult.(p)], so a probe's hash is one
    O(1) adjustment of j's. *)
 
 let trie_successors u =
-  let ids = u.class_ids_by_pid in
+  let ids = Array.init (Spec.n u.spec) (fun p -> class_ids u (Pid.of_int p)) in
   let n = Array.length ids and size = Array.length u.comps in
   let mix x =
     let x = (x lxor (x lsr 31)) * 0x3F58476D1CE4E5B9 in
@@ -724,11 +776,9 @@ let successors u =
 
 (* --- snapshot body ---------------------------------------------------
 
-   A universe is a prefix-closed BFS in discovery order: [comps.(0)] is
-   the empty trace and every other computation extends an earlier one by
-   a single event. The body therefore stores, per computation, the index
-   of its parent prefix plus one interned event — the same incremental
-   representation the enumerator builds — rather than whole traces.
+   The body is the run tree: per computation after the root, in index
+   order, its parent's index and its one event — never a whole trace,
+   and the parent comes from the [parent] column, not a trace lookup.
    Payload strings and internal tags go through a first-occurrence
    string table. Class ids are not stored at all: replaying the events
    through the same hash-consed trie in the same discovery order
@@ -738,6 +788,12 @@ let successors u =
    checksum) belongs to the snapshot container in [Hpl_serve.Snapshot];
    this layer only promises that any byte string either round-trips to a
    structurally valid universe of the given spec or yields [Error]. *)
+
+(* a stored computation's own event: the newest of its trace *)
+let last_event z =
+  match Trace.to_rev_list z with
+  | e :: _ -> e
+  | [] -> invalid_arg "Universe: the root has no event"
 
 let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 
@@ -794,19 +850,8 @@ let serialize u =
     in
     let eb = Buffer.create 4096 in
     for i = 1 to count - 1 do
-      let events = Trace.to_list u.comps.(i) in
-      let rec split acc = function
-        | [] -> invalid_arg "Universe.serialize: empty non-root computation"
-        | [ e ] -> (List.rev acc, e)
-        | e :: rest -> split (e :: acc) rest
-      in
-      let init, e = split [] events in
-      let parent =
-        match TraceTbl.find_opt (Lazy.force u.idx) (Trace.of_list init) with
-        | Some j when j < i -> j
-        | _ -> invalid_arg "Universe.serialize: universe is not prefix-closed"
-      in
-      add_i32 eb parent;
+      let e = last_event u.comps.(i) in
+      add_i32 eb u.parent.(i);
       add_i32 eb (Pid.to_int e.Event.pid);
       add_i32 eb e.Event.lseq;
       match e.Event.kind with
@@ -897,49 +942,77 @@ let deserialize spec blob =
     let count = i32 () in
     if count < 1 || count > len then fail "implausible computation count";
     let comps = Array.make count Trace.empty in
-    let class_ids_by_pid = Array.init n (fun _ -> Array.make count 0) in
+    let parent = Array.make count (-1) and pid = Array.make count (-1) in
+    let cid = Array.make count 0 in
     let trie = trie_create n in
+    (* Every event above a computation was checked when it was read, so
+       the walks below read its [lseq], send [seq] and class id off the
+       nearest ancestor that has them, with no trace scanned. [on p a]
+       is [a] or its nearest ancestor whose event is on [p], else the
+       root. *)
+    let rec on p a = if a = 0 || pid.(a) = p then a else on p parent.(a) in
+    let rec sends p a =
+      if a = 0 then 0
+      else
+        match (last_event comps.(a)).Event.kind with
+        | Event.Send m -> m.Msg.seq + 1
+        | Event.Receive _ | Event.Internal _ -> sends p (on p parent.(a))
+    in
+    (* newest first: a receive of [m]'s key before its send means
+       already received; the root before it means never sent *)
+    let rec in_flight m a =
+      a > 0
+      &&
+      match (last_event comps.(a)).Event.kind with
+      | Event.Receive r when Pid.equal r.Msg.src m.Msg.src && r.Msg.seq = m.Msg.seq
+        ->
+          false
+      | Event.Send s when Msg.equal s m -> true
+      | Event.Send _ | Event.Receive _ | Event.Internal _ ->
+          in_flight m parent.(a)
+    in
     for i = 1 to count - 1 do
-      let parent = i32 () in
-      if parent >= i then fail "parent index %d not before child %d" parent i;
+      let up = i32 () in
+      if up >= i then fail "parent index %d not before child %d" up i;
       let pi = i32 () in
       if pi >= n then fail "pid %d out of range" pi;
-      let pid = Pid.of_int pi in
+      let p = Pid.of_int pi in
       let lseq = i32 () in
-      let pz = comps.(parent) in
+      let last = on pi up in
       (* lseq is derivable from the parent: reject inconsistent bodies
          rather than building traces that violate Trace.well_formed *)
-      if lseq <> Trace.local_length pz pid then
+      let next_lseq =
+        if last = 0 then 0 else (last_event comps.(last)).Event.lseq + 1
+      in
+      if lseq <> next_lseq then
         fail "inconsistent local sequence number at computation %d" i;
       let e =
         match u8 () with
-        | 0 -> Event.internal ~pid ~lseq (getstr (i32 ()))
+        | 0 -> Event.internal ~pid:p ~lseq (getstr (i32 ()))
         | 1 ->
             let dst = i32 () in
             if dst >= n then fail "destination %d out of range" dst;
             let seq = i32 () in
-            if seq <> Trace.send_count pz pid then
+            if seq <> sends pi last then
               fail "inconsistent send sequence number at computation %d" i;
             let payload = getstr (i32 ()) in
-            Event.send ~pid ~lseq
-              (Msg.make ~src:pid ~dst:(Pid.of_int dst) ~seq ~payload)
+            Event.send ~pid:p ~lseq
+              (Msg.make ~src:p ~dst:(Pid.of_int dst) ~seq ~payload)
         | 2 ->
             let src = i32 () in
             if src >= n then fail "source %d out of range" src;
             let seq = i32 () in
             let payload = getstr (i32 ()) in
-            let m = Msg.make ~src:(Pid.of_int src) ~dst:pid ~seq ~payload in
-            if not (List.exists (Msg.equal m) (Trace.in_flight pz)) then
+            let m = Msg.make ~src:(Pid.of_int src) ~dst:p ~seq ~payload in
+            if not (in_flight m up) then
               fail "receive of a message not in flight at computation %d" i;
-            Event.receive ~pid ~lseq m
+            Event.receive ~pid:p ~lseq m
         | t -> fail "bad event kind %d" t
       in
-      comps.(i) <- Trace.snoc pz e;
-      for q = 0 to n - 1 do
-        class_ids_by_pid.(q).(i) <- class_ids_by_pid.(q).(parent)
-      done;
-      class_ids_by_pid.(pi).(i) <-
-        trie_intern trie pi class_ids_by_pid.(pi).(parent) e
+      comps.(i) <- Trace.snoc comps.(up) e;
+      parent.(i) <- up;
+      pid.(i) <- pi;
+      cid.(i) <- trie_intern trie pi cid.(last) e
     done;
     if !pos <> len then fail "%d trailing bytes" (len - !pos);
     (* spot-check against the spec the caller claims this snapshot is
@@ -956,7 +1029,10 @@ let deserialize spec blob =
         reduce;
         comps;
         idx = trace_index comps;
-        class_ids_by_pid;
+        parent;
+        pid;
+        cid;
+        columns = Array.make n None;
         trie_parent = trie_parents trie;
         orbit_idx = None;
         pset_ids_memo = Hashtbl.create 16;

@@ -15,9 +15,12 @@
       canonical representatives is exact while the universe is usually
       exponentially smaller (ablation P2 in DESIGN.md).
 
-    A universe indexes its computations [0 .. size-1] and precomputes,
-    per process, the partition of indices by local computation; this
-    is what makes [knows] evaluation linear in the universe size. *)
+    A universe indexes its computations [0 .. size-1] and stores them as
+    their run tree: per computation, its parent's index, the process of
+    its one event, and the class id that process reaches. Per process,
+    the partition of indices by local computation is one pass over that
+    tree ({!class_ids}); this is what makes [knows] evaluation linear in
+    the universe size. *)
 
 type mode = [ `Full | `Canonical ]
 
@@ -106,10 +109,11 @@ val sample : t -> choose:(int -> int) -> Trace.t
 val index : t -> Trace.t -> int option
 (** Exact lookup of a trace (as stored — canonical form in
     [`Canonical] mode). The trace → index table is built on the first
-    [index], {!find} or {!serialize} of a universe (the
-    [universe.index] span) and kept on it: enumeration, {!Prop.extent},
-    the counting answers and {!Formula.check} (which evaluates on
-    extents) never look a trace up, so they never pay for it. *)
+    [index] or {!find} of a universe (the [universe.index] span) and
+    kept on it: enumeration, {!serialize}, {!prefixes_of},
+    {!Prop.extent}, the counting answers and {!Formula.check} (which
+    evaluates on extents) never look a trace up, so they never pay for
+    it. *)
 
 val find : t -> Trace.t -> int option
 (** Like {!index} (and, like it, builds the index on first use) but
@@ -133,7 +137,12 @@ val fold : (int -> Trace.t -> 'a -> 'a) -> t -> 'a -> 'a
 
 val class_ids : t -> Pid.t -> int array
 (** [class_ids u p] assigns to each computation index the id of its
-    [\[p\]]-class: [x \[p\] y ⟺ ids.(ix) = ids.(iy)]. *)
+    [\[p\]]-class: [x \[p\] y ⟺ ids.(ix) = ids.(iy)]. Ids are the
+    projection trie's, numbered in first-occurrence order. The column is
+    built on the first call for [p], in one pass over the run tree
+    (computation [i] is in its parent's class unless its event is on
+    [p]), and memoized; enumeration and {!Prop.extent} build none. The
+    array is shared; do not mutate it. *)
 
 val pset_class_ids : t -> Pset.t -> int array
 (** Same for a process set [P] (intersection of the per-process
@@ -158,7 +167,11 @@ val classes : t -> Pset.t -> Bitset.t array
 
 val prefixes_of : t -> int -> int list
 (** Indices of all stored computations that are prefixes of computation
-    [i] (in [`Canonical] mode: whose class representative is a prefix). *)
+    [i] (in [`Canonical] mode: whose class representative is a prefix),
+    shortest first: [0], then down the run tree to [i]. It walks the
+    parent indices, since a stored computation extends its parent by
+    one event and a prefix of a canonical trace is canonical, so no
+    trace is built or looked up. *)
 
 val successors : t -> int array array
 (** [(successors u).(i)] are the indices of computation [i]'s one-event
@@ -180,10 +193,11 @@ val successors : t -> int array array
     structure. *)
 
 val serialize : t -> (string, string) result
-(** Compact binary body of the universe's interned-projection
-    representation: computation [i] is stored as (parent index, one
-    event) with payloads/tags going through a first-occurrence string
-    table, exploiting prefix-closure — no trace is written twice. The
+(** Compact binary body of the universe's run tree: computation [i] is
+    stored as (parent index, one event) with payloads/tags going through
+    a first-occurrence string table, exploiting prefix-closure — no
+    trace is written twice. The parent index is read off the tree and
+    the event off the trace's end, so no trace index is built. The
     spec itself is {e not} stored; pair the body with a cache key that
     pins down (protocol, params, depth, faults, reduce, mode) and hand
     the same spec back to {!deserialize}. [Error] for symmetry-reduced
@@ -192,16 +206,20 @@ val serialize : t -> (string, string) result
     snapshot container layered on top (DESIGN.md §14). *)
 
 val deserialize : Spec.t -> string -> (t, string) result
-(** Rebuild a universe from a {!serialize} body, replaying the stored
-    events through the same class-id interning trie in the same
-    discovery order, so [class_ids], [find] and every knowledge query
-    answer bit-identically to the originally enumerated universe. Every
-    read is bounds-checked and cross-validated against derivable
-    invariants (parents precede children, [lseq]/[seq] match the parent
-    trace, receives consume in-flight messages, the deepest computation
-    satisfies [Spec.valid]); any violation — truncation, bit flips, a
-    body for a different spec — yields [Error], never a wrong
-    universe. *)
+(** Rebuild a universe from a {!serialize} body: the body's parent
+    indices and events become the run tree, and each event is replayed
+    through the same class-id interning trie in the same discovery
+    order, so [class_ids], [find] and every knowledge query answer
+    bit-identically to the originally enumerated universe. No class-id
+    column is built here. Every read is bounds-checked and
+    cross-validated against derivable invariants (parents precede
+    children, [lseq]/[seq] match the parent computation, receives
+    consume in-flight messages, the deepest computation satisfies
+    [Spec.valid]); any violation — truncation, bit flips, a body for a
+    different spec — yields [Error], never a wrong universe. The
+    [lseq], [seq] and in-flight checks walk up the run tree to the
+    nearest ancestor that decides them, rather than scanning the parent
+    trace. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: size, depth, mode. *)

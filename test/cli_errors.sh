@@ -53,6 +53,15 @@ expect 2 "oversized formula pid" -- check -s ring -d 2 'K p99999999999999999999 
 expect 2 "hex formula pid" -- check -s ring -d 2 'K 0x1 p0_sent'
 expect 2 "lint oversized formula pid" -- lint -s ring --formula 'K p99999999999999999999 p0_sent'
 expect 2 "mc oversized formula pid" -- mc -s ring -d 3 --formula 'K p99999999999999999999 p0_sent'
+# printing a formula is linear in its size: `check` echoes a
+# 100000-deep one and answers in well under the limit
+deep="$(head -c 100000 /dev/zero | tr '\0' '~')true"
+timeout 10 "$HPL" check -s ring -d 2 "$deep" >/dev/null 2>&1
+got=$?
+if [ "$got" -ne 0 ]; then
+  echo "FAIL: 100000-deep formula: expected exit 0 within 10 s, got $got" >&2
+  fails=$((fails + 1))
+fi
 expect 2 "unknown drop channel" -- enumerate -s token-ring --faults 'drop:p0->p2'
 expect 2 "unknown dup channel" -- knows -s token-ring --faults 'dup:p2->p1'
 expect 2 "lint unknown protocol" -- lint -s no-such-protocol

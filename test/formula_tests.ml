@@ -95,6 +95,37 @@ let test_roundtrip_fixed () =
       "sure {0,1} (sent -> received)";
     ]
 
+(* 100000 nested unary operators: the printer's output is linear in the
+   formula (each level adds its prefix and one pair of parentheses), so
+   printing it takes milliseconds, and it parses back to itself *)
+let test_roundtrip_deep () =
+  let ops =
+    [|
+      ((fun f -> Formula.Not f), "~");
+      ((fun f -> Formula.Know ([ 0 ], f)), "K p0 ");
+      ((fun f -> Formula.Sure ([ 0; 1 ], f)), "sure {p0,p1} ");
+      ((fun f -> Formula.Common f), "CK ");
+      ((fun f -> Formula.Ag f), "AG ");
+      ((fun f -> Formula.Ef f), "EF ");
+      ((fun f -> Formula.Ex f), "EX ");
+    |]
+  in
+  let depth = 100_000 in
+  let f = ref Formula.True in
+  for k = depth - 1 downto 0 do
+    f := fst ops.(k mod Array.length ops) !f
+  done;
+  let expected = Buffer.create (8 * depth) in
+  for k = 0 to depth - 1 do
+    Buffer.add_string expected (snd ops.(k mod Array.length ops));
+    if k < depth - 1 then Buffer.add_char expected '('
+  done;
+  Buffer.add_string expected "true";
+  Buffer.add_string expected (String.make (depth - 1) ')');
+  let printed = Formula.print !f in
+  check tbool "deep print" true (String.equal printed (Buffer.contents expected));
+  check tbool "deep roundtrip" true (Formula.parse printed = Ok !f)
+
 let qcheck_roundtrip =
   let open QCheck in
   let rec gen_formula depth =
@@ -361,6 +392,7 @@ let suite =
     ("parse errors", `Quick, test_parse_errors);
     ("precedence", `Quick, test_precedence);
     ("roundtrip fixed", `Quick, test_roundtrip_fixed);
+    ("roundtrip deep", `Quick, test_roundtrip_deep);
     QCheck_alcotest.to_alcotest ~verbose:false qcheck_roundtrip;
     ("eval matches API", `Quick, test_eval_matches_api);
     ("eval temporal", `Quick, test_eval_temporal);

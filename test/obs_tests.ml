@@ -88,6 +88,16 @@ let test_check_no_lookups () =
       check_int "universe.lookups" 0 (Hpl_obs.counter "universe.lookups");
       check_int "universe.index spans" 0 (Hpl_obs.span_count "universe.index"))
 
+(* a snapshot body is the run tree: its parents come from the parent
+   column, so saving a universe never builds the trace index *)
+let test_serialize_no_index () =
+  with_obs (fun () ->
+      let u = Universe.enumerate ~mode:`Canonical chatter ~depth:4 in
+      (match Universe.serialize u with
+      | Ok body -> check "non-empty body" true (String.length body > 0)
+      | Error e -> Alcotest.fail e);
+      check_int "universe.index spans" 0 (Hpl_obs.span_count "universe.index"))
+
 let test_lint_findings_counter () =
   Hpl_protocols.Builtins.init ();
   let inst =
@@ -230,6 +240,7 @@ let suite =
     ("extent evals counter", `Quick, test_extent_evals_counter);
     ("lint findings counter", `Quick, test_lint_findings_counter);
     ("check never looks a trace up", `Quick, test_check_no_lookups);
+    ("serialize never looks a trace up", `Quick, test_serialize_no_index);
     ("lint child spans sum to total", `Quick, test_lint_children_account_for_total);
     ("stats json schema", `Quick, test_stats_json_schema);
     ("chrome trace schema", `Quick, test_chrome_trace_schema);

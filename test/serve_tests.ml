@@ -59,6 +59,16 @@ let assert_same_universe what st u u2 =
       | Some j -> Alcotest.failf "%s: comp %d reloaded at index %d" what i j
       | None -> Alcotest.failf "%s: comp %d lost on reload" what i)
     u;
+  List.iter
+    (fun p ->
+      check
+        Alcotest.(array int)
+        (what ^ ": class ids " ^ Pid.to_string p)
+        (Universe.class_ids u p) (Universe.class_ids u2 p))
+    (Spec.pids (Universe.spec u));
+  check
+    Alcotest.(array (array int))
+    (what ^ ": successors") (Universe.successors u) (Universe.successors u2);
   let k1 = Query.run_knows st u and k2 = Query.run_knows st u2 in
   check tstr (what ^ ": knows report") k1.Query.out k2.Query.out;
   check tint (what ^ ": knows code") k1.Query.code k2.Query.code
@@ -118,6 +128,139 @@ let test_deserialize_garbage () =
   (match Universe.deserialize st3.Query.spec body with
   | Ok _ -> Alcotest.fail "deserialize accepted a wrong-arity spec"
   | Error _ -> ())
+
+(* The body bytes are what the snapshot container's version stands for:
+   a change to any of these digests needs a new container version. *)
+let test_body_digests () =
+  List.iter
+    (fun (what, st, digest) ->
+      let body = get (Universe.serialize (universe st)) in
+      check tstr (what ^ ": body FNV-64") digest (Fnv.hex64 (Fnv.fnv64 body)))
+    [
+      ("ring -d 6", setup ~proto:"ring" ~depth:"6" (), "c34251cef6a23a48");
+      ("quorum -d 8", setup ~proto:"quorum" ~depth:"8" (), "e3a8871014f55a52");
+      ( "token-ring:4 crash-any:1",
+        setup ~proto:"token-ring:4" ~faults:"crash-any:1" (),
+        "7f79c4d2ad4cce8f" );
+      ( "ring -d 6 --max-states 40",
+        setup ~proto:"ring" ~depth:"6" ~max_states:"40" (),
+        "0e1141e4ba47a7e4" );
+    ]
+
+(* A test-side reading of the body: the bytes up to the computation
+   count, then one record per computation after the root — parent, pid,
+   lseq, kind (0 internal, 1 send, 2 receive), and for a message its
+   peer, seq and payload string id, else the tag's string id. *)
+type record = {
+  parent : int;
+  pid : int;
+  lseq : int;
+  kind : int;
+  peer : int;
+  seq : int;
+  str : int;
+}
+
+let decode_body body =
+  let pos = ref 0 in
+  let u8 () =
+    let v = Char.code body.[!pos] in
+    incr pos;
+    v
+  in
+  let i32 () =
+    let v = Int32.to_int (String.get_int32_le body !pos) in
+    pos := !pos + 4;
+    v
+  in
+  ignore (u8 ());
+  ignore (i32 ());
+  (match u8 () with 0 -> () | 1 -> ignore (i32 ()) | _ -> pos := !pos + 8);
+  ignore (u8 ());
+  ignore (i32 ());
+  for _ = 1 to i32 () do
+    let k = i32 () in
+    pos := !pos + k
+  done;
+  let head = String.sub body 0 !pos in
+  let records = ref [] in
+  for _ = 2 to i32 () do
+    let parent = i32 () in
+    let pid = i32 () in
+    let lseq = i32 () in
+    let kind = u8 () in
+    let r =
+      if kind = 0 then { parent; pid; lseq; kind; peer = 0; seq = 0; str = i32 () }
+      else
+        let peer = i32 () in
+        let seq = i32 () in
+        { parent; pid; lseq; kind; peer; seq; str = i32 () }
+    in
+    records := r :: !records
+  done;
+  (head, Array.of_list (List.rev !records))
+
+let encode_body (head, records) =
+  let b = Buffer.create (String.length head + (25 * Array.length records)) in
+  let i32 v = Buffer.add_int32_le b (Int32.of_int v) in
+  Buffer.add_string b head;
+  i32 (Array.length records + 1);
+  Array.iter
+    (fun r ->
+      i32 r.parent;
+      i32 r.pid;
+      i32 r.lseq;
+      Buffer.add_uint8 b r.kind;
+      if r.kind <> 0 then begin
+        i32 r.peer;
+        i32 r.seq
+      end;
+      i32 r.str)
+    records;
+  Buffer.contents b
+
+(* Bodies that frame correctly but describe no universe: each breaks one
+   invariant [deserialize] checks against the computation's ancestors. *)
+let test_deserialize_hostile () =
+  let st = setup ~proto:"ping-pong" ~depth:"6" () in
+  let body = get (Universe.serialize (universe st)) in
+  let head, records = decode_body body in
+  check tbool "decoder round trip" true (String.equal body (encode_body (head, records)));
+  (* record k describes computation k + 1 *)
+  let first kind =
+    let rec go k = if records.(k).kind = kind then k else go (k + 1) in
+    go 0
+  in
+  let rejects what expected records =
+    match Universe.deserialize st.Query.spec (encode_body (head, records)) with
+    | Ok _ -> Alcotest.failf "deserialize accepted %s" what
+    | Error e ->
+        let n = String.length expected in
+        let rec has i =
+          i + n <= String.length e && (String.sub e i n = expected || has (i + 1))
+        in
+        if not (has 0) then
+          Alcotest.failf "%s: error %S does not say %S" what e expected
+  in
+  let with_record k r =
+    let rs = Array.copy records in
+    rs.(k) <- r;
+    rs
+  in
+  let last = Array.length records - 1 in
+  rejects "lseq off by one" "local sequence number"
+    (with_record last { (records.(last)) with lseq = records.(last).lseq + 1 });
+  let s = first 1 in
+  rejects "send seq off by one" "send sequence number"
+    (with_record s { (records.(s)) with seq = records.(s).seq + 1 });
+  let r = first 2 in
+  let again = { (records.(r)) with parent = r + 1; lseq = records.(r).lseq + 1 } in
+  rejects "receive of an already-received message" "not in flight"
+    (Array.append records [| again |]);
+  rejects "receive of a never-sent message" "not in flight"
+    (with_record r { (records.(r)) with seq = records.(r).seq + 100 });
+  rejects "parent not before child" "not before child"
+    (with_record last { (records.(last)) with parent = last + 1 })
 
 (* -- Snapshot container --------------------------------------------------- *)
 
@@ -848,6 +991,9 @@ let suite =
       test_serialize_sym;
     Alcotest.test_case "deserialize rejects damaged bodies" `Quick
       test_deserialize_garbage;
+    Alcotest.test_case "serialize bodies are pinned" `Quick test_body_digests;
+    Alcotest.test_case "deserialize rejects inconsistent bodies" `Quick
+      test_deserialize_hostile;
     Alcotest.test_case "snapshot saves and reloads" `Quick
       test_snapshot_roundtrip;
     Alcotest.test_case "snapshot distinguishes absent from invalid" `Quick

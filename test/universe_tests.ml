@@ -183,6 +183,66 @@ let test_prefixes_of () =
   | None -> Alcotest.fail "expected 2-event computation"
   | Some i -> check tint "prefixes" 3 (List.length (Universe.prefixes_of u i))
 
+(* [prefixes_of] by its definition: rebuild every prefix of the stored
+   trace and [find] it. The parent chain must give the same indices in
+   every mode the universe is stored in. *)
+let reference_prefixes u i =
+  let rec go prefix events acc =
+    let acc = match Universe.find u prefix with Some j -> j :: acc | None -> acc in
+    match events with
+    | [] -> List.rev acc
+    | e :: rest -> go (Trace.snoc prefix e) rest acc
+  in
+  go Trace.empty (Trace.to_list (Universe.comp u i)) []
+
+let test_prefixes_of_reference () =
+  Hpl_protocols.Builtins.init ();
+  let open Hpl_serve in
+  let get = function Ok v -> v | Error e -> Alcotest.fail e in
+  let universe ?depth ?faults ?max_states ?(mode = `Canonical)
+      ?(reduce = "none") proto =
+    let st = get (Query.resolve ~proto ?depth ?faults ?max_states ()) in
+    let r = get (Query.resolve_reduce st ~mode ~indep:true reduce) in
+    Query.enumerate ~mode st ~reduce:r
+  in
+  List.iter
+    (fun (what, u) ->
+      Universe.iter
+        (fun i _ ->
+          check
+            Alcotest.(list int)
+            (Printf.sprintf "%s: prefixes of %d" what i)
+            (reference_prefixes u i) (Universe.prefixes_of u i))
+        u)
+    [
+      ("full", universe ~mode:`Full ~depth:"5" "chatter:3");
+      ("canonical", universe ~depth:"6" "ring");
+      ("truncated", universe ~depth:"6" ~max_states:"40" "ring");
+      ("por", universe ~depth:"9" ~reduce:"por" "quorum:5:2");
+      ("faulted", universe ~faults:"crash-any:1" "token-ring:4");
+    ]
+
+(* The universe is its run tree: a fixed number of words per
+   computation, whatever the process count. A vector of class ids per
+   computation made ring:400 cost four times ring:100 per computation. *)
+let test_words_per_computation () =
+  Hpl_protocols.Builtins.init ();
+  let words n =
+    let st =
+      Result.get_ok
+        (Hpl_serve.Query.resolve ~proto:(Printf.sprintf "ring:%d" n) ~depth:"2" ())
+    in
+    let u = Hpl_serve.Query.enumerate st ~reduce:Reduction.none in
+    float_of_int (Obj.reachable_words (Obj.repr u))
+    /. float_of_int (Universe.size u)
+  in
+  let w100 = words 100 and w400 = words 400 in
+  check tbool
+    (Printf.sprintf "words per computation: ring:100 %.1f, ring:400 %.1f" w100
+       w400)
+    true
+    (Float.abs (w400 -. w100) < 0.25 *. w100)
+
 let test_prefix_closed_universe () =
   (* the stored set is prefix-closed in both modes (canonical prefixes
      of canonical words are canonical) *)
@@ -358,6 +418,8 @@ let suite =
     ("pset class ids", `Quick, test_pset_class_ids);
     ("class members", `Quick, test_class_members);
     ("prefixes_of", `Quick, test_prefixes_of);
+    ("prefixes_of = find every prefix", `Quick, test_prefixes_of_reference);
+    ("words per computation", `Quick, test_words_per_computation);
     ("prefix-closed storage", `Quick, test_prefix_closed_universe);
     ("enumeration = naive reference BFS", `Quick, test_reference_enumeration);
   ]
