@@ -1,11 +1,10 @@
-(* Benchmark entry point.
+(* Microbenchmark entry point.
 
-   Part 1 regenerates every paper artifact (experiments E1-E12, tables
-   printed to stdout; see EXPERIMENTS.md for the expected shapes).
-   Part 2 runs bechamel micro-benchmarks on the engineering-critical
-   paths (P1-P5 in DESIGN.md): knowledge evaluation, universe
-   enumeration (full vs canonical ablation), chain detection, vector
-   clocks, bitsets. *)
+   Runs bechamel micro-benchmarks on the engineering-critical paths
+   (P1-P6 in DESIGN.md): knowledge evaluation, universe enumeration
+   (full vs canonical ablation), chain detection, bitsets. The paper
+   experiments E1-E21 are their own executable,
+   experiments/experiments.exe. *)
 open Bechamel
 open Toolkit
 open Hpl_core
@@ -103,14 +102,6 @@ let chain_naive_bench hops =
     ~name:(Printf.sprintf "chain-naive/hops=%d" hops)
     (Staged.stage (fun () -> ignore (Chain.exists_naive ~n:4 ~z psets)))
 
-(* -- P4: vector clock stamping ------------------------------------------ *)
-
-let vclock_bench hops =
-  let z = relay_trace hops in
-  Test.make
-    ~name:(Printf.sprintf "vclock/hops=%d" hops)
-    (Staged.stage (fun () -> ignore (Hpl_clocks.Vector.stamp_trace ~n:4 z)))
-
 (* -- P5: bitset algebra --------------------------------------------------- *)
 
 let bitset_bench n =
@@ -206,14 +197,6 @@ let lint_vs_enumerate_bench which ~depth =
                (Prop.extent u
                   (Knowledge.knows u (Pset.singleton (Pid.of_int 1)) sent))))
 
-let dependency_bench hops =
-  let z = relay_trace hops in
-  Test.make
-    ~name:(Printf.sprintf "dep-reconstruct/hops=%d" hops)
-    (Staged.stage (fun () ->
-         let hb = Hpl_clocks.Dependency.reconstruct ~n:4 z in
-         ignore (hb 0 0)))
-
 (* a function, not a top-level value: several of these tests capture
    prebuilt universes, and keeping them live for the whole process
    would tax every later wall-clock measurement with major-GC work
@@ -223,7 +206,6 @@ let all_tests () =
     [
       formula_bench ();
       replay_bench ();
-      dependency_bench 50;
       knows_bench ~depth:4;
       knows_bench ~depth:6;
       knows_bench ~depth:8;
@@ -242,7 +224,6 @@ let all_tests () =
       chain_bench 800;
       chain_naive_bench 50;
       chain_naive_bench 200;
-      vclock_bench 200;
       bitset_bench 10_000;
       bitset_bench 100_000;
     ]
@@ -292,10 +273,10 @@ let minwall_bitset () =
       !acc)
   /. 100.
 
-(* the bechamel phase and the paper experiments leave a large, badly
-   fragmented major heap behind; without compacting first, the min-wall
-   rows time GC pressure instead of enumeration (observed 10-20x
-   inflation on allocation-heavy rows) *)
+(* the bechamel phase leaves a large, badly fragmented major heap
+   behind; without compacting first, the min-wall rows time GC pressure
+   instead of enumeration (observed 10-20x inflation on
+   allocation-heavy rows) *)
 let fresh_heap () = Gc.compact ()
 
 (* the overhead gate's baselines: same rows, min-wall methodology,
@@ -794,10 +775,10 @@ let run_serve () =
   merge_bench_json "BENCH.json" rows;
   print_endline "BENCH.json updated"
 
-(* --quick: CI smoke mode. Skips the paper experiments and runs a tiny
-   benchmark subset with a minimal quota, without touching BENCH.json —
-   it exists to prove the binary links and the hot paths execute, not to
-   produce publishable numbers. *)
+(* --quick: CI smoke mode. Runs a tiny benchmark subset with a minimal
+   quota, without touching BENCH.json — it exists to prove the binary
+   links and the hot paths execute, not to produce publishable
+   numbers. *)
 let run_quick () =
   print_endline "=== bench smoke (--quick) ===";
   let ols =
@@ -829,8 +810,4 @@ let () =
     if Array.exists (fun a -> a = "--assert-overhead") Sys.argv then
       assert_overhead ()
   end
-  else begin
-    Experiments.run_all ();
-    run_benchmarks ();
-    print_endline "\nall experiments completed"
-  end
+  else run_benchmarks ()

@@ -83,9 +83,7 @@ val bad_sends : t -> (int * int * string) list
 (** Sends addressed outside the system or to the sender itself. *)
 
 val rule_errors : t -> (int * string) list
-(** Rules that raised during probing (e.g.
-    {!Hpl_core.Spec_algebra.parallel} cross-boundary violations), with
-    the exception text. *)
+(** Rules that raised during probing, with the exception text. *)
 
 val without_channels : t -> (int * int) list -> t
 (** The graph with the given delivered edges removed — "what if these

@@ -2,8 +2,8 @@
 
     A computation delivers causally when no process receives [m2]
     before [m1] if [send m1 ⤳ send m2] and both are addressed to it —
-    the Birman–Schiper–Stephenson condition expressed with the
-    vector timestamps of {!Vector}. Causal delivery bounds how
+    the Birman–Schiper–Stephenson condition expressed with the vector
+    timestamps of {!Hpl_core.Causality}. Causal delivery bounds how
     "out of order" learning can be: it is the weakest delivery rule
     under which a process's knowledge grows monotonically along every
     sender's causal history. *)

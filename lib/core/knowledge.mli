@@ -55,8 +55,8 @@ val unsure : Universe.t -> Pset.t -> Prop.t -> Prop.t
 
     How much of a predicate's knowledge extent survives a fault model?
     The comparison enumerates the same spec twice — untransformed and
-    through a fault transformer (e.g. {!Spec_algebra}-style functions
-    from the [Hpl_faults] library) — and compares how prevalent
+    through a fault transformer (a [Spec.t -> Spec.t] function such as
+    those of the [Hpl_faults] library) — and compares how prevalent
     [P knows b] is in each universe. *)
 
 type verdict =

@@ -5,10 +5,9 @@
     gained — the coordinated-attack impossibility. The base engine only
     models perfect executions; this layer injects faults {e without
     changing the engine}: every fault model is a [Spec.t -> Spec.t]
-    transformer in the style of {!Hpl_core.Spec_algebra}, producing an
-    ordinary generative spec whose universes stay prefix-closed, so
-    {!Hpl_core.Universe.enumerate} and the whole knowledge stack apply
-    unmodified.
+    transformer producing an ordinary generative spec whose universes
+    stay prefix-closed, so {!Hpl_core.Universe.enumerate} and the whole
+    knowledge stack apply unmodified.
 
     {2 Semantics choices}
 
@@ -72,8 +71,7 @@ val crash_any : upto:int -> Spec.t -> Spec.t
     internal {!crash_tag} event, after which it enables nothing. At
     most [upto] processes crash in any computation. A process that
     already enables nothing gains no crash event (an unobservable
-    crash), which keeps finite systems finite and makes the transformer
-    commute with {!Hpl_core.Spec_algebra.bound_events}. Raises
+    crash), which keeps finite systems finite. Raises
     [Invalid_argument] unless [0 <= upto <= n]. *)
 
 val crash_recover : pid:Pid.t -> after:int -> upto:int -> Spec.t -> Spec.t

@@ -7,7 +7,7 @@
     non-FIFO mode supplies the adversary); the delivery order never
     does.
 
-    This is the operational complement to {!Hpl_clocks.Causal_order}:
+    This is the operational complement to [Hpl_clocks.Causal_order]:
     the checker says whether a run happened to be causal, this protocol
     {e makes} it causal — paying buffering (reported) instead of
     messages, a different point on the paper's information-flow

@@ -1,128 +1,9 @@
-(* Spec composition algebra and total-order broadcast. *)
-open Hpl_core
+(* Total-order broadcast. *)
 open Hpl_protocols
 
 let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
-
-let spec_a =
-  Spec.make ~n:1 (fun _ h -> if List.length h < 2 then [ Spec.Do "a" ] else [])
-
-let spec_b =
-  Spec.make ~n:2 (fun p h ->
-      if Pid.to_int p = 0 then
-        if h = [] then [ Spec.Send_to (Pid.of_int 1, "m") ] else []
-      else [ Spec.Recv_any ])
-
-(* -- parallel ---------------------------------------------------------- *)
-
-let test_parallel_product_law () =
-  (* canonical universes of independent systems multiply *)
-  let pairs =
-    [
-      (spec_a, spec_b);
-      (spec_b, spec_a);
-      (Fixtures.ticks ~n:2 ~k:1, spec_b);
-      (spec_a, spec_a);
-    ]
-  in
-  List.iter
-    (fun (a, b) ->
-      let ab = Spec_algebra.parallel a b in
-      let ua = Universe.enumerate a ~depth:12 in
-      let ub = Universe.enumerate b ~depth:12 in
-      let uab = Universe.enumerate ab ~depth:12 in
-      check tint "product law" (Universe.size ua * Universe.size ub)
-        (Universe.size uab))
-    pairs
-
-let test_parallel_preserves_validity () =
-  let ab = Spec_algebra.parallel spec_a spec_b in
-  let u = Universe.enumerate ~mode:`Full ab ~depth:6 in
-  Universe.iter (fun _ z -> check tbool "valid" true (Spec.valid ab z)) u
-
-let test_parallel_knowledge_independence () =
-  (* knowledge about component A is unaffected by composing with B:
-     p0's knowledge of its own progress is identical in A and A∥B *)
-  let ab = Spec_algebra.parallel spec_a spec_b in
-  let ua = Universe.enumerate ~mode:`Full spec_a ~depth:6 in
-  let uab = Universe.enumerate ~mode:`Full ab ~depth:6 in
-  let p0 = Pid.of_int 0 in
-  let b = Prop.local_event_count p0 (fun k -> k >= 1) "a moved" in
-  let ka = Knowledge.knows uab (Pset.singleton p0) b in
-  (* for every composite computation, knowledge matches the projection
-     evaluated in A's own universe *)
-  Universe.iter
-    (fun _ z ->
-      let za = Trace.of_list (Trace.proj z p0) in
-      let ka_pure = Knowledge.knows ua (Pset.singleton p0) b in
-      check tbool "independent" (Prop.eval ka_pure za) (Prop.eval ka z))
-    uab
-
-let test_parallel_rejects_cross_talk () =
-  (* a component that addresses a process outside itself is caught, and
-     the error names the offending pid and payload *)
-  let rogue =
-    Spec.make ~n:1 (fun _ h ->
-        if h = [] then [ Spec.Send_to (Pid.of_int 1, "out") ] else [])
-  in
-  let ab = Spec_algebra.parallel rogue spec_a in
-  let msg =
-    try
-      ignore (Universe.enumerate ab ~depth:2);
-      "no exception raised"
-    with Invalid_argument m -> m
-  in
-  let contains needle =
-    let nl = String.length needle and ml = String.length msg in
-    let rec go i = i + nl <= ml && (String.sub msg i nl = needle || go (i + 1)) in
-    go 0
-  in
-  check tbool "names the sender" true (contains "p0");
-  check tbool "names the payload" true (contains {|"out"|});
-  check tbool "names the bad destination" true (contains "p1")
-
-(* -- restrict / bound / rename ------------------------------------------- *)
-
-let test_restrict () =
-  let no_sends =
-    Spec_algebra.restrict Fixtures.ping_pong (fun _ i ->
-        match i with Spec.Send_to _ -> false | _ -> true)
-  in
-  let u = Universe.enumerate no_sends ~depth:4 in
-  check tint "nothing can happen" 1 (Universe.size u)
-
-let test_bound_events () =
-  let bounded = Spec_algebra.bound_events Fixtures.flipper 2 in
-  let u = Universe.enumerate ~mode:`Canonical bounded ~depth:10 in
-  Universe.iter
-    (fun _ z ->
-      check tbool "per-process cap" true
-        (Trace.local_length z Fixtures.p0 <= 2
-        && Trace.local_length z Fixtures.p1 <= 2))
-    u;
-  (* and the system is now inherently finite: deeper enumeration is a
-     fixpoint *)
-  let u' = Universe.enumerate ~mode:`Canonical bounded ~depth:20 in
-  check tint "finite" (Universe.size u) (Universe.size u')
-
-let test_rename_payloads () =
-  let tagged = Spec_algebra.rename_payloads Fixtures.one_msg (fun s -> "sys1/" ^ s) in
-  let u = Universe.enumerate ~mode:`Full tagged ~depth:4 in
-  Universe.iter
-    (fun _ z ->
-      List.iter
-        (fun m ->
-          check tbool "payload tagged" true
-            (String.length m.Msg.payload > 5 && String.sub m.Msg.payload 0 5 = "sys1/"))
-        (Trace.sent z))
-    u;
-  (* same shape as the original *)
-  let u0 = Universe.enumerate ~mode:`Full Fixtures.one_msg ~depth:4 in
-  check tint "isomorphic size" (Universe.size u0) (Universe.size u)
-
-(* -- total order ------------------------------------------------------------ *)
 
 let test_total_order_identical () =
   List.iter
@@ -166,13 +47,6 @@ let test_total_order_respects_origin_fifo () =
 
 let suite =
   [
-    ("parallel product law", `Quick, test_parallel_product_law);
-    ("parallel validity", `Quick, test_parallel_preserves_validity);
-    ("parallel knowledge independence", `Quick, test_parallel_knowledge_independence);
-    ("parallel rejects cross-talk", `Quick, test_parallel_rejects_cross_talk);
-    ("restrict", `Quick, test_restrict);
-    ("bound_events", `Quick, test_bound_events);
-    ("rename_payloads", `Quick, test_rename_payloads);
     ("total order identical", `Quick, test_total_order_identical);
     ("total order buffers gaps", `Quick, test_total_order_gaps_buffered);
     ("total order message cost", `Quick, test_total_order_message_cost);

@@ -1,4 +1,4 @@
-(* Logical clocks: Lamport, vector, matrix, causal delivery. *)
+(* Causal and FIFO delivery checks. *)
 open Hpl_core
 open Hpl_clocks
 
@@ -23,221 +23,6 @@ let relay =
       Event.receive ~pid:p2 ~lseq:0 m12;
       Event.internal ~pid:p2 ~lseq:1 "t";
     ]
-
-(* -- lamport ---------------------------------------------------------- *)
-
-let test_lamport_online () =
-  let c = Lamport.create () in
-  check tint "initial" 0 (Lamport.now c);
-  check tint "tick" 1 (Lamport.tick c);
-  check tint "send" 2 (Lamport.send c);
-  check tint "observe ahead" 11 (Lamport.observe c 10);
-  check tint "observe behind" 12 (Lamport.observe c 3)
-
-let test_lamport_stamp () =
-  let stamped = Lamport.stamp_trace ~n:3 relay in
-  let ts = List.map snd stamped in
-  check Alcotest.(list int) "timestamps" [ 1; 2; 3; 4; 5 ] ts
-
-let test_lamport_consistency () =
-  check tbool "relay consistent" true (Lamport.consistent_with_causality ~n:3 relay);
-  (* also on traces with concurrency *)
-  let z =
-    Trace.of_list
-      [ Event.internal ~pid:p0 ~lseq:0 "a"; Event.internal ~pid:p1 ~lseq:0 "b" ]
-  in
-  check tbool "concurrent consistent" true (Lamport.consistent_with_causality ~n:2 z)
-
-(* -- vector ------------------------------------------------------------ *)
-
-let test_vector_online () =
-  let c = Vector.create ~n:3 ~me:p1 in
-  check Alcotest.(array int) "initial" [| 0; 0; 0 |] (Vector.read c);
-  check Alcotest.(array int) "tick" [| 0; 1; 0 |] (Vector.tick c);
-  let merged = Vector.observe c [| 4; 0; 1 |] in
-  check Alcotest.(array int) "observe" [| 4; 2; 1 |] merged
-
-let test_vector_comparisons () =
-  check tbool "leq" true (Vector.leq [| 1; 2 |] [| 1; 3 |]);
-  check tbool "not leq" false (Vector.leq [| 2; 2 |] [| 1; 3 |]);
-  check tbool "lt strict" true (Vector.lt [| 1; 2 |] [| 1; 3 |]);
-  check tbool "not lt self" false (Vector.lt [| 1; 2 |] [| 1; 2 |]);
-  check tbool "concurrent" true (Vector.concurrent [| 1; 0 |] [| 0; 1 |])
-
-let test_vector_stamp_matches_causality_engine () =
-  let stamped = Vector.stamp_trace ~n:3 relay in
-  let cts = Causality.compute ~n:3 relay in
-  List.iteri
-    (fun i (_, v) ->
-      check Alcotest.(array int) "agrees with Causality.vt" (Causality.vt cts i) v)
-    stamped
-
-let test_vector_characterizes () =
-  check tbool "relay" true (Vector.characterizes_causality ~n:3 relay);
-  let z =
-    Trace.of_list
-      [ Event.internal ~pid:p0 ~lseq:0 "a"; Event.internal ~pid:p1 ~lseq:0 "b" ]
-  in
-  check tbool "concurrent trace" true (Vector.characterizes_causality ~n:2 z)
-
-let test_vector_property_random () =
-  (* exactness on all computations of a chatter universe *)
-  let u = Universe.enumerate ~mode:`Full (Fixtures.chatter ~n:3 ~k:2) ~depth:4 in
-  Universe.iter
-    (fun _ z ->
-      check tbool "characterizes" true (Vector.characterizes_causality ~n:3 z))
-    u
-
-(* -- matrix ------------------------------------------------------------ *)
-
-let test_matrix_relay_second_order () =
-  let stamped = Matrix.stamp_trace ~n:3 relay in
-  (* after p2 receives the relayed message, p2 knows p1 has seen p0's
-     send: entry (p1, p0) ≥ 1 in p2's matrix *)
-  let _, m_at_recv2 = List.nth stamped 3 in
-  check tbool "p2 knows p1 knows p0 sent" true (m_at_recv2.(1).(0) >= 1);
-  (* and p2's own view includes p0's send *)
-  check tbool "p2 knows p0 sent" true (m_at_recv2.(2).(0) >= 1)
-
-let test_matrix_online_api () =
-  let c = Matrix.create ~n:2 ~me:p0 in
-  Matrix.tick c;
-  check tint "own count" 1 (Matrix.knows_count c ~about:p0);
-  check tint "other zero" 0 (Matrix.knows_count c ~about:p1);
-  let payload = Matrix.send c in
-  let d = Matrix.create ~n:2 ~me:p1 in
-  Matrix.observe d ~src:p0 payload;
-  check tbool "d absorbed" true (Matrix.knows_count d ~about:p0 >= 2);
-  check tbool "second order" true (Matrix.knows_that_knows d ~mid:p0 ~about:p0 >= 2)
-
-let prefix_upto z i =
-  Trace.of_list (List.filteri (fun j _ -> j <= i) (Trace.to_list z))
-
-let test_matrix_veridical () =
-  (* matrix entries never exceed the true event counts of the run —
-     soundness w.r.t. the actual computation *)
-  let u = Universe.enumerate ~mode:`Full (Fixtures.chatter ~n:2 ~k:2) ~depth:4 in
-  Universe.iter
-    (fun _ z ->
-      let stamped = Matrix.stamp_trace ~n:2 z in
-      List.iteri
-        (fun i (_, m) ->
-          let prefix = prefix_upto z i in
-          List.iter
-            (fun (q, r) ->
-              check tbool "entry ≤ truth" true
-                (m.(Pid.to_int q).(Pid.to_int r)
-                 <= Trace.local_length prefix r))
-            [ (p0, p1); (p1, p0); (p0, p0); (p1, p1) ])
-        stamped)
-    u
-
-let test_matrix_overclaims_knowledge () =
-  (* regression for a theory point: causal history is NOT the paper's
-     knowledge when message existence does not entail sender history.
-     In chatter, p1's matrix after receiving p0's reply says p0 ran ≥2
-     events, but an isomorphic computation exists where p0 sent without
-     first receiving — so exact knowledge denies it. *)
-  let spec = Fixtures.chatter ~n:2 ~k:2 in
-  let u = Universe.enumerate ~mode:`Full spec ~depth:4 in
-  let c1 = Msg.make ~src:p1 ~dst:p0 ~seq:0 ~payload:"c" in
-  let c2 = Msg.make ~src:p0 ~dst:p1 ~seq:0 ~payload:"c" in
-  let z =
-    Trace.of_list
-      [
-        Event.send ~pid:p1 ~lseq:0 c1;
-        Event.receive ~pid:p0 ~lseq:0 c1;
-        Event.send ~pid:p0 ~lseq:1 c2;
-        Event.receive ~pid:p1 ~lseq:1 c2;
-      ]
-  in
-  check tbool "z valid" true (Spec.valid spec z);
-  let stamped = Matrix.stamp_trace ~n:2 z in
-  let _, m = List.nth stamped 3 in
-  check tint "matrix claims p0 ≥ 2" 2 m.(1).(0);
-  let b = Prop.local_event_count p0 (fun c -> c >= 2) "p0 ran ≥2" in
-  check tbool "exact knowledge denies" false
-    (Prop.eval (Knowledge.knows u (Pset.singleton p1) b) z)
-
-let test_matrix_exact_under_full_information () =
-  (* with full-information payloads, a received message pins down the
-     sender's history, so every matrix claim is exact knowledge *)
-  let spec = Fixtures.full_info ~n:2 ~k:2 in
-  let u = Universe.enumerate ~mode:`Full spec ~depth:4 in
-  Universe.iter
-    (fun _ z ->
-      let stamped = Matrix.stamp_trace ~n:2 z in
-      List.iteri
-        (fun i (e, m) ->
-          let prefix = prefix_upto z i in
-          let who = e.Event.pid in
-          List.iter
-            (fun about ->
-              let k = m.(Pid.to_int who).(Pid.to_int about) in
-              if k > 0 then begin
-                let b =
-                  Prop.local_event_count about
-                    (fun c -> c >= k)
-                    (Printf.sprintf "%s ran ≥%d" (Pid.to_string about) k)
-                in
-                let kp = Knowledge.knows u (Pset.singleton who) b in
-                check tbool "matrix exact under full info" true
-                  (Prop.eval kp prefix)
-              end)
-            [ p0; p1 ])
-        stamped)
-    u
-
-(* -- dependency clocks -------------------------------------------------- *)
-
-let test_dependency_online_api () =
-  let c = Dependency.create ~n:3 ~me:p1 in
-  check tint "tick" 1 (Dependency.tick c);
-  check tint "send" 2 (Dependency.send c);
-  check tint "observe" 3 (Dependency.observe c ~src:p0 5);
-  check Alcotest.(array int) "vector" [| 5; 3; 0 |] (Dependency.read c)
-
-let test_dependency_reconstructs_relay () =
-  let hb = Dependency.reconstruct ~n:3 relay in
-  let ts = Causality.compute ~n:3 relay in
-  for i = 0 to 4 do
-    for j = 0 to 4 do
-      check tbool
-        (Printf.sprintf "agrees at %d,%d" i j)
-        (Causality.hb ts i j) (hb i j)
-    done
-  done
-
-let test_dependency_exact_on_universe () =
-  (* offline closure = full causality on all computations of a rich
-     universe — the cheap-online/exact-offline claim *)
-  let u = Universe.enumerate ~mode:`Full (Fixtures.chatter ~n:3 ~k:2) ~depth:4 in
-  Universe.iter
-    (fun _ z ->
-      let len = Trace.length z in
-      if len > 0 then begin
-        let hb = Dependency.reconstruct ~n:3 z in
-        let ts = Causality.compute ~n:3 z in
-        for i = 0 to len - 1 do
-          for j = 0 to len - 1 do
-            if Causality.hb ts i j <> hb i j then
-              Alcotest.failf "mismatch %d,%d on %s" i j (Trace.to_string z)
-          done
-        done
-      end)
-    u
-
-let test_dependency_vectors_below_full () =
-  (* direct-dependency entries never exceed the vector-clock entries:
-     they are a lossy compression of the same information *)
-  let stamped_dep = Dependency.stamp_trace ~n:3 relay in
-  let stamped_vec = Vector.stamp_trace ~n:3 relay in
-  List.iter2
-    (fun (_, dv) (_, vv) ->
-      Array.iteri
-        (fun q x -> check tbool "dep ≤ vec" true (x <= vv.(q)))
-        dv)
-    stamped_dep stamped_vec
 
 (* -- causal delivery --------------------------------------------------- *)
 
@@ -284,23 +69,6 @@ let test_fifo_violation () =
 
 let suite =
   [
-    ("lamport online", `Quick, test_lamport_online);
-    ("lamport stamping", `Quick, test_lamport_stamp);
-    ("lamport consistency", `Quick, test_lamport_consistency);
-    ("vector online", `Quick, test_vector_online);
-    ("vector comparisons", `Quick, test_vector_comparisons);
-    ("vector = causality engine", `Quick, test_vector_stamp_matches_causality_engine);
-    ("vector characterizes hb", `Quick, test_vector_characterizes);
-    ("vector exactness on universe", `Quick, test_vector_property_random);
-    ("matrix second order", `Quick, test_matrix_relay_second_order);
-    ("matrix online api", `Quick, test_matrix_online_api);
-    ("matrix veridical", `Quick, test_matrix_veridical);
-    ("matrix overclaims vs knowledge", `Quick, test_matrix_overclaims_knowledge);
-    ("matrix exact under full info", `Slow, test_matrix_exact_under_full_information);
-    ("dependency online api", `Quick, test_dependency_online_api);
-    ("dependency reconstructs relay", `Quick, test_dependency_reconstructs_relay);
-    ("dependency exact on universe", `Quick, test_dependency_exact_on_universe);
-    ("dependency ≤ vector", `Quick, test_dependency_vectors_below_full);
     ("causal delivery holds", `Quick, test_causal_delivery_holds);
     ("causal delivery violation", `Quick, test_causal_delivery_violation);
     ("fifo violation", `Quick, test_fifo_violation);

@@ -33,9 +33,7 @@ let test_relay () =
   check tint "4 events" 4 (Trace.length z);
   check tbool "wf" true (Trace.well_formed z);
   check tbool "chain p0->p2" true
-    (Chain.exists ~n:3 ~z (Chain.of_pids [ Pid.of_int 0; Pid.of_int 2 ]));
-  check tbool "vector clocks exact" true
-    (Hpl_clocks.Vector.characterizes_causality ~n:3 z)
+    (Chain.exists ~n:3 ~z (Chain.of_pids [ Pid.of_int 0; Pid.of_int 2 ]))
 
 let test_ds_termination () =
   let z = load "ds_termination.trace" in

@@ -100,39 +100,6 @@ let test_gossip_with_losses_chains_still_hold () =
              [ Pset.singleton (Pid.of_int 0); Pset.singleton (Pid.of_int i) ]))
     (Gossip.informed_positions ~n:8 z)
 
-(* -- kprogram with formula guards ------------------------------------------ *)
-
-let test_formula_guard () =
-  let p0 = Pid.of_int 0 and p1 = Pid.of_int 1 in
-  let sent = Prop.make "sent" (fun z -> Trace.send_count z p0 > 0) in
-  let env = function "sent" -> Some sent | _ -> None in
-  let guard =
-    Result.get_ok
-      (Kprogram.guard_of_formula env (Result.get_ok (Formula.parse "K p1 sent")))
-  in
-  let prog : Kprogram.t =
-   fun p history ->
-    if Pid.equal p p0 then
-      if history = [] then
-        [ { Kprogram.guard = Kprogram.gtrue; intent = Spec.Send_to (p1, "ping") } ]
-      else [ { Kprogram.guard = Kprogram.gtrue; intent = Spec.Recv_any } ]
-    else
-      let acked = List.exists Event.is_send history in
-      [ { Kprogram.guard = Kprogram.gtrue; intent = Spec.Recv_any } ]
-      @
-      if acked then []
-      else [ { Kprogram.guard; intent = Spec.Send_to (p0, "ack") } ]
-  in
-  match Kprogram.solve ~n:2 ~depth:4 prog with
-  | Ok sol ->
-      Universe.iter
-        (fun _ z ->
-          match Trace.proj z p1 with
-          | first :: _ when Event.is_send first -> Alcotest.fail "ack before knowing"
-          | _ -> ())
-        sol.Kprogram.universe
-  | Error e -> Alcotest.fail e
-
 let suite =
   [
     ("solo universe", `Quick, test_solo_universe);
@@ -144,5 +111,4 @@ let suite =
     ("DS sound under loss", `Quick, test_ds_with_losses_sound_maybe_undetected);
     ("heartbeat drops suspect", `Quick, test_heartbeat_with_drops_false_suspicions);
     ("gossip chains under loss", `Quick, test_gossip_with_losses_chains_still_hold);
-    ("formula guards compile", `Quick, test_formula_guard);
   ]

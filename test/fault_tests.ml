@@ -94,33 +94,6 @@ let test_crash_any_zero_is_identity () =
   let u1 = Universe.enumerate s ~depth:6 in
   check tbool "same universe" true (same_universe u0 u1)
 
-(* -- commutation with the spec algebra ----------------------------------- *)
-
-let test_crash_any_commutes_with_bound () =
-  let base = Fixtures.chatter ~n:3 ~k:4 in
-  let fb = Spec_algebra.bound_events (Faults.crash_any ~upto:2 base) 3 in
-  let bf = Faults.crash_any ~upto:2 (Spec_algebra.bound_events base 3) in
-  let u1 = Universe.enumerate fb ~depth:6 in
-  let u2 = Universe.enumerate bf ~depth:6 in
-  check tbool "fault-then-bound = bound-then-fault" true (same_universe u1 u2)
-
-let test_crash_stop_commutes_with_bound () =
-  let base = Fixtures.chatter ~n:2 ~k:4 in
-  let fb = Spec_algebra.bound_events (Faults.crash_stop ~pid:p1 ~after:2 base) 3 in
-  let bf = Faults.crash_stop ~pid:p1 ~after:2 (Spec_algebra.bound_events base 3) in
-  let u1 = Universe.enumerate fb ~depth:6 in
-  let u2 = Universe.enumerate bf ~depth:6 in
-  check tbool "fault-then-bound = bound-then-fault" true (same_universe u1 u2)
-
-let test_crash_stop_commutes_with_restrict () =
-  let base = Fixtures.chatter ~n:2 ~k:4 in
-  let keep _p = function Spec.Do "idle" -> false | _ -> true in
-  let fr = Spec_algebra.restrict (Faults.crash_stop ~pid:p0 ~after:2 base) keep in
-  let rf = Faults.crash_stop ~pid:p0 ~after:2 (Spec_algebra.restrict base keep) in
-  let u1 = Universe.enumerate fr ~depth:5 in
-  let u2 = Universe.enumerate rf ~depth:5 in
-  check tbool "fault-then-restrict = restrict-then-fault" true (same_universe u1 u2)
-
 (* -- lossy channels ------------------------------------------------------ *)
 
 let test_lossy_routes_through_daemon () =
@@ -470,9 +443,6 @@ let suite =
     ("crash_stop validates", `Quick, test_crash_stop_rejects_bad_args);
     ("crash_any visible+silencing", `Quick, test_crash_any_visible_and_silencing);
     ("crash_any upto 0 = id", `Quick, test_crash_any_zero_is_identity);
-    ("crash_any x bound commute", `Quick, test_crash_any_commutes_with_bound);
-    ("crash_stop x bound commute", `Quick, test_crash_stop_commutes_with_bound);
-    ("crash_stop x restrict commute", `Quick, test_crash_stop_commutes_with_restrict);
     ("lossy routes via daemon", `Quick, test_lossy_routes_through_daemon);
     ("lossy endpoint ignorance", `Quick, test_lossy_endpoint_ignorance);
     ("lossy view restores shape", `Quick, test_lossy_view_is_fault_free_shaped);

@@ -126,12 +126,6 @@ let all_sent n =
         (fun i -> Trace.send_count z (Pid.of_int i) > 0)
         (List.init n Fun.id))
 
-(* p0 flips a local bit (internal events "flip"), forever up to depth;
-   p1 ticks. Used for local-predicate tests. *)
-let flipper =
-  Spec.make ~n:2 (fun p _history ->
-      if Pid.equal p p0 then [ Spec.Do "flip" ] else [ Spec.Do "tick" ])
-
 (* Nondeterministic chatter among n processes: every process may send a
    message to its right neighbour or do an internal step, up to [k]
    local events. Produces rich universes for property tests. *)
@@ -141,18 +135,6 @@ let chatter ~n ~k =
       else
         let right = Pid.of_int ((Pid.to_int p + 1) mod n) in
         [ Spec.Send_to (right, "c"); Spec.Do "idle"; Spec.Recv_any ])
-
-(* Full-information chatter: like [chatter], but every message payload
-   encodes the sender's entire local history, so receiving a message
-   pins down the sender's computation exactly. Under this protocol,
-   causal history and knowledge coincide (see clocks_tests). *)
-let full_info ~n ~k =
-  let encode history = String.concat ";" (List.map Event.to_string history) in
-  Spec.make ~n (fun p history ->
-      if List.length history >= k then []
-      else
-        let right = Pid.of_int ((Pid.to_int p + 1) mod n) in
-        [ Spec.Send_to (right, encode history); Spec.Do "idle"; Spec.Recv_any ])
 
 (* A family of random finite systems: each process follows a seeded
    script of intent menus — at local step k it may offer a send to a

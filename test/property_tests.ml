@@ -140,10 +140,6 @@ let props =
           done
         done;
         !ok);
-    t "vector clocks characterize hb" 200 gen_spec_trace (fun (_, _, n, z) ->
-        Hpl_clocks.Vector.characterizes_causality ~n z);
-    t "lamport consistent with hb" 200 gen_spec_trace (fun (_, _, n, z) ->
-        Hpl_clocks.Lamport.consistent_with_causality ~n z);
     (* -- chains ------------------------------------------------------- *)
     t "naive chain = dp chain" 300 gen_trace_with_psets
       (fun (_, _, n, z, psets) ->
