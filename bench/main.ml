@@ -23,10 +23,10 @@ let chatter ~n ~k =
 let knows_bench ~depth =
   let u = Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth in
   let sent = Prop.make "sent" (fun z -> Trace.send_count z p0 > 0) in
+  let ext = Prop.extent u sent in
   let name = Printf.sprintf "knows/U=%d" (Universe.size u) in
   Test.make ~name
-    (Staged.stage (fun () ->
-         ignore (Prop.extent u (Knowledge.knows u (Pset.singleton p0) sent))))
+    (Staged.stage (fun () -> ignore (Knowledge.knows_ext u (Pset.singleton p0) ext)))
 
 let knows_naive_bench ~depth =
   let u = Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth in
@@ -194,8 +194,9 @@ let lint_vs_enumerate_bench which ~depth =
         (Staged.stage (fun () ->
              let u = Universe.enumerate ~mode:`Canonical spec ~depth in
              ignore
-               (Prop.extent u
-                  (Knowledge.knows u (Pset.singleton (Pid.of_int 1)) sent))))
+               (Knowledge.knows_ext u
+                  (Pset.singleton (Pid.of_int 1))
+                  (Prop.extent u sent))))
 
 (* a function, not a top-level value: several of these tests capture
    prebuilt universes, and keeping them live for the whole process

@@ -27,19 +27,16 @@ let has_drop z =
       | _ -> false)
     (Trace.to_list z)
 
-let attainable u prop =
-  Universe.fold (fun _ z acc -> acc || Prop.eval prop z) u false
-
 let ladder_row u ~view k =
   (* E^k along the A/B alternation, atoms evaluated through [view] *)
   let base = Prop.make "attack" (fun z -> Prop.eval attack (view z)) in
   let rec build i =
-    if i = 0 then base
+    if i = 0 then Prop.extent u base
     else
       let who = if i mod 2 = 1 then b else a in
-      Knowledge.knows u (Pset.singleton who) (build (i - 1))
+      Knowledge.knows_ext u (Pset.singleton who) (build (i - 1))
   in
-  attainable u (build k)
+  not (Bitset.is_empty (build k))
 
 let () =
   Format.printf "== Coordinated attack: knowledge over a lossy channel ==@.@.";

@@ -32,12 +32,18 @@ let () =
   let u = Universe.enumerate system ~depth:4 in
   Format.printf "universe: %a@." Universe.pp_stats u;
 
-  (* 2. a predicate, and knowledge predicates built from it *)
+  (* 2. a predicate, and the extents of knowledge about it: the sets of
+     computations where bob knows it, and where alice knows bob does *)
   let said_hello =
     Prop.make "alice said hello" (fun z -> Trace.send_count z alice > 0)
   in
-  let bob_knows = Knowledge.knows_p u bob said_hello in
-  let alice_knows_bob_knows = Knowledge.knows_p u alice bob_knows in
+  let bob_knows =
+    Knowledge.knows_ext u (Pset.singleton bob) (Prop.extent u said_hello)
+  in
+  let alice_knows_bob_knows =
+    Knowledge.knows_ext u (Pset.singleton alice) bob_knows
+  in
+  let at ext z = Bitset.mem ext (Universe.find_exn u z) in
 
   (* 3. walk the canonical run and evaluate at each prefix *)
   let hello = Msg.make ~src:alice ~dst:bob ~seq:0 ~payload:"hello" in
@@ -72,8 +78,8 @@ let () =
   List.iter
     (fun (label, z) ->
       Format.printf "%-22s %-12b %-12b %-24b@." label
-        (Prop.eval said_hello z) (Prop.eval bob_knows z)
-        (Prop.eval alice_knows_bob_knows z))
+        (Prop.eval said_hello z) (at bob_knows z)
+        (at alice_knows_bob_knows z))
     run;
 
   (* 4. the knowledge-gain theorem at work: bob's learning required a
@@ -90,6 +96,6 @@ let () =
   | None -> Format.printf "@.no chain (unexpected)@.");
 
   (* 5. and common knowledge of the fact is never attained *)
-  let ck = Common_knowledge.common u said_hello in
+  let ck = Common_knowledge.common_ext u (Prop.extent u said_hello) in
   Format.printf "@.common knowledge ever attained: %b (the paper's corollary)@."
-    (Universe.fold (fun _ z acc -> acc || Prop.eval ck z) u false)
+    (not (Bitset.is_empty ck))

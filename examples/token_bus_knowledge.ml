@@ -28,19 +28,21 @@ let () =
   Format.printf "registered atoms: %s@.@."
     (String.concat " " (List.map fst (Protocol.atoms_of inst)));
 
-  (* the assertion, under its own name *)
+  (* the assertion's extent: the computations where it holds *)
   let assertion = Token_bus.paper_assertion u in
-  Format.printf "assertion: %a@.@." Prop.pp assertion;
+  Format.printf
+    "assertion: {r} knows ({q} knows ¬(p holds token) ∧ {s} knows ¬(t holds \
+     token))@.@.";
 
   (* check it wherever r holds *)
   let r = Pid.of_int 2 in
   let r_holds = Token_bus.holds r in
   let checked = ref 0 and ok = ref 0 in
   Universe.iter
-    (fun _ z ->
+    (fun i z ->
       if Prop.eval r_holds z then begin
         incr checked;
-        if Prop.eval assertion z then incr ok
+        if Bitset.mem assertion i then incr ok
       end)
     u;
   Format.printf "r holds the token in %d computations; assertion holds in %d@."
@@ -69,7 +71,7 @@ let () =
         (match Token_bus.holder_at ~n:5 z with
         | Some h -> Pid.to_string h
         | None -> "(in flight)")
-        (Prop.eval assertion z))
+        (Bitset.mem assertion (Universe.find_exn u z)))
     [ ("initial", z0); ("p -> q", z1); ("q -> r", z2) ];
 
   (* a small isomorphism diagram of the first computations, as DOT *)

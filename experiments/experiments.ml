@@ -318,7 +318,11 @@ let run_e7 () =
   let lemma3 = Local_pred.lemma3_constant u s0 s1 sent in
   let identical = Local_pred.identical_knowledge_constant u s0 s1 sent in
   let constant = Common_knowledge.constancy_holds u sent in
-  let ck_value = Prop.eval (Common_knowledge.common u sent) Trace.empty in
+  let sent_ext = Prop.extent u sent in
+  let ck_value =
+    Bitset.mem (Common_knowledge.common_ext u sent_ext)
+      (Universe.find_exn u Trace.empty)
+  in
   let iterations = Common_knowledge.iterations_to_fixpoint u sent in
   Printf.printf "  'sent' local to p0: %b  local to p1: %b\n" local0 local1;
   Printf.printf "  lemma 3 (disjoint locality => constant): %b\n" lemma3;
@@ -328,7 +332,7 @@ let run_e7 () =
   (* E^k approximation sizes *)
   let levels =
     List.init 5 (fun k ->
-        Bitset.cardinal (Prop.extent u (Common_knowledge.level u k sent)))
+        Bitset.cardinal (Group.e_iterate u (Spec.all ping_pong) k sent_ext))
   in
   Printf.printf "  |E^k(sent)| by depth k:";
   List.iteri (fun k size -> Printf.printf " k=%d:%d" k size) levels;
@@ -349,14 +353,14 @@ let run_e8 () =
   let assertion = Token_bus.paper_assertion u in
   let r_states = ref 0 and holds_all = ref true and non_r = ref 0 and holds_elsewhere = ref 0 in
   Universe.iter
-    (fun _ z ->
+    (fun i z ->
       if Prop.eval r_holds z then begin
         incr r_states;
-        if not (Prop.eval assertion z) then holds_all := false
+        if not (Bitset.mem assertion i) then holds_all := false
       end
       else begin
         incr non_r;
-        if Prop.eval assertion z then incr holds_elsewhere
+        if Bitset.mem assertion i then incr holds_elsewhere
       end)
     u;
   Printf.printf "  universe: %d computations (canonical, depth 10)\n" (Universe.size u);
@@ -369,7 +373,7 @@ let run_e8 () =
   claim "E8 assertion holds wherever r holds the token" !holds_all;
   claim_int "E8 assertion holds at 12 of the 39 others" ~expected:12 !holds_elsewhere;
   claim "E8 assertion fails at the empty computation"
-    (not (Prop.eval assertion Trace.empty))
+    (not (Bitset.mem assertion (Universe.find_exn u Trace.empty)))
 
 (* ---------------------------------------------------------------- E9 *)
 
@@ -389,6 +393,57 @@ let run_e9 () =
   claim "E9 deepest nested knowledge after k messages is k (k = 0..4)"
     (depths = List.init 5 Fun.id);
   claim "E9 CK(attack) never attained" ck_never;
+  (* Theorem 5 on the ladder: the k-deep nest (outermost first, B
+     innermost) is gained along a chain <B A B ...> of k events *)
+  let nest k =
+    List.init k (fun i -> Pset.singleton (if (k - i) mod 2 = 1 then p1 else p0))
+  in
+  let attack = Two_generals.attack_decided in
+  Printf.printf
+    "  ladder nest of depth k: the chain gaining it from ε to k delivered \
+     messages, and the (prefix, computation) pairs that gain it\n";
+  let gains =
+    List.map
+      (fun k ->
+        let psets = nest k in
+        let run = Two_generals.ladder_trace ~rounds:k in
+        let chain =
+          match
+            (Transfer.explain_gain u psets attack ~x:Trace.empty ~y:run)
+              .Transfer.chain
+          with
+          | Some events -> List.map (fun e -> e.Event.pid) events
+          | None -> []
+        in
+        let pairs = ref 0 and theorem5 = ref true in
+        Universe.iter
+          (fun j y ->
+            List.iter
+              (fun i ->
+                let x = Universe.comp u i in
+                if (Transfer.explain_gain u psets attack ~x ~y).Transfer.premise
+                then begin
+                  incr pairs;
+                  if not (Transfer.theorem5_gain u psets attack ~x ~y) then
+                    theorem5 := false
+                end)
+              (Universe.prefixes_of u j))
+          u;
+        Printf.printf "    k=%d  chain=<%s>  gained at %d pairs  Theorem 5 at all: %b\n"
+          k (String.concat " " (List.map Pid.to_string chain)) !pairs !theorem5;
+        (chain, !pairs, !theorem5))
+      [ 1; 2; 3; 4 ]
+  in
+  claim "E9 the k-deep ladder nest is gained along a k-event chain alternating B and A (k = 1..4)"
+    (List.for_all2
+       (fun k (chain, _, _) ->
+         List.equal Pid.equal chain
+           (List.init k (fun i -> if i mod 2 = 0 then p1 else p0)))
+       [ 1; 2; 3; 4 ] gains);
+  claim "E9 the k-deep nest is gained at 27, 21, 15, 9 (prefix, computation) pairs (k = 1..4)"
+    (List.map (fun (_, pairs, _) -> pairs) gains = [ 27; 21; 15; 9 ]);
+  claim "E9 Theorem 5 holds at every such gain"
+    (List.for_all (fun (_, _, ok) -> ok) gains);
   (* gossip at scale: rounds to knowledge *)
   Printf.printf "  gossip (push): n -> (all informed?, messages, t_all, t_depth2)\n";
   List.iter
@@ -538,9 +593,11 @@ let run_e12 () =
   Printf.printf "  change requires flipper to know tracker is unsure — silent: %b  notify: %b\n"
     known_silent known_notify;
   (* fraction of notify computations where the tracker is sure *)
-  let sure = Knowledge.sure notify (Pset.singleton p1) Tracking.bit in
+  let sure =
+    Knowledge.sure_ext notify (Pset.singleton p1) (Prop.extent notify Tracking.bit)
+  in
   let total = Universe.size notify in
-  let n_sure = Universe.fold (fun _ z acc -> if Prop.eval sure z then acc + 1 else acc) notify 0 in
+  let n_sure = Bitset.cardinal sure in
   Printf.printf "  notify protocol: tracker sure in %d / %d computations\n" n_sure total;
   claim "E12 silent: the tracker is unsure after every flip" unsure_after;
   claim "E12 the tracker is unsure while the bit changes (silent and notify)"
@@ -707,15 +764,17 @@ let run_e16 () =
   claim_int "E16 Ricart-Agrawala: 2(n-1) messages per entry"
     ~expected:(2 * (ra_n - 1) * sum ra.Ricart_agrawala.entries)
     ra.Ricart_agrawala.messages;
+  let reordering seed =
+    { Hpl_sim.Engine.default with fifo = false; max_delay = 40.0; seed }
+  in
   Printf.printf "  causal broadcast under reordering (delay 1..40, no FIFO):\n";
   let causal =
     List.for_all Fun.id
       (List.map
          (fun seed ->
-           let config =
-             { Hpl_sim.Engine.default with fifo = false; max_delay = 40.0; seed }
+           let o =
+             Causal_broadcast.run ~config:(reordering seed) Causal_broadcast.default
            in
-           let o = Causal_broadcast.run ~config Causal_broadcast.default in
            Printf.printf
              "    seed=%Ld  buffered=%2d/%d arrivals  causal-delivery=%b\n" seed
              o.Causal_broadcast.buffered_arrivals o.Causal_broadcast.delivered_total
@@ -724,11 +783,23 @@ let run_e16 () =
          [ 1L; 2L; 3L ])
   in
   claim "E16 causal broadcast delivers causally in every seed" causal;
-  let to_ = Total_order.run { Total_order.default with n = 4 } in
-  Printf.printf
-    "  total-order broadcast (sequencer): identical delivery order=%b  gaps buffered=%d\n"
-    to_.Total_order.identical_order to_.Total_order.gaps_buffered;
-  claim "E16 total-order broadcast: identical delivery order" to_.Total_order.identical_order;
+  Printf.printf "  total-order broadcast (sequencer), same network:\n";
+  let orders =
+    List.map
+      (fun seed ->
+        let o =
+          Total_order.run ~config:(reordering seed)
+            { Total_order.default with n = 4 }
+        in
+        Printf.printf "    seed=%Ld  identical delivery order=%b  gaps buffered=%d\n"
+          seed o.Total_order.identical_order o.Total_order.gaps_buffered;
+        o)
+      [ 1L; 2L; 3L ]
+  in
+  claim "E16 total-order broadcast: identical delivery order in every seed"
+    (List.for_all (fun o -> o.Total_order.identical_order) orders);
+  claim "E16 total-order broadcast: gaps buffered in every seed"
+    (List.for_all (fun o -> o.Total_order.gaps_buffered > 0) orders);
   (* possibly/definitely on a concurrent trace *)
   let pa = Pid.of_int 0 and pb = Pid.of_int 1 in
   let two_tickers =

@@ -15,29 +15,19 @@ let fixpoint u ext =
 
 let common_ext u ext = fst (fixpoint u ext)
 
-let common u b =
-  Prop.of_extent u
-    (Printf.sprintf "CK(%s)" (Prop.name b))
-    (common_ext u (Prop.extent u b))
-
-let rec level u k b =
-  if k <= 0 then b
-  else
-    let prev = Prop.extent u (level u (k - 1) b) in
-    let ck_k =
-      List.fold_left
-        (fun acc p ->
-          Bitset.inter acc (Knowledge.knows_ext u (Pset.singleton p) prev))
-        (Prop.extent u b)
-        (Spec.pids (Universe.spec u))
-    in
-    Prop.of_extent u (Printf.sprintf "E^%d(%s)" k (Prop.name b)) ck_k
-
-let attainable ?level:lvl u b =
-  let p = match lvl with None -> common u b | Some k -> level u k b in
-  not (Bitset.is_empty (Prop.extent u p))
+let attainable ?level u b =
+  let ext = Prop.extent u b in
+  let ck =
+    match level with
+    | None -> common_ext u ext
+    | Some k -> Group.e_iterate u (Spec.all (Universe.spec u)) k ext
+  in
+  not (Bitset.is_empty ck)
 
 let constancy_holds u b =
-  Spec.n (Universe.spec u) < 2 || Prop.is_constant u (common u b)
+  Spec.n (Universe.spec u) < 2
+  ||
+  let ck = common_ext u (Prop.extent u b) in
+  Bitset.is_empty ck || Bitset.cardinal ck = Universe.size u
 
 let iterations_to_fixpoint u b = snd (fixpoint u (Prop.extent u b))

@@ -1,22 +1,17 @@
-(** Common knowledge (§4.2).
+(** Common knowledge (§4.2), on extents.
 
     [b is common knowledge] is the greatest fixpoint of
     [ck = b ∧ ⋀p (p knows ck)]: [b] holds, everyone knows it, everyone
-    knows everyone knows it, and so on. The paper's corollary to
-    Lemma 3: in a system with more than one process, common knowledge
-    is {e constant} — it can be neither gained nor lost. Bench E7
+    knows everyone knows it, and so on. Its depth-[k] approximations
+    are {!Group.e_iterate} over [D]. The paper's corollary to Lemma 3:
+    in a system with more than one process, common knowledge is
+    {e constant} — it can be neither gained nor lost. Experiment E7
     exhibits this on concrete systems. *)
 
 val common_ext : Universe.t -> Bitset.t -> Bitset.t
-(** Greatest fixpoint, computed by iterating the (monotone, shrinking)
-    operator to stability. *)
-
-val common : Universe.t -> Prop.t -> Prop.t
-(** ["b is common knowledge"] as a predicate. *)
-
-val level : Universe.t -> int -> Prop.t -> Prop.t
-(** [level u k b] is the depth-[k] approximation: [b] for [k = 0],
-    [b ∧ ⋀p (p knows (level (k-1)))] otherwise. [common] is its limit. *)
+(** [common_ext u ext] is the extent of ["b is CK"] for [ext] the
+    extent of [b]: the greatest fixpoint, computed by iterating the
+    (monotone, shrinking) operator to stability. *)
 
 val attainable : ?level:int -> Universe.t -> Prop.t -> bool
 (** [attainable u b]: does ["b is CK"] hold at {e some} computation of
@@ -32,4 +27,4 @@ val constancy_holds : Universe.t -> Prop.t -> bool
 
 val iterations_to_fixpoint : Universe.t -> Prop.t -> int
 (** Number of operator applications until stability — a measure used by
-    bench E7. *)
+    experiment E7. *)

@@ -91,7 +91,7 @@ let loss u psets b ~x ~y =
           }
 
 let learning_moments u ps b z =
-  let k = Knowledge.knows u ps b in
+  let k = Knowledge.knows_ext u ps (Prop.extent u b) in
   let events = Trace.to_list z in
   let rec go prefix i value acc = function
     | [] -> List.rev acc
@@ -99,13 +99,13 @@ let learning_moments u ps b z =
         let prefix = Trace.snoc prefix e in
         let value' =
           match Universe.find u prefix with
-          | Some _ -> Prop.eval k prefix
+          | Some j -> Bitset.mem k j
           | None -> value (* beyond the universe: stop reporting *)
         in
         let acc = if value' <> value then (i, value') :: acc else acc in
         go prefix (i + 1) value' acc rest
   in
-  let initial = Prop.eval k Trace.empty in
+  let initial = Bitset.mem k (Universe.find_exn u Trace.empty) in
   go Trace.empty 0 initial [] events
 
 let pp fmt r =

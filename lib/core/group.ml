@@ -10,32 +10,14 @@ let someone_ext u g ext =
     g
     (Bitset.create (Universe.size u))
 
-let everyone u g b =
-  Prop.of_extent u
-    (Format.asprintf "E%a(%s)" Pset.pp g (Prop.name b))
-    (everyone_ext u g (Prop.extent u b))
-
-let someone u g b =
-  Prop.of_extent u
-    (Format.asprintf "S%a(%s)" Pset.pp g (Prop.name b))
-    (someone_ext u g (Prop.extent u b))
-
-let distributed = Knowledge.knows
-
-let rec e_iterate u g k b =
-  if k <= 0 then b
-  else
-    let prev = e_iterate u g (k - 1) b in
-    Prop.of_extent u
-      (Printf.sprintf "E^%d(%s)" k (Prop.name b))
-      (everyone_ext u g (Prop.extent u prev))
+let rec e_iterate u g k ext =
+  if k <= 0 then ext else everyone_ext u g (e_iterate u g (k - 1) ext)
 
 module Laws = struct
   let everyone_implies_distributed u g b =
+    let ext = Prop.extent u b in
     Pset.is_empty g
-    || Bitset.subset
-         (everyone_ext u g (Prop.extent u b))
-         (Prop.extent u (Knowledge.knows u g b))
+    || Bitset.subset (everyone_ext u g ext) (Knowledge.knows_ext u g ext)
 
   let someone_of_singleton u p b =
     let g = Pset.singleton p in
@@ -46,17 +28,16 @@ module Laws = struct
     Bitset.equal e s && Bitset.equal s d
 
   let distributed_monotone u g h b =
+    let ext = Prop.extent u b in
     (not (Pset.subset g h))
-    || Bitset.subset
-         (Prop.extent u (Knowledge.knows u g b))
-         (Prop.extent u (Knowledge.knows u h b))
+    || Bitset.subset (Knowledge.knows_ext u g ext) (Knowledge.knows_ext u h ext)
 
   let e_chain_decreasing u g bound b =
     let rec go k prev =
       if k > bound then true
       else
-        let cur = Prop.extent u (e_iterate u g k b) in
+        let cur = everyone_ext u g prev in
         Bitset.subset cur prev && go (k + 1) cur
     in
-    go 1 (Prop.extent u (e_iterate u g 0 b))
+    go 1 (Prop.extent u b)
 end

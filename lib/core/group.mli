@@ -1,39 +1,36 @@
-(** Group knowledge operators.
+(** Group knowledge operators, on extents.
 
     The paper's [P knows b] quantifies over [\[P\]] — the {e pooled}
     indistinguishability of the group, which epistemic logic calls
-    {e distributed knowledge}. Two other group modalities are standard
-    and definable in the same model:
+    {e distributed knowledge}: {!Knowledge.knows_ext} of the group. Two
+    other group modalities are standard and definable in the same model:
 
     - [everyone]: each member individually knows ([E_G b = ⋀ p knows b]);
     - [someone]: at least one member knows ([S_G b = ⋁ p knows b]).
 
-    Their relationships are theorems of the model (checked in the test
-    suite): [someone ⊆ everyone-on-singletons], [everyone ⊆ distributed]
-    (pooling can only help), iterating [everyone] strictly descends to
-    common knowledge ({!Common_knowledge}), and [distributed] knowledge
-    of a group equals the paper's [P knows]. *)
-
-val everyone : Universe.t -> Pset.t -> Prop.t -> Prop.t
-(** [everyone u g b]: every process in [g] knows [b]. For the empty
-    group this is [true] everywhere (empty conjunction). *)
-
-val someone : Universe.t -> Pset.t -> Prop.t -> Prop.t
-(** [someone u g b]: some process in [g] knows [b]. Empty group: [false]. *)
-
-val distributed : Universe.t -> Pset.t -> Prop.t -> Prop.t
-(** [distributed u g b] is exactly {!Knowledge.knows} — exposed under
-    its epistemic-logic name. *)
+    Like {!Knowledge.knows_ext}, each maps the extent of [b] to the
+    extent of the modality. Their relationships are theorems of the
+    model (checked in the test suite): [someone ⊆ everyone-on-singletons],
+    [everyone ⊆ distributed] (pooling can only help), and iterating
+    [everyone] strictly descends to common knowledge
+    ({!Common_knowledge}). *)
 
 val everyone_ext : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
+(** [everyone_ext u g ext]: every process in [g] knows [b], for [ext]
+    the extent of [b]. For the empty group this is every computation
+    (empty conjunction). *)
+
 val someone_ext : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
+(** [someone_ext u g ext]: some process in [g] knows [b]. Empty group:
+    no computation. *)
 
-val e_iterate : Universe.t -> Pset.t -> int -> Prop.t -> Prop.t
-(** [e_iterate u g k b] is [E_G^k b] — "everyone knows" iterated [k]
-    times ([k = 0] is [b]). Decreasing in [k]; its limit intersected
-    with [b] is common knowledge restricted to [g = D]. *)
+val e_iterate : Universe.t -> Pset.t -> int -> Bitset.t -> Bitset.t
+(** [e_iterate u g k ext] is the extent of [E_G^k b] — "everyone knows"
+    iterated [k] times ([k = 0] is [ext]). Decreasing in [k]; for
+    [g = D] its limit is common knowledge
+    ({!Common_knowledge.common_ext}). *)
 
-(** Decidable relationships, for tests and bench E6+. *)
+(** Decidable relationships, for the tests. *)
 module Laws : sig
   val everyone_implies_distributed : Universe.t -> Pset.t -> Prop.t -> bool
   (** [E_G b ⇒ D_G b] (pooling refines). *)

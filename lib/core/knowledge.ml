@@ -21,26 +21,11 @@ let knows_ext_naive u ps ext =
         u;
       !ok)
 
-let knows u ps b =
-  Prop.of_extent u
-    (Format.asprintf "%a knows %s" Pset.pp ps (Prop.name b))
-    (knows_ext u ps (Prop.extent u b))
-
-let knows_p u p b = knows u (Pset.singleton p) b
-
-let nested u psets b = List.fold_right (fun ps acc -> knows u ps acc) psets b
-
-let holds_at _u b x = Prop.eval b x
+let nested_ext u psets ext =
+  List.fold_right (fun ps acc -> knows_ext u ps acc) psets ext
 
 let sure_ext u ps ext =
   Bitset.union (knows_ext u ps ext) (knows_ext u ps (Bitset.complement ext))
-
-let sure u ps b =
-  Prop.of_extent u
-    (Format.asprintf "%a sure %s" Pset.pp ps (Prop.name b))
-    (sure_ext u ps (Prop.extent u b))
-
-let unsure u ps b = Prop.not_ (sure u ps b)
 
 (* -- robustness under faults ----------------------------------------- *)
 

@@ -2,10 +2,12 @@
 
     [(P knows b) at x ≡ ∀y. x \[P\] y ⇒ b at y]: [P] knows [b] when [b]
     holds at every computation [P] cannot distinguish from the actual
-    one. Over a bounded universe the quantifier is effective: [knows]
-    is a class-wise AND over the [\[P\]]-partition, computed in
-    O(universe) per application and returned as an ordinary predicate,
-    so nesting ([P knows Q knows b]) is function composition.
+    one. Over a bounded universe the quantifier is effective, and a
+    predicate is exactly its extent ({!Prop.extent}): [knows_ext] maps
+    the extent of [b] to the extent of [P knows b], a class-wise AND
+    over the [\[P\]]-partition computed in O(universe) per
+    application. Nesting ([P knows Q knows b]) is composition of these
+    maps ({!nested_ext}); "b at x" is membership of [x]'s index.
 
     The quantifier ranges over the stored computations. On a
     symmetry-reduced universe those are orbit representatives only, so
@@ -14,12 +16,13 @@
     (DESIGN.md §10).
 
     The {!Laws} submodule makes the paper's twelve knowledge facts and
-    Lemma 2 decidable; tests and bench E6 drive them over random
+    Lemma 2 decidable; tests and experiment E6 drive them over random
     universes and predicates. *)
 
 val knows_ext : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
-(** Extensional core: indices whose whole [\[P\]]-class lies in the
-    given extent. *)
+(** [knows_ext u p ext] is the extent of "[P] knows [b]" for [ext] the
+    extent of [b]: the indices whose whole [\[P\]]-class lies in
+    [ext]. *)
 
 val knows_ext_naive : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
 (** Reference implementation scanning all pairs with the trace-level
@@ -27,29 +30,15 @@ val knows_ext_naive : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
     O(size). Same answers (property-tested); kept for the P1 ablation
     bench. *)
 
-val knows : Universe.t -> Pset.t -> Prop.t -> Prop.t
-(** [knows u p b] is the predicate "[P] knows [b]". Evaluating it at a
-    computation outside [u] raises [Not_found]. *)
-
-val knows_p : Universe.t -> Pid.t -> Prop.t -> Prop.t
-(** Single-process convenience. *)
-
-val nested : Universe.t -> Pset.t list -> Prop.t -> Prop.t
-(** [nested u \[P1;…;Pn\] b] is "[P1] knows [P2] knows … [Pn] knows
-    [b]"; with the empty list it is [b] itself. *)
-
-val holds_at : Universe.t -> Prop.t -> Trace.t -> bool
-(** [holds_at u b x] evaluates [b] at [x] ("b at x"). *)
+val nested_ext : Universe.t -> Pset.t list -> Bitset.t -> Bitset.t
+(** [nested_ext u \[P1;…;Pn\] ext] is the extent of "[P1] knows [P2]
+    knows … [Pn] knows [b]" for [ext] the extent of [b]; with the empty
+    list it is [ext] itself. *)
 
 val sure_ext : Universe.t -> Pset.t -> Bitset.t -> Bitset.t
-(** Extensional [sure]: the union of {!knows_ext} of the extent and of
-    its complement. *)
-
-val sure : Universe.t -> Pset.t -> Prop.t -> Prop.t
-(** [(P sure b) at x ≡ (P knows b) at x ∨ (P knows ¬b) at x] (§4.2). *)
-
-val unsure : Universe.t -> Pset.t -> Prop.t -> Prop.t
-(** [¬ (P sure b)]. *)
+(** [(P sure b) at x ≡ (P knows b) at x ∨ (P knows ¬b) at x] (§4.2):
+    the union of {!knows_ext} of the extent and of its complement.
+    [P] is unsure of [b] on the complement. *)
 
 (** {1 Robustness under faults}
 

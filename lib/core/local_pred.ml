@@ -1,7 +1,11 @@
 let sure_ext u ps b = Knowledge.sure_ext u ps (Prop.extent u b)
+let knows_ext u ps b = Knowledge.knows_ext u ps (Prop.extent u b)
 
-let is_local u ps b =
-  Bitset.equal (sure_ext u ps b) (Bitset.create_full (Universe.size u))
+(* [P] is sure of the predicate whose extent is [ext] everywhere *)
+let is_local_ext u ps ext =
+  Bitset.equal (Knowledge.sure_ext u ps ext) (Bitset.create_full (Universe.size u))
+
+let is_local u ps b = is_local_ext u ps (Prop.extent u b)
 
 let lemma3_constant u p q b =
   let premise = Pset.disjoint p q && is_local u p b && is_local u q b in
@@ -34,21 +38,20 @@ module Facts = struct
 
   let fact4_knowledge_collapse u p q b =
     (not (is_local u p b))
-    || Bitset.equal
-         (Prop.extent u (Knowledge.knows u q b))
-         (Prop.extent u (Knowledge.knows u q (Knowledge.knows u p b)))
+    || Bitset.equal (knows_ext u q b)
+         (Knowledge.knows_ext u q (knows_ext u p b))
 
-  let fact5_knows_is_local u ps b = is_local u ps (Knowledge.knows u ps b)
+  let fact5_knows_is_local u ps b = is_local_ext u ps (knows_ext u ps b)
   let fact6_disjoint_constant = lemma3_constant
 
   let fact7_constants_local u ps c = is_local u ps (Prop.const c)
 
-  let fact8_sure_is_local u ps b = is_local u ps (Knowledge.sure u ps b)
+  let fact8_sure_is_local u ps b = is_local_ext u ps (sure_ext u ps b)
 end
 
 let identical_knowledge_constant u p q b =
-  let kp = Prop.extent u (Knowledge.knows u p b) in
-  let kq = Prop.extent u (Knowledge.knows u q b) in
+  let kp = knows_ext u p b in
+  let kq = knows_ext u q b in
   let premise = Pset.disjoint p q && Bitset.equal kp kq in
   (not premise)
   || Bitset.is_empty kp

@@ -45,9 +45,6 @@ let extent u b =
   let n = Universe.size u in
   Bitset.of_pred n (fun i -> b.eval (Universe.comp u i))
 
-let of_extent u name s =
-  make name (fun x -> Bitset.mem s (Universe.find_exn u x))
-
 let respects_interleaving u b =
   let n = Universe.size u in
   let ids = Universe.pset_class_ids u (Spec.all (Universe.spec u)) in

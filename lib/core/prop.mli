@@ -7,8 +7,10 @@
     {!respects_interleaving} checks this on a universe, and every
     combinator preserves it.
 
-    Predicates carry a name so that knowledge formulas print readably
-    (e.g. ["p0 knows ¬(p1 knows token)"]). *)
+    Predicates carry a name for printing (e.g. ["¬(p0 holds token)"]).
+    The knowledge operators ({!Knowledge}, {!Group},
+    {!Common_knowledge}) take and return a predicate's {!extent}, not a
+    [t]. *)
 
 type t
 
@@ -43,12 +45,6 @@ val local_event_count : Pid.t -> (int -> bool) -> string -> t
 val extent : Universe.t -> t -> Bitset.t
 (** [extent u b] is the set of universe indices where [b] holds —
     the extensional form used by the knowledge engine. *)
-
-val of_extent : Universe.t -> string -> Bitset.t -> t
-(** [of_extent u name s] is the predicate holding exactly on [s].
-    Evaluating it at a computation outside [u] raises [Not_found];
-    evaluating at any interleaving of a stored class works ([find]).
-    This is how [knows] results stay first-class predicates. *)
 
 val respects_interleaving : Universe.t -> t -> bool
 (** Checks [x \[D\] y ⇒ b at x = b at y] over all pairs in [u]

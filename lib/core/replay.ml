@@ -33,12 +33,11 @@ let universe_of_trace ?(mode = `Canonical) ~n z =
 
 let knew_at ~n z ps b =
   let u = universe_of_trace ~n z in
-  let k = Knowledge.knows u ps b in
-  let events = Trace.to_list z in
-  let rec go prefix i = function
+  let k = Knowledge.knows_ext u ps (Prop.extent u b) in
+  if Bitset.mem k (Universe.find_exn u Trace.empty) then Some (-1)
+  else
+    (* P does not know b at the empty computation, so its first change
+       of knowledge along z is a gain *)
+    match Explain.learning_moments u ps b z with
+    | (i, _) :: _ -> Some i
     | [] -> None
-    | e :: rest ->
-        let prefix = Trace.snoc prefix e in
-        if Prop.eval k prefix then Some i else go prefix (i + 1) rest
-  in
-  if Prop.eval k Trace.empty then Some (-1) else go Trace.empty 0 events

@@ -35,4 +35,6 @@ val knew_at :
   n:int -> Trace.t -> Pset.t -> Prop.t -> int option
 (** [knew_at ~n z ps b]: the first position of [z] after which [P]
     knows [b] relative to the replay universe, if any — "when could the
-    log analyst first conclude that P knew". *)
+    log analyst first conclude that P knew". [Some (-1)] when [P]
+    already knows [b] at the empty computation; otherwise the first
+    gain {!Explain.learning_moments} reports. *)

@@ -130,11 +130,6 @@ let knows_ext t ps ext =
   done;
   Bitset.of_pred size (fun i -> good.(ids.(i)))
 
-let knows t ps b =
-  Prop.of_extent t.u
-    (Format.asprintf "%a knows[%s] %s" Pset.pp ps t.view.name (Prop.name b))
-    (knows_ext t ps (Prop.extent t.u b))
-
 module Laws = struct
   let s5_veridical t ps b =
     Bitset.subset (knows_ext t ps (Prop.extent t.u b)) (Prop.extent t.u b)

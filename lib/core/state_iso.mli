@@ -56,9 +56,9 @@ val iso_traces : view -> Trace.t -> Trace.t -> Pset.t -> bool
 val class_of : t -> Pset.t -> int -> Bitset.t
 
 val knows_ext : t -> Pset.t -> Bitset.t -> Bitset.t
-val knows : t -> Pset.t -> Prop.t -> Prop.t
 (** [P] state-knows [b]: [b] holds at every state-indistinguishable
-    computation. *)
+    computation. Maps the extent of [b] to the extent of the
+    knowledge, like {!Knowledge.knows_ext}. *)
 
 module Laws : sig
   val s5_veridical : t -> Pset.t -> Prop.t -> bool

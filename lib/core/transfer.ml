@@ -6,8 +6,13 @@ let last_pset psets =
   | [] -> invalid_arg "Transfer: empty process-set list"
   | pn :: _ -> pn
 
-let nested_at u psets b x = Prop.eval (Knowledge.nested u psets b) x
-let knows_at u ps b x = Prop.eval (Knowledge.knows u ps b) x
+(* "b at x" for [ext] the extent of b; raises [Not_found] outside [u] *)
+let at u ext x = Bitset.mem ext (Universe.find_exn u x)
+
+let nested_at u psets b x =
+  at u (Knowledge.nested_ext u psets (Prop.extent u b)) x
+
+let knows_at u ps b x = nested_at u [ ps ] b x
 
 let theorem4 u psets b ~x ~y =
   let pn = last_pset psets in
@@ -27,11 +32,12 @@ let theorem4 u psets b ~x ~y =
 let theorem4_sure u psets b ~x ~y =
   let pn = last_pset psets in
   let outer = List.filteri (fun i _ -> i < List.length psets - 1) psets in
+  let sure = Knowledge.sure_ext u pn (Prop.extent u b) in
   let premise =
-    Prop.eval (Knowledge.nested u outer (Knowledge.sure u pn b)) x
+    at u (Knowledge.nested_ext u outer sure) x
     && Relations.related u psets (Universe.find_exn u x) (Universe.find_exn u y)
   in
-  (not premise) || Prop.eval (Knowledge.sure u pn b) y
+  (not premise) || at u sure y
 
 let gain_premise u psets b x y =
   let pn = last_pset psets in

@@ -514,7 +514,9 @@ let exact_formula_prevalence ?(view = Fun.id) ?(max_states = 200_000) spec
       | Ok ext ->
           (* the universe is complete and [`Full], so every walk
              endpoint is stored *)
-          let b = Prop.of_extent u "mc-exact" ext in
+          let b =
+            Prop.make "mc-exact" (fun z -> Bitset.mem ext (Universe.find_exn u z))
+          in
           Ok (exact_prevalence ~max_nodes:max_int spec ~depth b))
 
 (* -- cross-validation ---------------------------------------------------- *)

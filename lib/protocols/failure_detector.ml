@@ -28,10 +28,9 @@ let crashed p =
 let nobody_ever_knows u ~observer ~subject =
   if Pid.equal observer subject then
     invalid_arg "Failure_detector.nobody_ever_knows: observer = subject";
-  let k = Knowledge.knows u (Pset.singleton observer) (crashed subject) in
-  let ok = ref true in
-  Universe.iter (fun _ z -> if Prop.eval k z then ok := false) u;
-  !ok
+  Bitset.is_empty
+    (Knowledge.knows_ext u (Pset.singleton observer)
+       (Prop.extent u (crashed subject)))
 
 (* -- heartbeat detector ------------------------------------------------ *)
 

@@ -60,24 +60,13 @@ let holder_at ~n z =
 let paper_assertion u =
   if Spec.n (Universe.spec u) <> 5 then
     invalid_arg "Token_bus.paper_assertion: needs the 5-process bus";
-  let p = Pid.of_int 0
-  and q = Pid.of_int 1
-  and s = Pset.singleton (Pid.of_int 3)
-  and t = Pid.of_int 4 in
-  let q_knows = Knowledge.knows u (Pset.singleton q) (Prop.not_ (holds p)) in
-  let s_knows = Knowledge.knows u s (Prop.not_ (holds t)) in
-  Knowledge.knows u
-    (Pset.singleton (Pid.of_int 2))
-    (Prop.and_ q_knows s_knows)
+  let knows i ext = Knowledge.knows_ext u (Pset.singleton (Pid.of_int i)) ext in
+  let not_holds i = Bitset.complement (Prop.extent u (holds (Pid.of_int i))) in
+  (* r knows ((q knows ¬(p holds)) ∧ (s knows ¬(t holds))) *)
+  knows 2 (Bitset.inter (knows 1 (not_holds 0)) (knows 3 (not_holds 4)))
 
 let check_paper_claim u =
-  let r_holds = holds (Pid.of_int 2) in
-  let assertion = paper_assertion u in
-  let ok = ref true in
-  Universe.iter
-    (fun _ z -> if Prop.eval r_holds z && not (Prop.eval assertion z) then ok := false)
-    u;
-  !ok
+  Bitset.subset (Prop.extent u (holds (Pid.of_int 2))) (paper_assertion u)
 
 (* -- registry ----------------------------------------------------------- *)
 

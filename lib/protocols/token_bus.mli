@@ -27,9 +27,9 @@ val exactly_one_holder_or_flight : n:int -> Hpl_core.Prop.t
 (** The bus invariant: exactly one process holds the token, unless it
     is in flight. *)
 
-val paper_assertion : Hpl_core.Universe.t -> Hpl_core.Prop.t
-(** The nested-knowledge formula above, for a universe of the
-    5-process bus. Raises [Invalid_argument] on other sizes. *)
+val paper_assertion : Hpl_core.Universe.t -> Hpl_core.Bitset.t
+(** The extent of the nested-knowledge formula above, over a universe
+    of the 5-process bus. Raises [Invalid_argument] on other sizes. *)
 
 val check_paper_claim : Hpl_core.Universe.t -> bool
 (** Verifies over the whole universe: whenever r (= p2) holds the

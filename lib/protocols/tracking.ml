@@ -43,15 +43,15 @@ let notify_spec ~flips =
 let bit =
   Prop.make "bit" (fun z -> flips_in (Trace.proj z p0) mod 2 = 1)
 
+(* the extent of "p is unsure of bit" *)
+let unsure u p =
+  Bitset.complement (Knowledge.sure_ext u (Pset.singleton p) (Prop.extent u bit))
+
 let tracker_always_unsure_after_flip u =
-  let unsure = Knowledge.unsure u (Pset.singleton p1) bit in
-  let ok = ref true in
-  Universe.iter
-    (fun _ z ->
-      if flips_in (Trace.proj z p0) > 0 && not (Prop.eval unsure z) then
-        ok := false)
-    u;
-  !ok
+  let flipped =
+    Prop.make "p0 flipped" (fun z -> flips_in (Trace.proj z p0) > 0)
+  in
+  Bitset.subset (Prop.extent u flipped) (unsure u p1)
 
 let flip_enabled u z =
   List.filter
@@ -64,31 +64,27 @@ let flip_enabled u z =
     (Spec.enabled (Universe.spec u) z)
 
 let unsure_while_changing u =
-  let unsure = Knowledge.unsure u (Pset.singleton p1) bit in
+  let unsure = unsure u p1 in
   let ok = ref true in
   Universe.iter
-    (fun _ z ->
+    (fun i z ->
       if Trace.length z < Universe.depth u then
         List.iter
           (fun e ->
             let ze = Trace.snoc z e in
-            if not (Prop.eval unsure z || Prop.eval unsure ze) then ok := false)
+            if not (Bitset.mem unsure i || Bitset.mem unsure (Universe.find_exn u ze))
+            then ok := false)
           (flip_enabled u z))
     u;
   !ok
 
 let change_requires_known_unsureness u ~tracker =
-  let knows_unsure =
-    Knowledge.knows u (Pset.singleton p0)
-      (Knowledge.unsure u (Pset.singleton tracker) bit)
+  let changing =
+    Prop.make "flip enabled" (fun z ->
+        Trace.length z < Universe.depth u && flip_enabled u z <> [])
   in
-  let ok = ref true in
-  Universe.iter
-    (fun _ z ->
-      if Trace.length z < Universe.depth u && flip_enabled u z <> [] then
-        if not (Prop.eval knows_unsure z) then ok := false)
-    u;
-  !ok
+  Bitset.subset (Prop.extent u changing)
+    (Knowledge.knows_ext u (Pset.singleton p0) (unsure u tracker))
 
 (* -- registry ----------------------------------------------------------- *)
 

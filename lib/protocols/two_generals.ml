@@ -48,13 +48,14 @@ let attack_decided =
           | _ -> false)
         (Trace.proj z a))
 
+(* rung [k] of the ladder from rung [k - 1]: B knows at odd rungs, A at
+   even ones *)
+let rung u k inner =
+  Knowledge.knows_ext u (Pset.singleton (if k mod 2 = 1 then b else a)) inner
+
 let knowledge_ladder u ~depth =
   let rec build k =
-    if k = 0 then attack_decided
-    else
-      let inner = build (k - 1) in
-      let who = if k mod 2 = 1 then b else a in
-      Knowledge.knows u (Pset.singleton who) inner
+    if k = 0 then Prop.extent u attack_decided else rung u k (build (k - 1))
   in
   build depth
 
@@ -89,18 +90,17 @@ let ladder_trace ~rounds =
   go 0 (Trace.of_list [ Event.internal ~pid:a ~lseq:0 decide_tag ]) 0 0 0 0
 
 let max_depth_at u z =
-  let rec go k =
+  let i = Universe.find_exn u z in
+  let rec go k inner =
     if k > Universe.depth u then k - 1
-    else if Prop.eval (knowledge_ladder u ~depth:k) z then go (k + 1)
-    else k - 1
+    else
+      let ladder = rung u k inner in
+      if Bitset.mem ladder i then go (k + 1) ladder else k - 1
   in
-  go 1
+  go 1 (knowledge_ladder u ~depth:0)
 
 let common_knowledge_never u =
-  let ck = Common_knowledge.common u attack_decided in
-  let ok = ref true in
-  Universe.iter (fun _ z -> if Prop.eval ck z then ok := false) u;
-  !ok
+  Bitset.is_empty (Common_knowledge.common_ext u (Prop.extent u attack_decided))
 
 (* -- registry ----------------------------------------------------------- *)
 

@@ -22,9 +22,10 @@ val spec : Hpl_core.Spec.t
 val attack_decided : Hpl_core.Prop.t
 (** "A has decided to attack" — local to A. *)
 
-val knowledge_ladder : Hpl_core.Universe.t -> depth:int -> Hpl_core.Prop.t
-(** [knowledge_ladder u ~depth:k] is the alternating chain with [k]
-    knowledge operators: [A knows B knows A knows … attack_decided]
+val knowledge_ladder : Hpl_core.Universe.t -> depth:int -> Hpl_core.Bitset.t
+(** [knowledge_ladder u ~depth:k] is the extent of the alternating
+    chain with [k] knowledge operators:
+    [A knows B knows A knows … attack_decided]
     (outermost is A for odd positions from the top; depth 0 is the
     predicate itself; depth 1 is [B knows attack]). *)
 
@@ -34,7 +35,8 @@ val ladder_trace : rounds:int -> Hpl_core.Trace.t
 
 val max_depth_at : Hpl_core.Universe.t -> Hpl_core.Trace.t -> int
 (** The largest [k] for which [knowledge_ladder ~depth:k] holds at the
-    given computation (bounded by the universe depth). *)
+    given computation (bounded by the universe depth). Raises
+    [Not_found] if the computation is outside the universe. *)
 
 val common_knowledge_never : Hpl_core.Universe.t -> bool
 (** CK(attack_decided) is false at every computation of the universe. *)

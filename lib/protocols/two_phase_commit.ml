@@ -216,10 +216,10 @@ let aborted =
   Prop.make "aborted" (fun z -> coord_decided (Trace.proj z c) = Some "abort")
 
 let uncertainty_is_real u =
-  let k_commit = Knowledge.knows u (Pset.singleton a) committed in
-  let k_abort = Knowledge.knows u (Pset.singleton a) aborted in
+  let knows b = Knowledge.knows_ext u (Pset.singleton a) (Prop.extent u b) in
+  let k_commit = knows committed and k_abort = knows aborted in
   Universe.fold
-    (fun _ z acc ->
+    (fun i z acc ->
       acc
       ||
       let a_hist = Trace.proj z a in
@@ -227,8 +227,8 @@ let uncertainty_is_real u =
       let heard = List.exists Event.is_receive a_hist in
       let decided = coord_decided (Trace.proj z c) <> None in
       voted_yes && (not heard) && decided
-      && (not (Prop.eval k_commit z))
-      && not (Prop.eval k_abort z))
+      && (not (Bitset.mem k_commit i))
+      && not (Bitset.mem k_abort i))
     u false
 
 (* -- registry ----------------------------------------------------------- *)

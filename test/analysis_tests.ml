@@ -300,14 +300,16 @@ let test_unlearnable_sound () =
                     Pset.of_list (List.map Pid.of_int l.Formula.pset))
                   nest.levels
               in
-              let k = Knowledge.nested u psets body_prop in
+              let k =
+                Knowledge.nested_ext u psets (Prop.extent u body_prop)
+              in
               Universe.iter
-                (fun _ z ->
+                (fun i _ ->
                   checkb
                     (Printf.sprintf "%s: %s holds nowhere"
                        (Protocol.name proto)
                        (Formula.print nest.subformula))
-                    false (Prop.eval k z))
+                    false (Bitset.mem k i))
                 u
             end)
           nests

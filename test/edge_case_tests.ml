@@ -15,18 +15,18 @@ let test_solo_universe () =
   check tint "three computations" 3 (Universe.size u);
   (* knowledge of a solo process = truth *)
   let b = Prop.make "moved" (fun z -> Trace.length z > 0) in
-  let k = Knowledge.knows u (Pset.singleton (Pid.of_int 0)) b in
+  let k = Knowledge.knows_ext u (Pset.singleton (Pid.of_int 0)) (Prop.extent u b) in
   Universe.iter
-    (fun _ z -> check tbool "knows = truth" (Prop.eval b z) (Prop.eval k z))
+    (fun i z -> check tbool "knows = truth" (Prop.eval b z) (Bitset.mem k i))
     u
 
 let test_solo_common_knowledge () =
   (* with one process CK(b) = b: constancy corollary does not apply *)
   let u = Universe.enumerate solo ~depth:5 in
   let b = Prop.make "moved" (fun z -> Trace.length z > 0) in
-  let ck = Common_knowledge.common u b in
+  let ck = Common_knowledge.common_ext u (Prop.extent u b) in
   Universe.iter
-    (fun _ z -> check tbool "CK = b when alone" (Prop.eval b z) (Prop.eval ck z))
+    (fun i z -> check tbool "CK = b when alone" (Prop.eval b z) (Bitset.mem ck i))
     u;
   check tbool "constancy vacuous" true (Common_knowledge.constancy_holds u b)
 
@@ -36,8 +36,8 @@ let test_empty_universe_depth0 () =
   let u = Universe.enumerate solo ~depth:0 in
   check tint "just ε" 1 (Universe.size u);
   let b = Prop.tt in
-  check tbool "knows tt at ε" true
-    (Prop.eval (Knowledge.knows u (Pset.singleton (Pid.of_int 0)) b) Trace.empty)
+  let k = Knowledge.knows_ext u (Pset.singleton (Pid.of_int 0)) (Prop.extent u b) in
+  check tbool "knows tt at ε" true (Bitset.mem k (Universe.find_exn u Trace.empty))
 
 let test_formula_on_tiny_universe () =
   let u = Universe.enumerate solo ~depth:0 in

@@ -24,26 +24,32 @@ let test_group_everyone_vs_someone () =
   let ping = Msg.make ~src:p0 ~dst:p1 ~seq:0 ~payload:"ping" in
   let z_sent = Trace.of_list [ Event.send ~pid:p0 ~lseq:0 ping ] in
   let z_recv = Trace.snoc z_sent (Event.receive ~pid:p1 ~lseq:0 ping) in
-  let e = Group.everyone u d sent in
-  let s = Group.someone u d sent in
+  let sent_ext = Prop.extent u sent in
+  let at ext z = Bitset.mem ext (Universe.find_exn u z) in
+  let e = Group.everyone_ext u d sent_ext in
+  let s = Group.someone_ext u d sent_ext in
   (* right after the send: p0 knows, p1 does not *)
-  check tbool "someone at z_sent" true (Prop.eval s z_sent);
-  check tbool "not everyone at z_sent" false (Prop.eval e z_sent);
-  check tbool "everyone at z_recv" true (Prop.eval e z_recv);
+  check tbool "someone at z_sent" true (at s z_sent);
+  check tbool "not everyone at z_sent" false (at e z_sent);
+  check tbool "everyone at z_recv" true (at e z_recv);
   (* empty group *)
   check tbool "everyone-empty is true" true
-    (Prop.eval (Group.everyone u Pset.empty sent) Trace.empty);
+    (at (Group.everyone_ext u Pset.empty sent_ext) Trace.empty);
   check tbool "someone-empty is false" false
-    (Prop.eval (Group.someone u Pset.empty sent) Trace.empty)
+    (at (Group.someone_ext u Pset.empty sent_ext) Trace.empty)
 
-let test_group_distributed_is_knows () =
+let test_group_modality_chain () =
+  (* for a non-empty group: everyone knows ⇒ someone knows ⇒ the pooled
+     view ([Knowledge.knows_ext] of the group) knows *)
   List.iter
     (fun b ->
-      check tbool "alias" true
-        (Bitset.equal
-           (Prop.extent u (Group.distributed u d b))
-           (Prop.extent u (Knowledge.knows u d b))))
-    [ sent; received; Prop.tt ]
+      let ext = Prop.extent u b in
+      let e = Group.everyone_ext u d ext in
+      let s = Group.someone_ext u d ext in
+      let dk = Knowledge.knows_ext u d ext in
+      check tbool "E ⊆ S" true (Bitset.subset e s);
+      check tbool "S ⊆ D" true (Bitset.subset s dk))
+    [ sent; received; Prop.and_ sent received; Prop.tt ]
 
 let test_group_laws () =
   List.iter
@@ -57,10 +63,11 @@ let test_group_laws () =
 
 let test_group_e_iterate_limits_to_ck () =
   (* for contingent facts E^k eventually reaches the (false) CK *)
-  let ck = Prop.extent u (Common_knowledge.common u sent) in
-  let e5 = Prop.extent u (Group.e_iterate u d 5 sent) in
+  let sent_ext = Prop.extent u sent in
+  let ck = Common_knowledge.common_ext u sent_ext in
+  let e5 = Group.e_iterate u d 5 sent_ext in
   check tbool "E^5 ⊆ ... contains CK" true (Bitset.subset ck e5);
-  check tbool "E^5 of sent is empty (= CK)" true (Bitset.equal ck (Bitset.inter e5 (Prop.extent u sent)))
+  check tbool "E^5 of sent is empty (= CK)" true (Bitset.equal ck (Bitset.inter e5 sent_ext))
 
 (* -- cuts ----------------------------------------------------------------- *)
 
@@ -266,7 +273,7 @@ let test_chain_naive_agrees () =
 let suite =
   [
     ("group everyone/someone", `Quick, test_group_everyone_vs_someone);
-    ("group distributed = knows", `Quick, test_group_distributed_is_knows);
+    ("group E ⊆ S ⊆ D", `Quick, test_group_modality_chain);
     ("group laws", `Quick, test_group_laws);
     ("group E-iterate to CK", `Quick, test_group_e_iterate_limits_to_ck);
     ("cut basics", `Quick, test_cut_basics);

@@ -162,22 +162,24 @@ let qcheck_roundtrip =
 (* -- evaluation ----------------------------------------------------------- *)
 
 let test_eval_matches_api () =
+  let sent_ext = Prop.extent u sent in
+  let s0 = Pset.singleton p0 and s1 = Pset.singleton p1 in
   let pairs =
     [
-      ("K p1 sent", Knowledge.knows_p u p1 sent);
-      ("K p0 (K p1 sent)", Knowledge.knows_p u p0 (Knowledge.knows_p u p1 sent));
-      ("sure p1 sent", Knowledge.sure u (Pset.singleton p1) sent);
-      ("CK sent", Common_knowledge.common u sent);
-      ("E {0,1} sent", Group.everyone u (Pset.all 2) sent);
-      ("S {0,1} sent", Group.someone u (Pset.all 2) sent);
+      ("K p1 sent", Knowledge.knows_ext u s1 sent_ext);
+      ("K p0 (K p1 sent)", Knowledge.nested_ext u [ s0; s1 ] sent_ext);
+      ("sure p1 sent", Knowledge.sure_ext u s1 sent_ext);
+      ("CK sent", Common_knowledge.common_ext u sent_ext);
+      ("E {0,1} sent", Group.everyone_ext u (Pset.all 2) sent_ext);
+      ("S {0,1} sent", Group.someone_ext u (Pset.all 2) sent_ext);
     ]
   in
   List.iter
     (fun (s, direct) ->
       let ext = eval_ok s in
       Universe.iter
-        (fun i z ->
-          check tbool ("agrees: " ^ s) (Prop.eval direct z) (Bitset.mem ext i))
+        (fun i _ ->
+          check tbool ("agrees: " ^ s) (Bitset.mem direct i) (Bitset.mem ext i))
         u)
     pairs
 
@@ -207,8 +209,9 @@ let test_check_valid_and_witness () =
   | Error e -> Alcotest.fail e);
   match Formula.check u ~env (parse_ok "K p1 sent") with
   | Ok (`Fails_at z) ->
+      let k1 = Knowledge.knows_ext u (Pset.singleton p1) (Prop.extent u sent) in
       check tbool "witness is a computation where p1 ignorant" false
-        (Prop.eval (Knowledge.knows_p u p1 sent) z)
+        (Bitset.mem k1 (Universe.find_exn u z))
   | Ok `Valid -> Alcotest.fail "should not be valid"
   | Error e -> Alcotest.fail e
 

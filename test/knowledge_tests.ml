@@ -28,44 +28,49 @@ let z_received = Trace.snoc z_sent (Event.receive ~pid:p1 ~lseq:0 ping)
 let z_ponged = Trace.snoc z_received (Event.send ~pid:p1 ~lseq:1 pong)
 let z_done = Trace.snoc z_ponged (Event.receive ~pid:p0 ~lseq:1 pong)
 
+let sent_ext = Prop.extent u sent
+
+(* "b at z" for [ext] the extent of b *)
+let at ext z = Bitset.mem ext (Universe.find_exn u z)
+
 let test_knows_progression () =
-  let k0 = Knowledge.knows u s0 sent in
-  let k1 = Knowledge.knows u s1 sent in
+  let k0 = Knowledge.knows_ext u s0 sent_ext in
+  let k1 = Knowledge.knows_ext u s1 sent_ext in
   (* p0 knows it sent, immediately *)
-  check tbool "p0 knows at z_sent" true (Prop.eval k0 z_sent);
+  check tbool "p0 knows at z_sent" true (at k0 z_sent);
   (* p1 does not know yet *)
-  check tbool "p1 ignorant at z_sent" false (Prop.eval k1 z_sent);
+  check tbool "p1 ignorant at z_sent" false (at k1 z_sent);
   (* after receiving, p1 knows *)
-  check tbool "p1 knows at z_received" true (Prop.eval k1 z_received);
+  check tbool "p1 knows at z_received" true (at k1 z_received);
   (* nobody knows at the start (it is false) *)
-  check tbool "not known at ε" false (Prop.eval k0 Trace.empty)
+  check tbool "not known at ε" false (at k0 Trace.empty)
 
 let test_nested_knowledge () =
   (* after the pong returns, p0 knows p1 knows the ping was sent *)
-  let k01 = Knowledge.nested u [ s0; s1 ] sent in
-  check tbool "¬ nested at z_received" false (Prop.eval k01 z_received);
-  check tbool "nested at z_done" true (Prop.eval k01 z_done);
+  let k01 = Knowledge.nested_ext u [ s0; s1 ] sent_ext in
+  check tbool "¬ nested at z_received" false (at k01 z_received);
+  check tbool "nested at z_done" true (at k01 z_done);
   (* and p1 knows p0 knows it — that already holds when p1 receives,
      because the ping's existence implies p0 sent it *)
-  let k10 = Knowledge.nested u [ s1; s0 ] sent in
-  check tbool "p1 knows p0 knows at z_received" true (Prop.eval k10 z_received)
+  let k10 = Knowledge.nested_ext u [ s1; s0 ] sent_ext in
+  check tbool "p1 knows p0 knows at z_received" true (at k10 z_received)
 
 let test_nested_empty_is_b () =
-  let n = Knowledge.nested u [] sent in
+  let n = Knowledge.nested_ext u [] sent_ext in
   Universe.iter
-    (fun _ z -> check tbool "identity" (Prop.eval sent z) (Prop.eval n z))
+    (fun i z -> check tbool "identity" (Prop.eval sent z) (Bitset.mem n i))
     u
 
 let test_sure_unsure () =
-  let sure0 = Knowledge.sure u s0 sent in
-  let sure1 = Knowledge.sure u s1 sent in
+  let sure0 = Knowledge.sure_ext u s0 sent_ext in
+  let sure1 = Knowledge.sure_ext u s1 sent_ext in
   (* p0 always sure about its own action *)
-  Universe.iter (fun _ z -> check tbool "p0 sure" true (Prop.eval sure0 z)) u;
+  Universe.iter (fun i _ -> check tbool "p0 sure" true (Bitset.mem sure0 i)) u;
   (* p1 unsure right after the send *)
-  check tbool "p1 unsure at z_sent" false (Prop.eval sure1 z_sent);
-  check tbool "p1 sure at z_received" true (Prop.eval sure1 z_received);
-  let unsure1 = Knowledge.unsure u s1 sent in
-  check tbool "unsure is negation" true (Prop.eval unsure1 z_sent)
+  check tbool "p1 unsure at z_sent" false (at sure1 z_sent);
+  check tbool "p1 sure at z_received" true (at sure1 z_received);
+  let unsure1 = Bitset.complement sure1 in
+  check tbool "unsure is negation" true (at unsure1 z_sent)
 
 let test_naive_agrees () =
   List.iter
@@ -79,14 +84,21 @@ let test_naive_agrees () =
         [ sent; received; Prop.tt; Prop.ff ])
     [ s0; s1; d; Pset.empty ]
 
-let test_knows_ext_matches_prop () =
-  let ext = Prop.extent u sent in
-  let kext = Knowledge.knows_ext u s1 ext in
-  let k = Knowledge.knows u s1 sent in
-  Universe.iter
-    (fun i z ->
-      check tbool "agree" (Prop.eval k z) (Bitset.mem kext i))
-    u
+let test_nested_naive_agrees () =
+  (* past the first level the indexed operator is fed knowledge extents,
+     not predicate extents; the naive one must agree at every level *)
+  List.iter
+    (fun b ->
+      let ext = Prop.extent u b in
+      List.iter
+        (fun chain ->
+          check tbool "nested naive = indexed" true
+            (Bitset.equal (Knowledge.nested_ext u chain ext)
+               (List.fold_right
+                  (fun ps acc -> Knowledge.knows_ext_naive u ps acc)
+                  chain ext)))
+        [ [ s0; s1 ]; [ s1; s0 ]; [ s1; s0; s1 ]; [ d; s0 ]; [ Pset.empty; s1 ] ])
+    [ sent; received; Prop.and_ sent received ]
 
 (* -- the twelve knowledge facts -------------------------------------- *)
 
@@ -197,20 +209,20 @@ let test_common_knowledge_constant () =
     props
 
 let test_common_knowledge_of_tt () =
-  let ck = Common_knowledge.common u Prop.tt in
-  Universe.iter (fun _ z -> check tbool "CK(true) holds" true (Prop.eval ck z)) u
+  let ck = Common_knowledge.common_ext u (Prop.extent u Prop.tt) in
+  Universe.iter (fun i _ -> check tbool "CK(true) holds" true (Bitset.mem ck i)) u
 
 let test_common_knowledge_of_contingent_is_false () =
   (* 'sent' is contingent, so its CK must be constantly false *)
-  let ck = Common_knowledge.common u sent in
-  Universe.iter (fun _ z -> check tbool "CK(sent) false" false (Prop.eval ck z)) u
+  let ck = Common_knowledge.common_ext u sent_ext in
+  Universe.iter (fun i _ -> check tbool "CK(sent) false" false (Bitset.mem ck i)) u
 
 let test_level_approximations () =
   (* E^k chain is decreasing and contains the fixpoint *)
-  let ck = Prop.extent u (Common_knowledge.common u sent) in
-  let prev = ref (Prop.extent u (Common_knowledge.level u 0 sent)) in
+  let ck = Common_knowledge.common_ext u sent_ext in
+  let prev = ref (Group.e_iterate u d 0 sent_ext) in
   for k = 1 to 4 do
-    let cur = Prop.extent u (Common_knowledge.level u k sent) in
+    let cur = Group.e_iterate u d k sent_ext in
     check tbool "decreasing" true (Bitset.subset cur !prev);
     check tbool "contains gfp" true (Bitset.subset ck cur);
     prev := cur
@@ -228,7 +240,7 @@ let suite =
     ("nested knowledge", `Quick, test_nested_knowledge);
     ("nested [] = b", `Quick, test_nested_empty_is_b);
     ("sure/unsure", `Quick, test_sure_unsure);
-    ("knows_ext vs knows", `Quick, test_knows_ext_matches_prop);
+    ("nested naive = indexed", `Quick, test_nested_naive_agrees);
     ("naive = indexed", `Quick, test_naive_agrees);
     ("fact 1+2", `Quick, test_fact1);
     ("fact 3", `Quick, test_fact3);

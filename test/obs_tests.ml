@@ -88,6 +88,59 @@ let test_check_no_lookups () =
       check_int "universe.lookups" 0 (Hpl_obs.counter "universe.lookups");
       check_int "universe.index spans" 0 (Hpl_obs.span_count "universe.index"))
 
+(* the protocols' knowledge helpers answer on extents too: each one,
+   on a fresh universe of its experiment's size, never builds the trace
+   index nor looks a computation up by its trace *)
+let test_helpers_no_lookups () =
+  let open Hpl_protocols in
+  let p0 = Pid.of_int 0 and p1 = Pid.of_int 1 in
+  let sent = Prop.make "sent" (fun z -> Trace.send_count z p0 > 0) in
+  let helpers =
+    [
+      ( "Token_bus.check_paper_claim",
+        fun () ->
+          Token_bus.check_paper_claim
+            (Universe.enumerate (Token_bus.spec ~n:5) ~depth:10) );
+      ( "Two_generals.common_knowledge_never",
+        fun () ->
+          Two_generals.common_knowledge_never
+            (Universe.enumerate Two_generals.spec ~depth:11) );
+      ( "Failure_detector.nobody_ever_knows",
+        fun () ->
+          Failure_detector.nobody_ever_knows
+            (Universe.enumerate (Failure_detector.crashable_spec ~n:2) ~depth:6)
+            ~observer:p1 ~subject:p0 );
+      ( "Tracking.tracker_always_unsure_after_flip",
+        fun () ->
+          Tracking.tracker_always_unsure_after_flip
+            (Universe.enumerate (Tracking.silent_spec ~n:2 ~flips:2 ~ticks:2) ~depth:4)
+      );
+      ( "Tracking.change_requires_known_unsureness",
+        fun () ->
+          Tracking.change_requires_known_unsureness
+            (Universe.enumerate (Tracking.notify_spec ~flips:2) ~depth:8)
+            ~tracker:p1 );
+      ( "Two_phase_commit.uncertainty_is_real",
+        fun () ->
+          Two_phase_commit.uncertainty_is_real
+            (Universe.enumerate Two_phase_commit.spec ~depth:8) );
+      ( "Common_knowledge.constancy_holds",
+        fun () ->
+          Common_knowledge.constancy_holds
+            (Universe.enumerate ~mode:`Full Fixtures.ping_pong ~depth:4)
+            sent );
+    ]
+  in
+  List.iter
+    (fun (name, helper) ->
+      with_obs (fun () ->
+          check (name ^ " holds") true (helper ());
+          check_int (name ^ ": universe.lookups") 0
+            (Hpl_obs.counter "universe.lookups");
+          check_int (name ^ ": universe.index spans") 0
+            (Hpl_obs.span_count "universe.index")))
+    helpers
+
 (* a snapshot body is the run tree: its parents come from the parent
    column, so saving a universe never builds the trace index *)
 let test_serialize_no_index () =
@@ -240,6 +293,7 @@ let suite =
     ("extent evals counter", `Quick, test_extent_evals_counter);
     ("lint findings counter", `Quick, test_lint_findings_counter);
     ("check never looks a trace up", `Quick, test_check_no_lookups);
+    ("knowledge helpers never look a trace up", `Quick, test_helpers_no_lookups);
     ("serialize never looks a trace up", `Quick, test_serialize_no_index);
     ("lint child spans sum to total", `Quick, test_lint_children_account_for_total);
     ("stats json schema", `Quick, test_stats_json_schema);

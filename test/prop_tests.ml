@@ -41,13 +41,6 @@ let test_extent () =
       check tbool "pointwise" (Prop.eval sent_ping z) (Bitset.mem ext i))
     u
 
-let test_of_extent () =
-  let ext = Prop.extent u sent_ping in
-  let b = Prop.of_extent u "same" ext in
-  Universe.iter
-    (fun _ z -> check tbool "agrees" (Prop.eval sent_ping z) (Prop.eval b z))
-    u
-
 let test_local_event_count () =
   let b = Prop.local_event_count Fixtures.p1 (fun k -> k >= 1) "p1 moved" in
   check tbool "empty" false (Prop.eval b Trace.empty);
@@ -77,7 +70,6 @@ let suite =
     ("combinators", `Quick, test_combinators);
     ("names", `Quick, test_names);
     ("extent pointwise", `Quick, test_extent);
-    ("of_extent roundtrip", `Quick, test_of_extent);
     ("local_event_count", `Quick, test_local_event_count);
     ("respects_interleaving", `Quick, test_respects_interleaving);
   ]

@@ -54,7 +54,8 @@ let test_token_bus_claim_fails_without_token () =
   (* sanity: the assertion is not a tautology — it fails somewhere
      (e.g. at the initial computation, where q knows nothing) *)
   let assertion = Token_bus.paper_assertion tb5 in
-  check tbool "fails at ε" false (Prop.eval assertion Trace.empty)
+  check tbool "fails at ε" false
+    (Bitset.mem assertion (Universe.find_exn tb5 Trace.empty))
 
 let test_token_bus_holder_at () =
   check Alcotest.(option int) "initially p0" (Some 0)
@@ -137,9 +138,11 @@ let test_tracking_change_condition () =
 let test_tracking_notify_can_know () =
   (* the notify protocol does let p1 learn the value between flips:
      p1 knows bit after receiving an odd notification *)
-  let k1 = Knowledge.knows notify (Pset.singleton (Pid.of_int 1)) Tracking.bit in
-  check tbool "p1 sometimes knows" true
-    (Universe.fold (fun _ z acc -> acc || Prop.eval k1 z) notify false)
+  let k1 =
+    Knowledge.knows_ext notify (Pset.singleton (Pid.of_int 1))
+      (Prop.extent notify Tracking.bit)
+  in
+  check tbool "p1 sometimes knows" true (not (Bitset.is_empty k1))
 
 (* -- failure detection ---------------------------------------------------- *)
 

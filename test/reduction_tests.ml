@@ -157,12 +157,13 @@ let test_sym_operators_refuse () =
     | exception Invalid_argument _ -> ()
   in
   let p1 = Pset.singleton (Pid.of_int 1) in
-  refuses "Knowledge.knows" (fun () -> ignore (Knowledge.knows u p1 b));
-  refuses "Knowledge.sure" (fun () -> ignore (Knowledge.sure u p1 b));
-  refuses "Group.everyone" (fun () -> ignore (Group.everyone u p1 b));
-  refuses "Common_knowledge.common" (fun () ->
-      ignore (Common_knowledge.common u b));
-  refuses "Temporal.ef" (fun () -> ignore (Temporal.ef u (Prop.extent u b)));
+  let ext = Prop.extent u b in
+  refuses "Knowledge.knows_ext" (fun () -> ignore (Knowledge.knows_ext u p1 ext));
+  refuses "Knowledge.sure_ext" (fun () -> ignore (Knowledge.sure_ext u p1 ext));
+  refuses "Group.everyone_ext" (fun () -> ignore (Group.everyone_ext u p1 ext));
+  refuses "Common_knowledge.common_ext" (fun () ->
+      ignore (Common_knowledge.common_ext u ext));
+  refuses "Temporal.ef" (fun () -> ignore (Temporal.ef u ext));
   (* counting over the representatives stays allowed *)
   checki "extent over representatives" (Universe.size u)
     (Bitset.cardinal (Prop.extent u Prop.tt))

@@ -150,10 +150,12 @@ let test_knowledge_facts_sample () =
           let n = Spec.n (Universe.spec u) in
           for i = 0 to min (n - 1) 2 do
             let p = Pid.of_int i in
-            let k = Knowledge.knows_p u p fact in
+            let k =
+              Knowledge.knows_ext u (Pset.singleton p) (Prop.extent u fact)
+            in
             Universe.iter
-              (fun _ z ->
-                if Prop.eval k z then
+              (fun j z ->
+                if Bitset.mem k j then
                   check tbool
                     (Printf.sprintf "%s: K p%d %s -> %s" name i atom atom)
                     true (Prop.eval fact z))

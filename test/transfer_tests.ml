@@ -96,10 +96,11 @@ let test_sure_literal_replacement_unsound () =
   (* regression: the literal all-sure nesting of Theorem 4 is false.
      At ε, p0 knows p1 is unsure of 'sent', so "p0 sure (p1 sure sent)"
      holds — yet p1 is not sure at ε. *)
-  let nested_all_sure = Knowledge.sure u s0 (Knowledge.sure u s1 sent) in
-  check tbool "premise holds at ε" true (Prop.eval nested_all_sure Trace.empty);
-  check tbool "conclusion fails at ε" false
-    (Prop.eval (Knowledge.sure u s1 sent) Trace.empty)
+  let sure1 = Knowledge.sure_ext u s1 (Prop.extent u sent) in
+  let nested_all_sure = Knowledge.sure_ext u s0 sure1 in
+  let eps = Universe.find_exn u Trace.empty in
+  check tbool "premise holds at ε" true (Bitset.mem nested_all_sure eps);
+  check tbool "conclusion fails at ε" false (Bitset.mem sure1 eps)
 
 let test_no_premature_knowledge () =
   (* knowledge gain premise fails when y still lacks the knowledge *)
