@@ -776,13 +776,24 @@ let successors u =
 
 (* --- snapshot body ---------------------------------------------------
 
-   The body is the run tree: per computation after the root, in index
-   order, its parent's index and its one event — never a whole trace,
-   and the parent comes from the [parent] column, not a trace lookup.
-   Payload strings and internal tags go through a first-occurrence
-   string table. Class ids are not stored at all: replaying the events
-   through the same hash-consed trie in the same discovery order
-   reproduces them bit-identically.
+   The body is the universe's stored form (DESIGN.md §14). After a
+   header and a first-occurrence string table of payloads and internal
+   tags, each process's trie is written once: its class count K_p, then
+   per class c = 1 … K_p − 1 its parent class and its one event. Then
+   one (parent, pid, class id) triple per computation after the root.
+
+     body   := mode:u8 depth:i32 status reduce:u8 n:i32
+               nstr:i32 (len:i32 bytes)^nstr
+               (K_p:i32 class^(K_p−1))^n
+               count:i32 (parent:i32 pid:i32 cid:i32)^(count−1)
+     class  := parent:i32 kind:u8 (0 tag:i32
+                                 | 1 dst:i32 payload:i32
+                                 | 2 src:i32 payload:i32 seq:i32)
+
+   An event's [lseq] and a send's [seq] are functions of the parent
+   class's history, so they are not stored. [serialize] takes each
+   class's event from the first computation that reaches it, and reads
+   parents and class ids off the run tree: it never walks a trace.
 
    The encoding is body-only. Framing (magic, format version, cache key,
    checksum) belongs to the snapshot container in [Hpl_serve.Snapshot];
@@ -795,20 +806,12 @@ let last_event z =
   | e :: _ -> e
   | [] -> invalid_arg "Universe: the root has no event"
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+let add_u8 b v = Buffer.add_uint8 b (v land 0xff)
 
 let add_i32 b v =
   if v < 0 || v > 0x3fffffff then
     invalid_arg "Universe.serialize: integer out of range";
-  add_u8 b v;
-  add_u8 b (v lsr 8);
-  add_u8 b (v lsr 16);
-  add_u8 b (v lsr 24)
-
-let add_i64 b (v : int64) =
-  for k = 0 to 7 do
-    add_u8 b (Int64.to_int (Int64.shift_right_logical v (8 * k)))
-  done
+  Buffer.add_int32_le b (Int32.of_int v)
 
 let add_str b s =
   add_i32 b (String.length s);
@@ -820,7 +823,7 @@ let serialize u =
       "symmetry-reduced universes have no snapshot form (orbit tables \
        are not serialized); cache them in memory only"
   else begin
-    let b = Buffer.create 4096 in
+    let b = Buffer.create (4096 + (12 * Array.length u.comps)) in
     add_u8 b (match u.mode with `Full -> 0 | `Canonical -> 1);
     add_i32 b u.depth;
     (match u.status with
@@ -830,12 +833,24 @@ let serialize u =
         add_i32 b k
     | Truncated (Max_seconds s) ->
         add_u8 b 2;
-        add_i64 b (Int64.bits_of_float s));
+        Buffer.add_int64_le b (Int64.bits_of_float s));
     add_u8 b (if Reduction.uses_por u.reduce then 1 else 0);
     let n = Spec.n u.spec in
     add_i32 b n;
     let count = Array.length u.comps in
-    (* events into a side buffer so the string table can precede them *)
+    (* class ids are first reached in increasing index order, so K_p is
+       one past p's largest stored class id; a [max_states] cut may have
+       interned one more class that no stored computation reaches, and
+       it is not written *)
+    let classes = Array.make n 1 in
+    for i = 1 to count - 1 do
+      let p = u.pid.(i) in
+      if u.cid.(i) >= classes.(p) then classes.(p) <- u.cid.(i) + 1
+    done;
+    let first = Array.map (fun k -> Array.make k 0) classes in
+    for i = count - 1 downto 1 do
+      first.(u.pid.(i)).(u.cid.(i)) <- i
+    done;
     let strings = Hashtbl.create 64 in
     let str_order = ref [] and nstr = ref 0 in
     let str_id s =
@@ -848,61 +863,90 @@ let serialize u =
           str_order := s :: !str_order;
           i
     in
-    let eb = Buffer.create 4096 in
-    for i = 1 to count - 1 do
-      let e = last_event u.comps.(i) in
-      add_i32 eb u.parent.(i);
-      add_i32 eb (Pid.to_int e.Event.pid);
-      add_i32 eb e.Event.lseq;
-      match e.Event.kind with
-      | Event.Internal tag ->
-          add_u8 eb 0;
-          add_i32 eb (str_id tag)
-      | Event.Send m ->
-          add_u8 eb 1;
-          add_i32 eb (Pid.to_int m.Msg.dst);
-          add_i32 eb m.Msg.seq;
-          add_i32 eb (str_id m.Msg.payload)
-      | Event.Receive m ->
-          add_u8 eb 2;
-          add_i32 eb (Pid.to_int m.Msg.src);
-          add_i32 eb m.Msg.seq;
-          add_i32 eb (str_id m.Msg.payload)
-    done;
+    (* the tries into a side buffer so the string table can precede them *)
+    let tb = Buffer.create 4096 in
+    Array.iteri
+      (fun p first ->
+        add_i32 tb (Array.length first);
+        for c = 1 to Array.length first - 1 do
+          add_i32 tb u.trie_parent.(p).(c);
+          match (last_event u.comps.(first.(c))).Event.kind with
+          | Event.Internal tag ->
+              add_u8 tb 0;
+              add_i32 tb (str_id tag)
+          | Event.Send m ->
+              add_u8 tb 1;
+              add_i32 tb (Pid.to_int m.Msg.dst);
+              add_i32 tb (str_id m.Msg.payload)
+          | Event.Receive m ->
+              add_u8 tb 2;
+              add_i32 tb (Pid.to_int m.Msg.src);
+              add_i32 tb (str_id m.Msg.payload);
+              add_i32 tb m.Msg.seq
+        done)
+      first;
     add_i32 b !nstr;
     List.iter (add_str b) (List.rev !str_order);
+    Buffer.add_buffer b tb;
     add_i32 b count;
-    Buffer.add_buffer b eb;
+    for i = 1 to count - 1 do
+      add_i32 b u.parent.(i);
+      add_i32 b u.pid.(i);
+      add_i32 b u.cid.(i)
+    done;
     Ok (Buffer.contents b)
   end
 
 exception Corrupt of string
 
+(* Loading builds one [Event.t] per class, checked once per class: its
+   parent class comes earlier, its peer is in range, no other class is
+   the same (parent, event) step, and the process's rule allows the
+   event after the parent class's history ([Spec.stage], run once per
+   parent class, as enumeration runs it). Per computation the checks
+   (parent earlier, class in range, no deeper than the depth, stored in
+   enumeration order) are O(1) plus two walks up the run tree: to the
+   nearest ancestor on the event's process ([on]), and, for a receive,
+   to the message's send ([in_flight]).
+
+   Class ids come back bit-identical to enumeration's. Enumeration
+   numbers a process's classes by interning (parent class, event) in a
+   hash-consed trie as computations are stored, so its ids are dense
+   and first reached in increasing index order. The load checks that:
+   - no two classes are the same step, so the stored trie is
+     hash-consed;
+   - each computation's class has for parent its process's class at
+     the parent computation, so by induction a computation's class
+     history is its projection;
+   - ids are first reached in increasing order, and every class is
+     reached.
+   Re-interning the loaded events in index order would therefore meet
+   each class's step for the first time exactly where its id is first
+   reached, and give it that id: the stored ids are the ones replaying
+   the trie would compute, and the [class_ids] columns built from them
+   are enumeration's.
+
+   The checks also make every loaded computation a computation of the
+   spec: each event is allowed by its process's rule after the
+   process's history, a receive's message is in flight, and [lseq] and
+   send [seq] are derived. [Spec.valid] on the deepest computation
+   stays as a spot check. *)
 let deserialize spec blob =
   let len = String.length blob in
   let pos = ref 0 in
   let fail fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt in
   let u8 () =
     if !pos >= len then fail "truncated body";
-    let v = Char.code blob.[!pos] in
+    let v = Char.code (String.unsafe_get blob !pos) in
     incr pos;
     v
   in
   let i32 () =
-    let a = u8 () in
-    let b = u8 () in
-    let c = u8 () in
-    let d = u8 () in
-    let v = a lor (b lsl 8) lor (c lsl 16) lor (d lsl 24) in
+    if !pos + 4 > len then fail "truncated body";
+    let v = Int32.to_int (String.get_int32_le blob !pos) in
+    pos := !pos + 4;
     if v < 0 || v > 0x3fffffff then fail "integer out of range";
     v
-  in
-  let i64 () =
-    let v = ref 0L in
-    for k = 0 to 7 do
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (u8 ())) (8 * k))
-    done;
-    !v
   in
   let str () =
     let k = i32 () in
@@ -921,7 +965,9 @@ let deserialize spec blob =
       | 0 -> Complete
       | 1 -> Truncated (Max_states (i32 ()))
       | 2 ->
-          let s = Int64.float_of_bits (i64 ()) in
+          if !pos + 8 > len then fail "truncated body";
+          let s = Int64.float_of_bits (String.get_int64_le blob !pos) in
+          pos := !pos + 8;
           if not (s > 0.0 && Float.is_finite s) then fail "bad time budget";
           Truncated (Max_seconds s)
       | t -> fail "bad status tag %d" t
@@ -935,35 +981,98 @@ let deserialize spec blob =
     if n <> Spec.n spec then
       fail "process count mismatch (snapshot has %d, spec has %d)" n
         (Spec.n spec);
+    (* a count is plausible when the bytes left can hold that many of
+       its smallest records, so no hostile count allocates more than the
+       body's size *)
+    let plausible k ~bytes what =
+      if k > (len - !pos) / bytes then fail "implausible %s %d" what k
+    in
     let nstr = i32 () in
-    if nstr > len then fail "oversized string table";
+    plausible nstr ~bytes:4 "string count";
     let strings = Array.init nstr (fun _ -> str ()) in
     let getstr i = if i >= nstr then fail "dangling string reference" else strings.(i) in
+    (* each process's trie; class 0, the empty history, has a
+       placeholder event *)
+    let trie_parent = Array.make n [||] and event = Array.make n [||] in
+    for pi = 0 to n - 1 do
+      let p = Pid.of_int pi in
+      let k = i32 () in
+      if k < 1 then fail "p%d has no empty class" pi;
+      plausible (k - 1) ~bytes:9 "class count";
+      let parents = Array.make k (-1) in
+      (* the empty history's placeholder has [lseq] −1, so a class's
+         event has its parent's [lseq] + 1 *)
+      let events = Array.make k (Event.internal ~pid:p ~lseq:(-1) "") in
+      (* per class, its send count: a child send's [seq] *)
+      let sends = Array.make k 0 in
+      let rec history c acc =
+        if c = 0 then acc else history parents.(c) (events.(c) :: acc)
+      in
+      let staged = Array.make k None in
+      let stage c =
+        match staged.(c) with
+        | Some f -> f
+        | None ->
+            let f = Spec.stage spec p ~history:(history c []) in
+            staged.(c) <- Some f;
+            f
+      in
+      let steps = StepTbl.create (2 * k) in
+      for c = 1 to k - 1 do
+        let pc = i32 () in
+        if pc >= c then
+          fail "class %d of p%d: parent class %d is not earlier" c pi pc;
+        let lseq = events.(pc).Event.lseq + 1 in
+        let peer () =
+          let q = i32 () in
+          if q >= n then fail "class %d of p%d: peer %d out of range" c pi q;
+          Pid.of_int q
+        in
+        let e, pool =
+          match u8 () with
+          | 0 -> (Event.internal ~pid:p ~lseq (getstr (i32 ())), [])
+          | 1 ->
+              let dst = peer () in
+              let payload = getstr (i32 ()) in
+              let m = Msg.make ~src:p ~dst ~seq:sends.(pc) ~payload in
+              (Event.send ~pid:p ~lseq m, [])
+          | 2 ->
+              let src = peer () in
+              let payload = getstr (i32 ()) in
+              let m = Msg.make ~src ~dst:p ~seq:(i32 ()) ~payload in
+              (Event.receive ~pid:p ~lseq m, [ m ])
+          | t -> fail "class %d of p%d: bad event kind %d" c pi t
+        in
+        (match StepTbl.find_opt steps (pc, e) with
+        | Some c' -> fail "classes %d and %d of p%d are the same step" c' c pi
+        | None -> StepTbl.add steps (pc, e) c);
+        if not (List.exists (Event.equal e) (stage pc pool)) then
+          fail "class %d of p%d: %s is not a step of the process's rule" c pi
+            (Event.to_string e);
+        parents.(c) <- pc;
+        events.(c) <- e;
+        sends.(c) <- (sends.(pc) + if Event.is_send e then 1 else 0)
+      done;
+      trie_parent.(pi) <- parents;
+      event.(pi) <- events
+    done;
     let count = i32 () in
-    if count < 1 || count > len then fail "implausible computation count";
+    if count < 1 then fail "implausible computation count %d" count;
+    plausible (count - 1) ~bytes:12 "computation count";
     let comps = Array.make count Trace.empty in
     let parent = Array.make count (-1) and pid = Array.make count (-1) in
     let cid = Array.make count 0 in
-    let trie = trie_create n in
-    (* Every event above a computation was checked when it was read, so
-       the walks below read its [lseq], send [seq] and class id off the
-       nearest ancestor that has them, with no trace scanned. [on p a]
-       is [a] or its nearest ancestor whose event is on [p], else the
-       root. *)
+    (* per process, the next class id to be reached for the first time *)
+    let reached = Array.make n 1 in
+    (* [on p a] is [a] or its nearest ancestor whose event is on [p],
+       else the root *)
     let rec on p a = if a = 0 || pid.(a) = p then a else on p parent.(a) in
-    let rec sends p a =
-      if a = 0 then 0
-      else
-        match (last_event comps.(a)).Event.kind with
-        | Event.Send m -> m.Msg.seq + 1
-        | Event.Receive _ | Event.Internal _ -> sends p (on p parent.(a))
-    in
     (* newest first: a receive of [m]'s key before its send means
        already received; the root before it means never sent *)
     let rec in_flight m a =
       a > 0
       &&
-      match (last_event comps.(a)).Event.kind with
+      match event.(pid.(a)).(cid.(a)).Event.kind with
       | Event.Receive r when Pid.equal r.Msg.src m.Msg.src && r.Msg.seq = m.Msg.seq
         ->
           false
@@ -976,44 +1085,44 @@ let deserialize spec blob =
       if up >= i then fail "parent index %d not before child %d" up i;
       let pi = i32 () in
       if pi >= n then fail "pid %d out of range" pi;
-      let p = Pid.of_int pi in
-      let lseq = i32 () in
-      let last = on pi up in
-      (* lseq is derivable from the parent: reject inconsistent bodies
-         rather than building traces that violate Trace.well_formed *)
-      let next_lseq =
-        if last = 0 then 0 else (last_event comps.(last)).Event.lseq + 1
-      in
-      if lseq <> next_lseq then
-        fail "inconsistent local sequence number at computation %d" i;
-      let e =
-        match u8 () with
-        | 0 -> Event.internal ~pid:p ~lseq (getstr (i32 ()))
-        | 1 ->
-            let dst = i32 () in
-            if dst >= n then fail "destination %d out of range" dst;
-            let seq = i32 () in
-            if seq <> sends pi last then
-              fail "inconsistent send sequence number at computation %d" i;
-            let payload = getstr (i32 ()) in
-            Event.send ~pid:p ~lseq
-              (Msg.make ~src:p ~dst:(Pid.of_int dst) ~seq ~payload)
-        | 2 ->
-            let src = i32 () in
-            if src >= n then fail "source %d out of range" src;
-            let seq = i32 () in
-            let payload = getstr (i32 ()) in
-            let m = Msg.make ~src:(Pid.of_int src) ~dst:p ~seq ~payload in
-            if not (in_flight m up) then
-              fail "receive of a message not in flight at computation %d" i;
-            Event.receive ~pid:p ~lseq m
-        | t -> fail "bad event kind %d" t
-      in
+      let c = i32 () in
+      if c < 1 || c >= Array.length event.(pi) then
+        fail "class id %d of p%d out of range at computation %d" c pi i;
+      if c > reached.(pi) then
+        fail "class %d of p%d first reached out of order at computation %d" c
+          pi i;
+      if c = reached.(pi) then reached.(pi) <- c + 1;
+      if trie_parent.(pi).(c) <> cid.(on pi up) then
+        fail
+          "class %d of p%d does not extend the parent computation's class at \
+           computation %d"
+          c pi i;
+      if Trace.length comps.(up) >= depth then
+        fail "computation %d is deeper than the universe's depth %d" i depth;
+      let e = event.(pi).(c) in
+      (match e.Event.kind with
+      | Event.Receive m when not (in_flight m up) ->
+          fail "receive of a message not in flight at computation %d" i
+      | Event.Send _ | Event.Receive _ | Event.Internal _ -> ());
+      (* enumeration stores a level's children parent by parent, and
+         each parent's children in [Event.compare] order, so no
+         computation is stored twice *)
+      let prev = i - 1 in
+      if
+        up < parent.(prev)
+        || up = parent.(prev)
+           && Event.compare event.(pid.(prev)).(cid.(prev)) e >= 0
+      then fail "computation %d is out of enumeration order" i;
       comps.(i) <- Trace.snoc comps.(up) e;
       parent.(i) <- up;
       pid.(i) <- pi;
-      cid.(i) <- trie_intern trie pi cid.(last) e
+      cid.(i) <- c
     done;
+    Array.iteri
+      (fun pi next ->
+        if next < Array.length event.(pi) then
+          fail "class %d of p%d is never reached" next pi)
+      reached;
     if !pos <> len then fail "%d trailing bytes" (len - !pos);
     (* spot-check against the spec the caller claims this snapshot is
        for: the deepest stored computation must be one of its
@@ -1033,7 +1142,7 @@ let deserialize spec blob =
         pid;
         cid;
         columns = Array.make n None;
-        trie_parent = trie_parents trie;
+        trie_parent;
         orbit_idx = None;
         pset_ids_memo = Hashtbl.create 16;
         classes_memo = Hashtbl.create 16;

@@ -193,33 +193,36 @@ val successors : t -> int array array
     structure. *)
 
 val serialize : t -> (string, string) result
-(** Compact binary body of the universe's run tree: computation [i] is
-    stored as (parent index, one event) with payloads/tags going through
-    a first-occurrence string table, exploiting prefix-closure — no
-    trace is written twice. The parent index is read off the tree and
-    the event off the trace's end, so no trace index is built. The
-    spec itself is {e not} stored; pair the body with a cache key that
-    pins down (protocol, params, depth, faults, reduce, mode) and hand
-    the same spec back to {!deserialize}. [Error] for symmetry-reduced
+(** Compact binary body of the universe's stored form: each process's
+    projection trie written once (per class id, its parent class and
+    its one event, payloads and tags through a first-occurrence string
+    table), then one (parent index, pid, class id) triple per
+    computation. Each class's event is read off the end of the first
+    computation that reaches it, and parents and class ids off the run
+    tree, so no trace is walked and no trace index is built. The spec
+    itself is {e not} stored; pair the body with a cache key that pins
+    down (protocol, params, depth, faults, reduce, mode) and hand the
+    same spec back to {!deserialize}. [Error] for symmetry-reduced
     universes, whose orbit tables have no serialized form. The body
     carries no framing — version stamp, key and checksum belong to the
     snapshot container layered on top (DESIGN.md §14). *)
 
 val deserialize : Spec.t -> string -> (t, string) result
-(** Rebuild a universe from a {!serialize} body: the body's parent
-    indices and events become the run tree, and each event is replayed
-    through the same class-id interning trie in the same discovery
-    order, so [class_ids], [find] and every knowledge query answer
-    bit-identically to the originally enumerated universe. No class-id
-    column is built here. Every read is bounds-checked and
-    cross-validated against derivable invariants (parents precede
-    children, [lseq]/[seq] match the parent computation, receives
-    consume in-flight messages, the deepest computation satisfies
-    [Spec.valid]); any violation — truncation, bit flips, a body for a
+(** Rebuild a universe from a {!serialize} body: one event per class,
+    then the run tree from the triples, so [class_ids], [find] and
+    every knowledge query answer bit-identically to the originally
+    enumerated universe. No class-id column is built here. Every read
+    is bounds-checked and cross-validated: per class, its parent class
+    comes earlier, it is no other class's step, and its process's rule
+    allows its event; per computation, its parent comes earlier, its
+    class extends its process's class at the parent, class ids are
+    first reached in increasing order, a receive's message is in
+    flight, and it is no deeper than the depth; at the end, every
+    class is reached and the deepest computation satisfies
+    [Spec.valid]. Any violation — truncation, bit flips, a body for a
     different spec — yields [Error], never a wrong universe. The
-    [lseq], [seq] and in-flight checks walk up the run tree to the
-    nearest ancestor that decides them, rather than scanning the parent
-    trace. *)
+    per-computation checks walk up the run tree to the nearest ancestor
+    that decides them, rather than scanning the parent trace. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: size, depth, mode. *)

@@ -5,22 +5,14 @@ type error = Absent | Cache_invalid of string
 (* Bumping the format (or Universe's body encoding) means bumping this
    string: old files then fail the magic check and are re-enumerated,
    which is exactly the invalidation rule we want. *)
-let magic = "HPLSNAP1"
+let magic = "HPLSNAP2"
 
 let path_of ~dir ~key =
   Filename.concat dir (Fnv.hex64 (Fnv.fnv64 key) ^ ".hplsnap")
 
 let add_u32 b v =
   if v < 0 || v > 0x3fffffff then invalid_arg "Snapshot: length out of range";
-  for k = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * k)) land 0xff))
-  done
-
-let add_u64 b (v : int64) =
-  for k = 0 to 7 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.shift_right_logical v (8 * k)) land 0xff))
-  done
+  Buffer.add_int32_le b (Int32.of_int v)
 
 let save ~dir ~key u =
   match Universe.serialize u with
@@ -30,7 +22,7 @@ let save ~dir ~key u =
       Buffer.add_string b magic;
       add_u32 b (String.length key);
       Buffer.add_string b key;
-      add_u64 b (Fnv.fnv64 body);
+      Buffer.add_int64_le b (Fnv.fnv64 body);
       add_u32 b (String.length body);
       Buffer.add_string b body;
       let path = path_of ~dir ~key in
@@ -65,21 +57,17 @@ let load ~dir ~key spec =
         s
       in
       let u32 what =
-        let s = take 4 what in
-        let v = ref 0 in
-        for k = 3 downto 0 do
-          v := (!v lsl 8) lor Char.code s.[k]
-        done;
-        if !v < 0 || !v > 0x3fffffff then fail ("implausible " ^ what);
-        !v
+        if !pos + 4 > len then fail ("truncated " ^ what);
+        let v = Int32.to_int (String.get_int32_le raw !pos) in
+        pos := !pos + 4;
+        if v < 0 || v > 0x3fffffff then fail ("implausible " ^ what);
+        v
       in
       let u64 what =
-        let s = take 8 what in
-        let v = ref 0L in
-        for k = 7 downto 0 do
-          v := Int64.logor (Int64.shift_left !v 8) (Int64.of_int (Char.code s.[k]))
-        done;
-        !v
+        if !pos + 8 > len then fail ("truncated " ^ what);
+        let v = String.get_int64_le raw !pos in
+        pos := !pos + 8;
+        v
       in
       try
         if take (String.length magic) "header" <> magic then

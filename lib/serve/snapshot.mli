@@ -3,7 +3,7 @@
     A snapshot file wraps a {!Hpl_core.Universe.serialize} body in a
     self-validating container:
 
-    {v magic+version "HPLSNAP1" · key length · key ·
+    {v magic+version "HPLSNAP2" · key length · key ·
        FNV-1a-64 of body · body length · body v}
 
     Every load re-derives the checksum and compares the stored key to

@@ -25,6 +25,11 @@ let universe ?(mode = `Canonical) ?(reduce = "none") ?(indep = false) st =
 
 let stats_str u = Format.asprintf "%a" Universe.pp_stats u
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 let formula text =
   match Formula.parse text with
   | Ok f -> f
@@ -129,37 +134,38 @@ let test_deserialize_garbage () =
   | Ok _ -> Alcotest.fail "deserialize accepted a wrong-arity spec"
   | Error _ -> ())
 
-(* The body bytes are what the snapshot container's version stands for:
-   a change to any of these digests needs a new container version. *)
+(* The body bytes are what the snapshot container's version stands for
+   (HPLSNAP2): a change to any of these digests needs a new container
+   version. *)
 let test_body_digests () =
   List.iter
     (fun (what, st, digest) ->
       let body = get (Universe.serialize (universe st)) in
       check tstr (what ^ ": body FNV-64") digest (Fnv.hex64 (Fnv.fnv64 body)))
     [
-      ("ring -d 6", setup ~proto:"ring" ~depth:"6" (), "c34251cef6a23a48");
-      ("quorum -d 8", setup ~proto:"quorum" ~depth:"8" (), "e3a8871014f55a52");
+      ("ring -d 6", setup ~proto:"ring" ~depth:"6" (), "b32bc19b3a4feaa4");
+      ("quorum -d 8", setup ~proto:"quorum" ~depth:"8" (), "360ad51243a64764");
       ( "token-ring:4 crash-any:1",
         setup ~proto:"token-ring:4" ~faults:"crash-any:1" (),
-        "7f79c4d2ad4cce8f" );
+        "7dbeb56b1efa1b52" );
       ( "ring -d 6 --max-states 40",
         setup ~proto:"ring" ~depth:"6" ~max_states:"40" (),
-        "0e1141e4ba47a7e4" );
+        "352962ac3f06aa57" );
     ]
 
-(* A test-side reading of the body: the bytes up to the computation
-   count, then one record per computation after the root — parent, pid,
-   lseq, kind (0 internal, 1 send, 2 receive), and for a message its
-   peer, seq and payload string id, else the tag's string id. *)
-type record = {
-  parent : int;
-  pid : int;
-  lseq : int;
-  kind : int;
-  peer : int;
-  seq : int;
-  str : int;
-}
+(* A test-side reading of the HPLSNAP2 body: the bytes up to the tries (the
+   header and the string table), each process's trie with class [c] at
+   index [c] (class 0, the empty history, is a placeholder and is not
+   written), then one (parent, pid, class id) triple per computation
+   after the root. A class is its parent class, its event's kind (0
+   internal, 1 send, 2 receive), and for a message its peer, payload
+   string id and, for a receive, the seq; an internal event has its
+   tag's string id. *)
+type cls = { up : int; kind : int; peer : int; str : int; seq : int }
+
+type body = { head : string; tries : cls array array; comps : (int * int * int) array }
+
+let empty_class = { up = -1; kind = 0; peer = 0; str = 0; seq = 0 }
 
 let decode_body body =
   let pos = ref 0 in
@@ -177,90 +183,187 @@ let decode_body body =
   ignore (i32 ());
   (match u8 () with 0 -> () | 1 -> ignore (i32 ()) | _ -> pos := !pos + 8);
   ignore (u8 ());
-  ignore (i32 ());
+  let n = i32 () in
   for _ = 1 to i32 () do
     let k = i32 () in
     pos := !pos + k
   done;
   let head = String.sub body 0 !pos in
-  let records = ref [] in
-  for _ = 2 to i32 () do
-    let parent = i32 () in
-    let pid = i32 () in
-    let lseq = i32 () in
-    let kind = u8 () in
-    let r =
-      if kind = 0 then { parent; pid; lseq; kind; peer = 0; seq = 0; str = i32 () }
-      else
-        let peer = i32 () in
-        let seq = i32 () in
-        { parent; pid; lseq; kind; peer; seq; str = i32 () }
-    in
-    records := r :: !records
-  done;
-  (head, Array.of_list (List.rev !records))
+  let tries =
+    Array.init n (fun _ ->
+        Array.init (i32 ()) (fun c ->
+            if c = 0 then empty_class
+            else
+              let up = i32 () in
+              let kind = u8 () in
+              if kind = 0 then { empty_class with up; str = i32 () }
+              else
+                let peer = i32 () in
+                let str = i32 () in
+                { up; kind; peer; str; seq = (if kind = 2 then i32 () else 0) }))
+  in
+  let comps =
+    Array.init (i32 () - 1) (fun _ ->
+        let parent = i32 () in
+        let pid = i32 () in
+        (parent, pid, i32 ()))
+  in
+  { head; tries; comps }
 
-let encode_body (head, records) =
-  let b = Buffer.create (String.length head + (25 * Array.length records)) in
+let encode_body { head; tries; comps } =
+  let b = Buffer.create (String.length head + (12 * Array.length comps)) in
   let i32 v = Buffer.add_int32_le b (Int32.of_int v) in
   Buffer.add_string b head;
-  i32 (Array.length records + 1);
   Array.iter
-    (fun r ->
-      i32 r.parent;
-      i32 r.pid;
-      i32 r.lseq;
-      Buffer.add_uint8 b r.kind;
-      if r.kind <> 0 then begin
-        i32 r.peer;
-        i32 r.seq
-      end;
-      i32 r.str)
-    records;
+    (fun t ->
+      i32 (Array.length t);
+      for c = 1 to Array.length t - 1 do
+        let k = t.(c) in
+        i32 k.up;
+        Buffer.add_uint8 b k.kind;
+        if k.kind <> 0 then i32 k.peer;
+        i32 k.str;
+        if k.kind = 2 then i32 k.seq
+      done)
+    tries;
+  i32 (Array.length comps + 1);
+  Array.iter
+    (fun (parent, pid, cid) ->
+      i32 parent;
+      i32 pid;
+      i32 cid)
+    comps;
   Buffer.contents b
 
-(* Bodies that frame correctly but describe no universe: each breaks one
-   invariant [deserialize] checks against the computation's ancestors. *)
+(* Bodies that frame correctly but describe no universe, or describe one
+   numbered differently from enumeration: each breaks one invariant
+   [deserialize] checks. The body derives [lseq] and a send's [seq]
+   from the parent class, so neither can be written wrong. *)
 let test_deserialize_hostile () =
-  let st = setup ~proto:"ping-pong" ~depth:"6" () in
+  let st = setup ~proto:"chatter:2" ~depth:"4" () in
   let body = get (Universe.serialize (universe st)) in
-  let head, records = decode_body body in
-  check tbool "decoder round trip" true (String.equal body (encode_body (head, records)));
-  (* record k describes computation k + 1 *)
-  let first kind =
-    let rec go k = if records.(k).kind = kind then k else go (k + 1) in
-    go 0
-  in
-  let rejects what expected records =
-    match Universe.deserialize st.Query.spec (encode_body (head, records)) with
+  let b = decode_body body in
+  check tbool "decoder round trip" true (String.equal body (encode_body b));
+  let rejects what expected b =
+    match Universe.deserialize st.Query.spec (encode_body b) with
     | Ok _ -> Alcotest.failf "deserialize accepted %s" what
     | Error e ->
-        let n = String.length expected in
-        let rec has i =
-          i + n <= String.length e && (String.sub e i n = expected || has (i + 1))
-        in
-        if not (has 0) then
+        if not (contains e expected) then
           Alcotest.failf "%s: error %S does not say %S" what e expected
   in
-  let with_record k r =
-    let rs = Array.copy records in
-    rs.(k) <- r;
-    rs
+  let with_class p c k =
+    let tries = Array.map Array.copy b.tries in
+    tries.(p).(c) <- k;
+    { b with tries }
   in
-  let last = Array.length records - 1 in
-  rejects "lseq off by one" "local sequence number"
-    (with_record last { (records.(last)) with lseq = records.(last).lseq + 1 });
-  let s = first 1 in
-  rejects "send seq off by one" "send sequence number"
-    (with_record s { (records.(s)) with seq = records.(s).seq + 1 });
-  let r = first 2 in
-  let again = { (records.(r)) with parent = r + 1; lseq = records.(r).lseq + 1 } in
-  rejects "receive of an already-received message" "not in flight"
-    (Array.append records [| again |]);
-  rejects "receive of a never-sent message" "not in flight"
-    (with_record r { (records.(r)) with seq = records.(r).seq + 100 });
+  let with_comp k r =
+    let comps = Array.copy b.comps in
+    comps.(k) <- r;
+    { b with comps }
+  in
+  (* comps.(k) describes computation k + 1 *)
+  let find_comp f =
+    let rec go k =
+      if k >= Array.length b.comps then Alcotest.fail "no such computation"
+      else if f k b.comps.(k) then k
+      else go (k + 1)
+    in
+    go 0
+  in
+  let class_of (_, p, c) = b.tries.(p).(c) in
+  let last = Array.length b.comps - 1 in
+  (* the HPLSNAP1 body's invariants that this one can still express *)
+  let up, p, c = b.comps.(last) in
   rejects "parent not before child" "not before child"
-    (with_record last { (records.(last)) with parent = last + 1 })
+    (with_comp last (last + 1, p, c));
+  (* the first computation to receive, with a first-event receive *)
+  let r =
+    find_comp (fun _ t -> (class_of t).kind = 2 && (class_of t).up = 0)
+  in
+  let _, rp, rc = b.comps.(r) in
+  let received = b.tries.(rp).(rc) in
+  let again = Array.length b.tries.(rp) in
+  rejects "receive of an already-received message" "not in flight"
+    {
+      b with
+      tries =
+        Array.mapi
+          (fun p t -> if p = rp then Array.append t [| { received with up = rc } |] else t)
+          b.tries;
+      comps = Array.append b.comps [| (r + 1, rp, again) |];
+    };
+  rejects "receive of a never-sent message" "not in flight"
+    (with_class rp rc { received with seq = received.seq + 100 });
+  (* the trie's invariants, one body each *)
+  let t0 = b.tries.(0) in
+  let k = Array.length t0 - 1 in
+  rejects "a class whose parent class is not earlier" "not earlier"
+    (with_class 0 k { (t0.(k)) with up = k });
+  rejects "two classes with the same (parent, event)" "same step"
+    (with_class 0 k t0.(1));
+  rejects "a class id out of range" "out of range"
+    (with_comp last (up, p, Array.length b.tries.(p)));
+  (* two consecutive sibling classes swap ids everywhere: the same
+     universe, numbered otherwise than enumeration numbers it *)
+  let sp, sc =
+    let rec go p c =
+      if p >= Array.length b.tries then Alcotest.fail "no sibling classes"
+      else if c + 1 >= Array.length b.tries.(p) then go (p + 1) 1
+      else if b.tries.(p).(c).up = b.tries.(p).(c + 1).up then (p, c)
+      else go p (c + 1)
+    in
+    go 0 1
+  in
+  let swap c = if c = sc then sc + 1 else if c = sc + 1 then sc else c in
+  rejects "a class first reached out of order" "out of order"
+    {
+      b with
+      tries =
+        Array.mapi
+          (fun p t ->
+            if p <> sp then t
+            else
+              Array.init (Array.length t) (fun c ->
+                  let k = t.(swap c) in
+                  if c = 0 then k else { k with up = swap k.up }))
+          b.tries;
+      comps =
+        Array.map
+          (fun (up, p, c) -> if p = sp then (up, p, swap c) else (up, p, c))
+          b.comps;
+    };
+  (* the last computation extending a class other than the empty one
+     claims class 1, whose parent is the empty class *)
+  let x =
+    let rec go k = if (class_of b.comps.(k)).up > 0 then k else go (k - 1) in
+    go last
+  in
+  let xu, xp, _ = b.comps.(x) in
+  rejects "a class that does not extend the parent computation's class"
+    "does not extend"
+    (with_comp x (xu, xp, 1));
+  rejects "a class no computation reaches" "never reached"
+    {
+      b with
+      tries =
+        Array.mapi
+          (fun p t ->
+            if p = rp then Array.append t [| { received with seq = received.seq + 100 } |]
+            else t)
+          b.tries;
+    };
+  (* the rule, depth and order checks *)
+  let i = find_comp (fun _ t -> (class_of t).kind = 0) in
+  let _, ip, ic = b.comps.(i) in
+  let payload = b.tries.(rp).(rc).str in
+  rejects "an internal event the rule never takes" "not a step of the process's rule"
+    (with_class ip ic { (b.tries.(ip).(ic)) with str = payload });
+  let shallow = Bytes.of_string b.head in
+  Bytes.set_int32_le shallow 1 2l;
+  rejects "a computation deeper than the header's depth" "deeper than"
+    { b with head = Bytes.to_string shallow };
+  rejects "a computation stored twice" "enumeration order"
+    { b with comps = Array.append b.comps [| b.comps.(last) |] }
 
 (* -- Snapshot container --------------------------------------------------- *)
 
@@ -362,6 +465,240 @@ let test_snapshot_fuzz () =
           let e1 = Query.run_extent st u ~atom:"attack"
           and e2 = Query.run_extent st u2 ~atom:"attack" in
           check tstr "extent after recovery" e1.Query.out e2.Query.out)
+
+(* The container around a body, as [Snapshot.save] writes it: magic,
+   key length, key, FNV-1a-64 of the body, body length, body. *)
+let container ~key body =
+  let b = Buffer.create (String.length body + 64) in
+  Buffer.add_string b "HPLSNAP2";
+  Buffer.add_int32_le b (Int32.of_int (String.length key));
+  Buffer.add_string b key;
+  Buffer.add_int64_le b (Fnv.fnv64 body);
+  Buffer.add_int32_le b (Int32.of_int (String.length body));
+  Buffer.add_string b body;
+  Buffer.contents b
+
+module Proj = Hashtbl.Make (struct
+  type t = Event.t list
+
+  let equal = List.equal Event.equal
+  let hash es = List.fold_left (fun h e -> (h * 31) + Event.hash e) 0 es land max_int
+end)
+
+module Traces = Hashtbl.Make (Trace)
+
+(* What a loaded universe must be, read naively: its computations are
+   distinct computations of the spec, and two computations share a
+   process's class id iff their projections on it are equal. *)
+let assert_valid_universe what spec u =
+  let seen = Traces.create 64 in
+  Universe.iter
+    (fun i z ->
+      if not (Spec.valid spec z) then
+        Alcotest.failf "%s: computation %d is not a computation of the spec"
+          what i;
+      match Traces.find_opt seen z with
+      | Some j -> Alcotest.failf "%s: computations %d and %d are equal" what j i
+      | None -> Traces.add seen z i)
+    u;
+  List.iter
+    (fun p ->
+      let col = Universe.class_ids u p in
+      let id_of = Proj.create 64 and first = Hashtbl.create 64 in
+      Universe.iter
+        (fun i z ->
+          let pr = Trace.proj z p in
+          (match Proj.find_opt id_of pr with
+          | Some id when id <> col.(i) ->
+              Alcotest.failf "%s: computation %d: one %s projection, class ids %d and %d"
+                what i (Pid.to_string p) id col.(i)
+          | Some _ -> ()
+          | None -> Proj.add id_of pr col.(i));
+          match Hashtbl.find_opt first col.(i) with
+          | Some j ->
+              if not (List.equal Event.equal (Trace.proj (Universe.comp u j) p) pr)
+              then
+                Alcotest.failf "%s: %s class id %d names two projections" what
+                  (Pid.to_string p) col.(i)
+          | None -> Hashtbl.add first col.(i) i)
+        u)
+    (Spec.pids spec)
+
+(* One seeded change to a body: a flipped byte, a small integer written
+   over four bytes, a truncation, a slice copied over another, a slice
+   cut out, or one field of a class or a computation set to a small
+   value (which reaches the checks behind the framing far more often). *)
+let mutate rng body =
+  let len = String.length body in
+  let b = Bytes.of_string body in
+  let slice () = 1 + Random.State.int rng (min 64 (len / 2)) in
+  let small () = Random.State.int rng 8 in
+  match Random.State.int rng 6 with
+  | 5 ->
+      let d = decode_body body in
+      let p = Random.State.int rng (Array.length d.tries) in
+      let t = d.tries.(p) in
+      if Random.State.bool rng && Array.length t > 1 then begin
+        let c = 1 + Random.State.int rng (Array.length t - 1) in
+        let k = t.(c) in
+        let field, k =
+          match Random.State.int rng 5 with
+          | 0 -> ("parent", { k with up = small () })
+          | 1 -> ("kind", { k with kind = Random.State.int rng 3 })
+          | 2 -> ("peer", { k with peer = small () })
+          | 3 -> ("string", { k with str = small () })
+          | _ -> ("seq", { k with seq = small () })
+        in
+        let tries = Array.map Array.copy d.tries in
+        tries.(p).(c) <- k;
+        (Printf.sprintf "p%d class %d %s" p c field, encode_body { d with tries })
+      end
+      else begin
+        let i = Random.State.int rng (Array.length d.comps) in
+        let up, q, c = d.comps.(i) in
+        let v = small () in
+        let field, r =
+          match Random.State.int rng 3 with
+          | 0 -> ("parent", (max 0 (up - v), q, c))
+          | 1 -> ("pid", (up, v mod Array.length d.tries, c))
+          | _ -> ("class", (up, q, v))
+        in
+        let comps = Array.copy d.comps in
+        comps.(i) <- r;
+        (Printf.sprintf "computation %d %s" (i + 1) field, encode_body { d with comps })
+      end
+  | 0 ->
+      let i = Random.State.int rng len in
+      Bytes.set b i (Char.chr (Char.code body.[i] lxor (1 + Random.State.int rng 255)));
+      (Printf.sprintf "flip at %d" i, Bytes.to_string b)
+  | 1 ->
+      let i = Random.State.int rng (len - 3) and v = Random.State.int rng 16 in
+      Bytes.set_int32_le b i (Int32.of_int v);
+      (Printf.sprintf "%d written at %d" v i, Bytes.to_string b)
+  | 2 ->
+      let cut = Random.State.int rng len in
+      (Printf.sprintf "truncated at %d" cut, String.sub body 0 cut)
+  | 3 ->
+      let k = slice () in
+      let src = Random.State.int rng (len - k + 1)
+      and dst = Random.State.int rng (len - k + 1) in
+      Bytes.blit_string body src b dst k;
+      (Printf.sprintf "%d bytes from %d copied to %d" k src dst, Bytes.to_string b)
+  | _ ->
+      let k = slice () in
+      let at = Random.State.int rng (len - k + 1) in
+      ( Printf.sprintf "%d bytes cut at %d" k at,
+        String.sub body 0 at ^ String.sub body (at + k) (len - at - k) )
+
+(* Seeded fuzz behind the checksum: change the body, write it with its
+   checksum recomputed, and load. No exception may escape, and a load
+   is either Cache_invalid or a universe that is valid as read naively
+   — never a structurally wrong one. *)
+let test_snapshot_body_fuzz () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let rng = Random.State.make [| 0xB0D7 |] in
+      List.iter
+        (fun (proto, depth) ->
+          let st = setup ~proto ~depth () in
+          let spec = st.Query.spec in
+          let u = universe st in
+          let key = Printf.sprintf "body-fuzz|%s|d%s" proto depth in
+          get (Snapshot.save ~dir ~key u);
+          let path = Snapshot.path_of ~dir ~key in
+          let body = get (Universe.serialize u) in
+          check tstr (proto ^ ": test-side container")
+            (In_channel.with_open_bin path In_channel.input_all)
+            (container ~key body);
+          (match Snapshot.load ~dir ~key spec with
+          | Ok u2 -> assert_valid_universe (proto ^ " intact") spec u2
+          | Error _ -> Alcotest.failf "%s: intact snapshot refused" proto);
+          for k = 1 to 300 do
+            let what, damaged = mutate rng body in
+            let what = Printf.sprintf "%s -d %s, mutation %d (%s)" proto depth k what in
+            Out_channel.with_open_bin path (fun oc ->
+                Out_channel.output_string oc (container ~key damaged));
+            match Snapshot.load ~dir ~key spec with
+            | Error (Snapshot.Cache_invalid _) -> ()
+            | Error Snapshot.Absent -> Alcotest.failf "%s: reported absent" what
+            | Ok u2 -> assert_valid_universe what spec u2
+            | exception e ->
+                Alcotest.failf "%s: %s escaped" what (Printexc.to_string e)
+          done)
+        [ ("two-generals", "5"); ("ring", "6") ])
+
+(* A file in the previous format is refused for its version, so it is
+   re-enumerated and overwritten. *)
+let test_snapshot_old_format () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let st = setup ~proto:"two-generals" ~depth:"5" () in
+      let key = "old-format|two-generals|d5" in
+      get (Snapshot.save ~dir ~key (universe st));
+      let path = Snapshot.path_of ~dir ~key in
+      let raw = In_channel.with_open_bin path In_channel.input_all in
+      check tstr "current magic" "HPLSNAP2" (String.sub raw 0 8);
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc
+            ("HPLSNAP1" ^ String.sub raw 8 (String.length raw - 8)));
+      match Snapshot.load ~dir ~key st.Query.spec with
+      | Error (Snapshot.Cache_invalid m) ->
+          if not (contains m "format version") then
+            Alcotest.failf "HPLSNAP1 refused for %S, not its format version" m
+      | Error Snapshot.Absent -> Alcotest.fail "HPLSNAP1 file reported absent"
+      | Ok _ -> Alcotest.fail "HPLSNAP1 file loaded")
+
+(* A load builds one event per class and one trace cell per
+   computation. Decoding and re-interning every computation's event, as
+   the HPLSNAP1 body required, cost about 116 minor words per
+   computation on this universe. *)
+let test_snapshot_load_words () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let st = setup ~proto:"ring" ~depth:"8" () in
+      let u = universe st in
+      let key = "load-words|ring|d8" in
+      get (Snapshot.save ~dir ~key u);
+      let load () =
+        match Snapshot.load ~dir ~key st.Query.spec with
+        | Ok u2 -> u2
+        | Error _ -> Alcotest.fail "snapshot refused"
+      in
+      ignore (load ());
+      let w0 = Gc.minor_words () in
+      let u2 = load () in
+      let words = (Gc.minor_words () -. w0) /. float_of_int (Universe.size u2) in
+      check tint "size" (Universe.size u) (Universe.size u2);
+      check tbool
+        (Printf.sprintf "minor words per computation: %.1f < 24" words)
+        true (words < 24.))
+
+(* File names, [-f] cache keys and the benchmark's answer digests all go
+   through [Fnv.fnv64]: its digests are the published FNV-1a-64 ones,
+   and hashing allocates nothing per byte. *)
+let test_fnv_vectors () =
+  List.iter
+    (fun (s, h) -> check tstr (Printf.sprintf "fnv64 %S" s) h (Fnv.hex64 (Fnv.fnv64 s)))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ];
+  let rng = Random.State.make [| 0xF17 |] in
+  let s = String.init 100_000 (fun _ -> Char.chr (Random.State.int rng 256)) in
+  let reference = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      reference :=
+        Int64.mul (Int64.logxor !reference (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  check tstr "100 KB against a byte loop" (Fnv.hex64 !reference) (Fnv.hex64 (Fnv.fnv64 s));
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Fnv.fnv64 s));
+  let words = Gc.minor_words () -. w0 in
+  check tbool (Printf.sprintf "100 KB hashed in %.0f minor words" words) true (words < 64.)
 
 (* -- LRU cache ------------------------------------------------------------ *)
 
@@ -1025,4 +1362,12 @@ let suite =
     Alcotest.test_case "process conformance: CLI vs --pipe server" `Quick
       test_conformance_process;
     Alcotest.test_case "socket transport round-trip" `Quick test_socket;
+    Alcotest.test_case "fnv64 gives the published FNV-1a-64 digests" `Quick
+      test_fnv_vectors;
+    Alcotest.test_case "snapshot body fuzz: Error or a valid universe" `Quick
+      test_snapshot_body_fuzz;
+    Alcotest.test_case "snapshot refuses the HPLSNAP1 format" `Quick
+      test_snapshot_old_format;
+    Alcotest.test_case "snapshot load allocates < 24 words per computation"
+      `Quick test_snapshot_load_words;
   ]
