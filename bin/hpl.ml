@@ -723,38 +723,23 @@ let mc proto file depth_str faults_str runs_str seed_str ci_str peers_str
     | Error e -> die_usage "--formula: parse error: %s" e
     | Ok f -> f
   in
-  let inst, _loaded = resolve_proto proto file in
-  let scenario = opt_arg Query.parse_faults faults_str in
-  let base = Protocol.spec_of inst in
-  let base_n = Spec.n base in
-  (* validate the whole scenario (including partition windows) against
-     the base system before splitting it for the sampler *)
-  (match scenario with
-  | Some t -> (
-      match Faults.Scenario.apply t base with
-      | Ok _ -> ()
-      | Error e -> die_usage "--faults: %s" e)
-  | None -> ());
+  (* the whole scenario, partition windows included, is validated
+     against the base system exactly as for the exact engine *)
+  let st = resolve proto file depth_str faults_str None max_seconds_str in
+  let scenario = st.Query.scenario and base_n = st.Query.base_n in
+  let base = Protocol.spec_of st.Query.inst in
   (* partitions are sampled as step-index delivery windows, not routed
      lossy channels: split them off the spec transformation *)
   let windows =
-    match scenario with
-    | None -> []
-    | Some t -> Faults.Scenario.partition_windows t
+    Option.fold ~none:[] ~some:Faults.Scenario.partition_windows scenario
   in
   let routed = Option.map Faults.Scenario.without_partitions scenario in
   let faulty_spec =
-    match routed with
-    | None -> base
-    | Some t -> (
-        match Faults.Scenario.apply t base with
-        | Ok s -> s
-        | Error e -> die_usage "--faults: %s" e)
+    Option.fold ~none:base ~some:(fun t -> Faults.Scenario.apply_exn t base)
+      routed
   in
   let view =
-    match routed with
-    | None -> Fun.id
-    | Some t -> Faults.Scenario.view t ~n:base_n
+    Option.fold ~none:Fun.id ~some:(Faults.Scenario.view ~n:base_n) routed
   in
   let pos_int flag s = die (Query.parse_pos_int flag s) in
   let runs =
@@ -787,21 +772,15 @@ let mc proto file depth_str faults_str runs_str seed_str ci_str peers_str
     Option.fold ~none:Mc.default.Mc.ck_depth ~some:(pos_int "--ck-depth")
       ck_str
   in
-  let max_seconds = opt_arg Query.parse_max_seconds max_seconds_str in
+  (* the fault-free baseline of --robust runs at the depth before
+     [suggested_depth] scales it for the scenario *)
   let base_depth =
-    match opt_arg Query.parse_depth depth_str with
-    | Some d -> d
-    | None -> Protocol.depth_of inst
-  in
-  let depth =
-    match (depth_str, scenario) with
-    | Some _, _ | None, None -> base_depth
-    | None, Some t -> Faults.Scenario.suggested_depth t base_depth
+    if depth_str = None then Protocol.depth_of st.Query.inst else st.Query.depth
   in
   let cfg =
     {
       Mc.runs;
-      depth;
+      depth = st.Query.depth;
       seed;
       level;
       peers;
@@ -809,10 +788,10 @@ let mc proto file depth_str faults_str runs_str seed_str ci_str peers_str
       ck_depth;
       base_n = Some base_n;
       windows;
-      max_seconds;
+      max_seconds = st.Query.budget.Universe.max_seconds;
     }
   in
-  let env = Protocol.atom_env inst in
+  let env = Protocol.atom_env st.Query.inst in
   Format.printf "formula: %a@." Formula.pp f;
   if robust then begin
     if scenario = None then die_usage "--robust needs --faults to compare against";

@@ -3,7 +3,6 @@ type t = { name : string; eval : Trace.t -> bool }
 let make name eval = { name; eval }
 let name b = b.name
 let eval b x = b.eval x
-let holds = eval
 let tt = make "true" (fun _ -> true)
 let ff = make "false" (fun _ -> false)
 let const c = if c then tt else ff

@@ -19,9 +19,6 @@ val name : t -> string
 val eval : t -> Trace.t -> bool
 (** [eval b x] is the paper's "b at x". *)
 
-val holds : t -> Trace.t -> bool
-(** Alias of {!eval}. *)
-
 val tt : t
 (** The constant [true] predicate. *)
 

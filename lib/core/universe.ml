@@ -536,13 +536,6 @@ let symmetry u = Reduction.symmetry u.reduce
 let size u = Array.length u.comps
 let comp u i = u.comps.(i)
 
-let sample u ~choose =
-  let k = Array.length u.comps in
-  if k = 0 then invalid_arg "Universe.sample: empty universe";
-  let i = choose k in
-  if i < 0 || i >= k then
-    invalid_arg "Universe.sample: choose returned an out-of-range index";
-  u.comps.(i)
 let index u z =
   let r = TraceTbl.find_opt (Lazy.force u.idx) z in
   if !Hpl_obs.enabled then begin

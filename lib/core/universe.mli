@@ -98,14 +98,6 @@ val size : t -> int
 val comp : t -> int -> Trace.t
 (** [comp u i] is computation number [i]. *)
 
-val sample : t -> choose:(int -> int) -> Trace.t
-(** [sample u ~choose] draws one stored computation: [choose k] must
-    return an index in [\[0, k)] where [k = size u]. With a uniform
-    [choose] this samples the stored computations uniformly — the hook
-    the Monte Carlo layer uses for small-universe resampling. Raises
-    [Invalid_argument] on an empty universe or an out-of-range
-    choice. *)
-
 val index : t -> Trace.t -> int option
 (** Exact lookup of a trace (as stored — canonical form in
     [`Canonical] mode). The trace → index table is built on the first

@@ -611,59 +611,4 @@ module Scenario = struct
         0 t
 
   let view t ~n z = if routes_channels t then view ~n z else z
-
-  let to_sim_config t (cfg : Hpl_sim.Engine.config) =
-    let open Hpl_sim in
-    let drops = ref [] and drop_all = ref false in
-    let dups = ref [] and dup_all = ref false in
-    let crash_after = ref cfg.Engine.crash_after_events in
-    let prone = ref cfg.Engine.crash_prone in
-    let parts = ref [] in
-    let recs = ref [] in
-    let any_drop = ref false and any_dup = ref false and any_prone = ref false in
-    List.iter
-      (function
-        | Drop All_channels ->
-            any_drop := true;
-            drop_all := true
-        | Drop (Channel (a, b)) ->
-            any_drop := true;
-            drops := (a, b) :: !drops
-        | Dup All_channels ->
-            any_dup := true;
-            dup_all := true
-        | Dup (Channel (a, b)) ->
-            any_dup := true;
-            dups := (a, b) :: !dups
-        | Crash_stop { pid; after } -> crash_after := (pid, after) :: !crash_after
-        | Crash_any { upto } ->
-            any_prone := true;
-            prone := List.init upto Fun.id @ !prone
-        | Partition { group; t0; t1 } ->
-            (* scenario window bounds are interpreted as simulated-time
-               instants here (the sim clock), as step indices in the mc
-               sampler *)
-            parts := (float_of_int t0, float_of_int t1, group) :: !parts
-        | Recover { pid; upto } -> recs := (pid, upto) :: !recs)
-      t;
-    {
-      cfg with
-      Engine.drop_prob =
-        (if !any_drop then Stdlib.max cfg.Engine.drop_prob 0.25
-         else cfg.Engine.drop_prob);
-      drop_channels =
-        (if !drop_all then [] else List.rev !drops @ cfg.Engine.drop_channels);
-      dup_prob =
-        (if !any_dup then Stdlib.max cfg.Engine.dup_prob 0.25
-         else cfg.Engine.dup_prob);
-      dup_channels =
-        (if !dup_all then [] else List.rev !dups @ cfg.Engine.dup_channels);
-      partitions = cfg.Engine.partitions @ List.rev !parts;
-      crash_after_events = !crash_after;
-      crash_prone = List.sort_uniq Int.compare !prone;
-      crash_prob =
-        (if !any_prone then Stdlib.max cfg.Engine.crash_prob 0.05
-         else cfg.Engine.crash_prob);
-      recoveries = cfg.Engine.recoveries @ List.rev !recs;
-    }
 end

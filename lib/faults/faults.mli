@@ -57,7 +57,7 @@ val crash_tag : string
 
 val recover_tag : string
 (** ["recover"] — the internal-event tag recording a crash-recovery
-    (see {!crash_recover}; same tag the simulation engine uses). *)
+    (see {!crash_recover}). *)
 
 val crash_stop : pid:Pid.t -> after:int -> Spec.t -> Spec.t
 (** [crash_stop ~pid ~after s]: as [s], except that [pid] enables
@@ -147,12 +147,11 @@ val delivery_channel : n:int -> Event.t -> (int * int) option
     - [partition:pA|pB|…@t0-t1] — a network partition: during the
       window [\[t0, t1)] messages crossing the boundary between the
       listed group and the rest of the system do not get through. The
-      three engines interpret the window at their own granularity: the
-      sim engine as simulated-time instants (crossing sends are lost),
-      the Monte Carlo sampler as global step indices (crossing
-      deliveries are delayed until the window closes), and the exact
-      engine — which has no global clock — over-approximates the window
-      as whole-run lossiness on the crossing channels.
+      two engines interpret the window at their own granularity: the
+      Monte Carlo sampler as global step indices (crossing deliveries
+      are delayed until the window closes), and the exact engine —
+      which has no global clock — over-approximates the window as
+      whole-run lossiness on the crossing channels.
     - [recover:pN@K] — process [N] recovers from its scheduled crash,
       at most [K] times ({!crash_recover}); requires a matching
       [crash:pN@…] item.
@@ -226,16 +225,4 @@ module Scenario : sig
   val view : t -> n:int -> Trace.t -> Trace.t
   (** {!Faults.view} when the scenario routes channels, identity
       otherwise ([n] = process count before the scenario). *)
-
-  val to_sim_config : t -> Hpl_sim.Engine.config -> Hpl_sim.Engine.config
-  (** Interpret the same scenario for the random-walk simulation
-      engine: [drop:…] becomes per-channel message loss, [dup:…]
-      per-channel duplication, [crash:pN@K] a crash after [K] local
-      events, [crash-any:K] makes the first [K] processes crash-prone
-      with a small per-step crash probability, [partition:…@t0-t1] a
-      timed entry in [config.partitions] (window bounds read as
-      simulated-time instants), and [recover:pN@K] an entry in
-      [config.recoveries]. Probabilistic fields are only raised, never
-      lowered, so a config that already injects faults keeps its
-      settings. *)
 end

@@ -7,15 +7,8 @@ type config = {
   min_delay : float;
   max_delay : float;
   drop_prob : float;
-  drop_channels : (int * int) list;
-  dup_prob : float;
-  dup_channels : (int * int) list;
   partitions : (float * float * int list) list;
   crashes : (float * int) list;
-  crash_after_events : (int * int) list;
-  crash_prone : int list;
-  crash_prob : float;
-  recoveries : (int * int) list;
   max_steps : int;
   max_time : float;
 }
@@ -28,15 +21,8 @@ let default =
     min_delay = 1.0;
     max_delay = 10.0;
     drop_prob = 0.0;
-    drop_channels = [];
-    dup_prob = 0.0;
-    dup_channels = [];
     partitions = [];
     crashes = [];
-    crash_after_events = [];
-    crash_prone = [];
-    crash_prob = 0.0;
-    recoveries = [];
     max_steps = 100_000;
     max_time = 1e6;
   }
@@ -45,7 +31,6 @@ type action =
   | Send of Pid.t * string
   | Set_timer of float * string
   | Log_internal of string
-  | Crash
 
 type 's handlers = {
   init : Pid.t -> 's * action list;
@@ -58,7 +43,6 @@ type stats = {
   sent : int;
   delivered : int;
   dropped : int;
-  duplicated : int;
   timers_fired : int;
   end_time : float;
   steps : int;
@@ -80,11 +64,9 @@ type item =
       msg_seq : int;
       payload : string;
       sent_at : float;
-      dup : bool;
     }
   | Timer of { pid : Pid.t; tag : string }
   | Crash_at of { pid : Pid.t }
-  | Recover_at of { pid : Pid.t }
 
 let run cfg handlers =
   if cfg.n < 1 then invalid_arg "Engine.run: need at least one process";
@@ -95,31 +77,8 @@ let run cfg handlers =
       if pid < 0 || pid >= cfg.n then
         invalid_arg (Printf.sprintf "Engine.run: crash pid %d out of range" pid))
     cfg.crashes;
-  List.iter
-    (fun (pid, after) ->
-      if pid < 0 || pid >= cfg.n then
-        invalid_arg (Printf.sprintf "Engine.run: crash pid %d out of range" pid);
-      if after < 0 then
-        invalid_arg "Engine.run: negative crash_after_events count")
-    cfg.crash_after_events;
-  List.iter
-    (fun pid ->
-      if pid < 0 || pid >= cfg.n then
-        invalid_arg
-          (Printf.sprintf "Engine.run: crash-prone pid %d out of range" pid))
-    cfg.crash_prone;
-  List.iter
-    (fun (pid, upto) ->
-      if pid < 0 || pid >= cfg.n then
-        invalid_arg (Printf.sprintf "Engine.run: recovery pid %d out of range" pid);
-      if upto < 1 then
-        invalid_arg "Engine.run: recoveries need at least one recovery each")
-    cfg.recoveries;
-  List.iter
-    (fun p ->
-      if p < 0.0 || p > 1.0 then
-        invalid_arg "Engine.run: probabilities must be within [0, 1]")
-    [ cfg.drop_prob; cfg.dup_prob; cfg.crash_prob ];
+  if cfg.drop_prob < 0.0 || cfg.drop_prob > 1.0 then
+    invalid_arg "Engine.run: drop_prob must be within [0, 1]";
   let rng = Rng.create cfg.seed in
   let queue : item Pqueue.t = Pqueue.create () in
   let seqno = ref 0 in
@@ -135,39 +94,12 @@ let run cfg handlers =
   let send_seq = Array.make cfg.n 0 in
   let trace = ref Trace.empty in
   let now = ref 0.0 in
-  (* event-count crash quota, per pid; recovery bumps the quota so each
-     life gets a fresh allowance, matching Faults.crash_recover *)
-  let base_quota = Array.make cfg.n max_int in
-  List.iter
-    (fun (pid, after) -> base_quota.(pid) <- min base_quota.(pid) after)
-    cfg.crash_after_events;
-  let crash_quota = Array.copy base_quota in
-  let recover_left = Array.make cfg.n 0 in
-  List.iter
-    (fun (pid, upto) -> recover_left.(pid) <- recover_left.(pid) + upto)
-    cfg.recoveries;
-  (* every crash site funnels through here: halt the node and — if it
-     has recoveries left — schedule it to come back up one max_delay
-     later (the repair takes about as long as the network's worst
-     case) *)
-  let crash_now pid =
-    let i = Pid.to_int pid in
-    crashed.(i) <- true;
-    if recover_left.(i) > 0 then begin
-      recover_left.(i) <- recover_left.(i) - 1;
-      schedule (!now +. cfg.max_delay) (Recover_at { pid })
-    end
-  in
   let record pid mk =
     let i = Pid.to_int pid in
     trace := Trace.snoc !trace (mk ~lseq:lseq.(i));
-    lseq.(i) <- lseq.(i) + 1;
-    (* scheduled-by-event-count crashes are silent, like Faults.crash_stop:
-       the process simply stops once it has performed its quota *)
-    if lseq.(i) >= crash_quota.(i) && not crashed.(i) then crash_now pid
+    lseq.(i) <- lseq.(i) + 1
   in
   let sent = ref 0 and delivered = ref 0 and dropped = ref 0 in
-  let duplicated = ref 0 in
   let timers_fired = ref 0 in
   (* messages scheduled but not yet delivered; tracked unconditionally
      (two int ops per message) so the observability layer can report
@@ -182,10 +114,6 @@ let run cfg handlers =
         && List.mem (Pid.to_int src) group <> List.mem (Pid.to_int dst) group)
       cfg.partitions
   in
-  (* [channels = []] means every channel is subject to the fault *)
-  let on_channel channels src dst =
-    channels = [] || List.mem (Pid.to_int src, Pid.to_int dst) channels
-  in
   let do_send self dst payload =
     let i = Pid.to_int self in
     let m = Msg.make ~src:self ~dst ~seq:send_seq.(i) ~payload in
@@ -193,11 +121,8 @@ let run cfg handlers =
     record self (fun ~lseq -> Event.send ~pid:self ~lseq m);
     incr sent;
     if partitioned self dst !now then incr dropped
-    else if
-      cfg.drop_prob > 0.0
-      && on_channel cfg.drop_channels self dst
-      && Rng.float rng 1.0 < cfg.drop_prob
-    then incr dropped
+    else if cfg.drop_prob > 0.0 && Rng.float rng 1.0 < cfg.drop_prob then
+      incr dropped
     else begin
       let fifo_slot t =
         if cfg.fifo then begin
@@ -217,23 +142,12 @@ let run cfg handlers =
       in
       let t = fifo_slot (!now +. delay ()) in
       schedule t
-        (Deliver
-           { src = self; dst; msg_seq = m.Msg.seq; payload; sent_at = !now; dup = false });
+        (Deliver { src = self; dst; msg_seq = m.Msg.seq; payload; sent_at = !now });
       incr inflight;
-      if !inflight > !inflight_max then inflight_max := !inflight;
-      if
-        cfg.dup_prob > 0.0
-        && on_channel cfg.dup_channels self dst
-        && Rng.float rng 1.0 < cfg.dup_prob
-      then begin
-        let t' = fifo_slot (t +. delay ()) in
-        schedule t'
-          (Deliver
-             { src = self; dst; msg_seq = m.Msg.seq; payload; sent_at = !now; dup = true })
-      end
+      if !inflight > !inflight_max then inflight_max := !inflight
     end
   in
-  let rec apply self actions =
+  let apply self actions =
     List.iter
       (fun a ->
         if not crashed.(Pid.to_int self) then
@@ -242,27 +156,16 @@ let run cfg handlers =
           | Set_timer (delay, tag) ->
               schedule (!now +. delay) (Timer { pid = self; tag })
           | Log_internal tag ->
-              record self (fun ~lseq -> Event.internal ~pid:self ~lseq tag)
-          | Crash ->
-              crash_now self;
-              record self (fun ~lseq -> Event.internal ~pid:self ~lseq "crash"))
+              record self (fun ~lseq -> Event.internal ~pid:self ~lseq tag))
       actions
-  and step_handler self f =
+  in
+  let step_handler self f =
     let i = Pid.to_int self in
-    if not crashed.(i) then
-      if
-        cfg.crash_prob > 0.0
-        && List.mem i cfg.crash_prone
-        && Rng.float rng 1.0 < cfg.crash_prob
-      then begin
-        crash_now self;
-        record self (fun ~lseq -> Event.internal ~pid:self ~lseq "crash")
-      end
-      else begin
-        let state', actions = f states.(i) in
-        states.(i) <- state';
-        apply self actions
-      end
+    if not crashed.(i) then begin
+      let state', actions = f states.(i) in
+      states.(i) <- state';
+      apply self actions
+    end
   in
   (* scheduled crashes *)
   List.iter
@@ -282,26 +185,16 @@ let run cfg handlers =
             now := t;
             incr steps;
             (match item with
-            | Deliver { src; dst; msg_seq; payload; sent_at; dup } ->
-                if not dup then decr inflight;
+            | Deliver { src; dst; msg_seq; payload; sent_at } ->
+                decr inflight;
                 let i = Pid.to_int dst in
                 if not crashed.(i) then begin
-                  (if dup then begin
-                     (* a second receive of the same message would break
-                        trace well-formedness, so duplicates are recorded
-                        as internal events — the handler still runs *)
-                     record dst (fun ~lseq ->
-                         Event.internal ~pid:dst ~lseq ("dup-deliver:" ^ payload));
-                     incr duplicated
-                   end
-                   else begin
-                     let m = Msg.make ~src ~dst ~seq:msg_seq ~payload in
-                     record dst (fun ~lseq -> Event.receive ~pid:dst ~lseq m);
-                     incr delivered;
-                     let lat = t -. sent_at in
-                     latency_sum := !latency_sum +. lat;
-                     if lat > !latency_max then latency_max := lat
-                   end);
+                  let m = Msg.make ~src ~dst ~seq:msg_seq ~payload in
+                  record dst (fun ~lseq -> Event.receive ~pid:dst ~lseq m);
+                  incr delivered;
+                  let lat = t -. sent_at in
+                  latency_sum := !latency_sum +. lat;
+                  if lat > !latency_max then latency_max := lat;
                   step_handler dst (fun s ->
                       handlers.on_message s ~self:dst ~src ~payload ~now:t)
                 end
@@ -315,20 +208,8 @@ let run cfg handlers =
             | Crash_at { pid } ->
                 let i = Pid.to_int pid in
                 if not crashed.(i) then begin
-                  crash_now pid;
+                  crashed.(i) <- true;
                   record pid (fun ~lseq -> Event.internal ~pid ~lseq "crash")
-                end
-            | Recover_at { pid } ->
-                let i = Pid.to_int pid in
-                if crashed.(i) then begin
-                  crashed.(i) <- false;
-                  (* fresh event allowance for the new life; node state
-                     survives the outage (crash-recovery with stable
-                     storage). The +1 exempts the recover event itself
-                     from the new life's quota. *)
-                  if base_quota.(i) <> max_int then
-                    crash_quota.(i) <- lseq.(i) + 1 + base_quota.(i);
-                  record pid (fun ~lseq -> Event.internal ~pid ~lseq "recover")
                 end);
             loop ()
           end
@@ -341,7 +222,6 @@ let run cfg handlers =
     Hpl_obs.count "sim.sent" !sent;
     Hpl_obs.count "sim.delivered" !delivered;
     Hpl_obs.count "sim.dropped" !dropped;
-    Hpl_obs.count "sim.duplicated" !duplicated;
     Hpl_obs.count "sim.timers_fired" !timers_fired;
     Hpl_obs.count "sim.steps" !steps;
     Hpl_obs.set_gauge "sim.in_flight" (float_of_int !inflight);
@@ -355,7 +235,6 @@ let run cfg handlers =
         sent = !sent;
         delivered = !delivered;
         dropped = !dropped;
-        duplicated = !duplicated;
         timers_fired = !timers_fired;
         end_time = !now;
         steps = !steps;

@@ -11,10 +11,10 @@
     Protocols are written as message/timer handlers returning actions.
     The network delays messages (uniform in [min_delay, max_delay]),
     optionally drops them, and optionally enforces FIFO channels.
-    Crashes — from the config schedule or a [Crash] action — silence a
-    node: no further handler runs on it, and it sends nothing more
-    (matching §5's failure model: "the process does not send messages
-    after its failure"). *)
+    A crash from the config's schedule silences a node: no further
+    handler runs on it, and it sends nothing more (matching §5's
+    failure model: "the process does not send messages after its
+    failure"). *)
 
 type config = {
   n : int;  (** number of processes *)
@@ -23,49 +23,22 @@ type config = {
   min_delay : float;
   max_delay : float;
   drop_prob : float;  (** probability a message is lost *)
-  drop_channels : (int * int) list;
-      (** channels [(src, dst)] subject to [drop_prob]; [[]] = all *)
-  dup_prob : float;
-      (** probability a delivered message is delivered a second time;
-          the duplicate arrives as an internal ["dup-deliver:payload"]
-          event (a second receive of the same message would break trace
-          well-formedness) but still runs [on_message] *)
-  dup_channels : (int * int) list;
-      (** channels subject to [dup_prob]; [[]] = all *)
   partitions : (float * float * int list) list;
       (** [(t0, t1, group)]: during \[t0, t1), messages crossing the
           boundary between [group] and its complement are lost *)
   crashes : (float * int) list;  (** scheduled (time, pid) crashes *)
-  crash_after_events : (int * int) list;
-      (** [(pid, k)]: pid halts silently once it has performed [k]
-          local events — the scheduled counterpart of
-          [Hpl_faults.Faults.crash_stop] *)
-  crash_prone : int list;
-      (** pids that may crash spontaneously before handling an event *)
-  crash_prob : float;
-      (** per-handled-event crash probability for [crash_prone] pids;
-          a spontaneous crash records a visible ["crash"] event *)
-  recoveries : (int * int) list;
-      (** [(pid, k)]: pid recovers from a crash — whatever its cause —
-          at most [k] times, coming back up one [max_delay] after going
-          down with a visible ["recover"] event and its pre-crash state
-          intact (crash-recovery with stable storage). A recovered
-          process gets a fresh [crash_after_events] allowance for its
-          new life — the timed counterpart of
-          [Hpl_faults.Faults.crash_recover]. *)
   max_steps : int;  (** hard event budget *)
   max_time : float;  (** simulated-time horizon *)
 }
 
 val default : config
 (** 4 processes, seed 1, FIFO, delays in [1, 10], no faults (no drops,
-    duplicates, partitions, or crashes), 100_000 steps, horizon 1e6. *)
+    partitions, or crashes), 100_000 steps, horizon 1e6. *)
 
 type action =
   | Send of Hpl_core.Pid.t * string  (** send payload to a process *)
   | Set_timer of float * string  (** fire [on_timer] after a delay *)
   | Log_internal of string  (** record an internal event in the trace *)
-  | Crash  (** halt this node now *)
 
 type 's handlers = {
   init : Hpl_core.Pid.t -> 's * action list;
@@ -85,7 +58,6 @@ type stats = {
   sent : int;
   delivered : int;
   dropped : int;
-  duplicated : int;  (** duplicate deliveries injected by [dup_prob] *)
   timers_fired : int;
   end_time : float;
   steps : int;

@@ -326,6 +326,13 @@ expect 2 "mc partition pid range" -- mc -s ping-pong --formula 'true' --faults '
 expect 2 "mc whole-system partition" -- mc -s ping-pong --formula 'true' --faults 'partition:p0|p1@1-2'
 expect 2 "mc bad recover count" -- mc -s ping-pong --formula 'true' --faults 'crash:p0@1,recover:p0@0'
 expect 2 "mc recover without crash" -- mc -s ping-pong --formula 'true' --faults 'recover:p0@1'
+expect 2 "mc unknown drop channel" -- mc -s ring:3 --faults 'drop:p0->p2' --formula 'true'
+mc_err=$("$HPL" mc -s ring:3 --faults 'drop:p0->p2' --formula 'true' 2>&1 >/dev/null)
+knows_err=$("$HPL" knows -s ring:3 --faults 'drop:p0->p2' 2>&1 >/dev/null)
+if [ "$mc_err" != "$knows_err" ]; then
+  echo "FAIL: mc unknown drop channel: stderr differs from knows: $mc_err" >&2
+  fails=$((fails + 1))
+fi
 expect 3 "mc time budget" -- mc -s two-generals --formula 'CK attack' --depth 15 --runs 10000000 --max-seconds 0.1
 
 # -- observability golden shapes ---------------------------------------

@@ -351,91 +351,6 @@ let test_scenario_apply_matches_manual () =
   let u2 = Universe.enumerate s2 ~depth:6 in
   check tbool "scenario = manual transformer" true (same_universe u1 u2)
 
-let test_scenario_sim_config () =
-  let t = Result.get_ok (Faults.Scenario.parse "drop:p0->p1,crash-any:2") in
-  let cfg = Faults.Scenario.to_sim_config t Hpl_sim.Engine.default in
-  check tbool "drop prob raised" true (cfg.Hpl_sim.Engine.drop_prob > 0.0);
-  check tbool "channel recorded" true
-    (List.mem (0, 1) cfg.Hpl_sim.Engine.drop_channels);
-  check tbool "crash-prone pids" true
-    (cfg.Hpl_sim.Engine.crash_prone = [ 0; 1 ]);
-  check tbool "crash prob raised" true (cfg.Hpl_sim.Engine.crash_prob > 0.0)
-
-(* -- sim engine fault config --------------------------------------------- *)
-
-let test_sim_honours_faults () =
-  (* flood messages p0->p1; with drop_channels on that channel only,
-     some are dropped; p1->p0 traffic is unaffected *)
-  let handlers =
-    {
-      Hpl_sim.Engine.init =
-        (fun pid ->
-          if Pid.to_int pid = 0 then
-            ((), List.init 30 (fun _ -> Hpl_sim.Engine.Send (p1, "x")))
-          else ((), [ Hpl_sim.Engine.Send (p0, "y") ]));
-      on_message = (fun s ~self:_ ~src:_ ~payload:_ ~now:_ -> (s, []));
-      on_timer = (fun s ~self:_ ~tag:_ ~now:_ -> (s, []));
-    }
-  in
-  let cfg =
-    {
-      Hpl_sim.Engine.default with
-      n = 2;
-      drop_prob = 0.5;
-      drop_channels = [ (0, 1) ];
-      seed = 42L;
-    }
-  in
-  let r = Hpl_sim.Engine.run cfg handlers in
-  check tbool "some drops" true (r.Hpl_sim.Engine.stats.dropped > 0);
-  check tbool "p1's message got through" true (recv_count r.trace p0 = 1)
-
-let test_sim_crash_after_events () =
-  let handlers =
-    {
-      Hpl_sim.Engine.init =
-        (fun pid ->
-          if Pid.to_int pid = 0 then
-            ((), List.init 10 (fun _ -> Hpl_sim.Engine.Send (p1, "x")))
-          else ((), []));
-      on_message = (fun s ~self:_ ~src:_ ~payload:_ ~now:_ -> (s, []));
-      on_timer = (fun s ~self:_ ~tag:_ ~now:_ -> (s, []));
-    }
-  in
-  let cfg =
-    { Hpl_sim.Engine.default with n = 2; crash_after_events = [ (0, 3) ] }
-  in
-  let r = Hpl_sim.Engine.run cfg handlers in
-  check tint "p0 stops at its quota" 3 (List.length (Trace.proj r.trace p0));
-  check tbool "p0 marked crashed" true r.crashed.(0)
-
-let test_sim_duplication () =
-  let handlers =
-    {
-      Hpl_sim.Engine.init =
-        (fun pid ->
-          if Pid.to_int pid = 0 then
-            ((), List.init 20 (fun _ -> Hpl_sim.Engine.Send (p1, "x")))
-          else ((), []));
-      on_message = (fun s ~self:_ ~src:_ ~payload:_ ~now:_ -> (s, []));
-      on_timer = (fun s ~self:_ ~tag:_ ~now:_ -> (s, []));
-    }
-  in
-  let cfg =
-    { Hpl_sim.Engine.default with n = 2; dup_prob = 0.5; seed = 7L }
-  in
-  let r = Hpl_sim.Engine.run cfg handlers in
-  check tbool "duplicates injected" true (r.stats.duplicated > 0);
-  (* duplicates are internal events, so the trace stays well-formed *)
-  check tbool "dup-deliver internals present" true
-    (List.exists
-       (fun e ->
-         match e.Event.kind with
-         | Event.Internal t ->
-             String.length t >= 12 && String.sub t 0 12 = "dup-deliver:"
-         | _ -> false)
-       (Trace.proj r.trace p1))
-
 let suite =
   [
     ("crash_stop silences", `Quick, test_crash_stop_silences);
@@ -457,8 +372,4 @@ let suite =
     ("scenario parse errors", `Quick, test_scenario_parse_errors);
     ("scenario range check", `Quick, test_scenario_apply_checks_ranges);
     ("scenario = manual", `Quick, test_scenario_apply_matches_manual);
-    ("scenario -> sim config", `Quick, test_scenario_sim_config);
-    ("sim per-channel drops", `Quick, test_sim_honours_faults);
-    ("sim crash_after_events", `Quick, test_sim_crash_after_events);
-    ("sim duplication", `Quick, test_sim_duplication);
   ]

@@ -261,55 +261,6 @@ let test_scenario_partition_windows () =
      = []
     && List.length (Faults.Scenario.without_partitions t) = 1)
 
-let test_scenario_sim_threading () =
-  let t =
-    Result.get_ok
-      (Faults.Scenario.parse "partition:p0@1-3,crash:p1@2,recover:p1@1")
-  in
-  let cfg = Faults.Scenario.to_sim_config t Hpl_sim.Engine.default in
-  check tbool "partition window threaded" true
-    (List.mem (1.0, 3.0, [ 0 ]) cfg.Hpl_sim.Engine.partitions);
-  check tbool "recovery threaded" true
-    (List.mem (1, 1) cfg.Hpl_sim.Engine.recoveries)
-
-let test_sim_engine_recovery () =
-  (* p1 streams messages at p0 forever; p0 crashes after 3 local
-     events, comes back once, and keeps receiving on its fresh quota *)
-  let handlers =
-    {
-      Hpl_sim.Engine.init =
-        (fun pid ->
-          if Pid.to_int pid = 1 then
-            ((), [ Hpl_sim.Engine.Set_timer (1.0, "t") ])
-          else ((), []));
-      on_message = (fun s ~self:_ ~src:_ ~payload:_ ~now:_ -> (s, []));
-      on_timer =
-        (fun s ~self:_ ~tag ~now:_ ->
-          (s, [ Hpl_sim.Engine.Send (p0, "x"); Hpl_sim.Engine.Set_timer (1.0, tag) ]));
-    }
-  in
-  let cfg =
-    {
-      Hpl_sim.Engine.default with
-      n = 2;
-      crash_after_events = [ (0, 3) ];
-      recoveries = [ (0, 1) ];
-      max_steps = 400;
-      max_time = 120.0;
-    }
-  in
-  let r = Hpl_sim.Engine.run cfg handlers in
-  (* quota crashes are silent (like Faults.crash_stop), but the comeback
-     is a visible event *)
-  check tbool "recover recorded" true (has_internal "recover" r.trace p0);
-  (* two lives of 3 events each, plus the crash/recover markers *)
-  check tbool "second life happened" true
-    (List.length (Trace.proj r.trace p0) > 5);
-  let norec = Hpl_sim.Engine.run { cfg with recoveries = [] } handlers in
-  check tbool "without recovery: silenced at quota" true
-    (List.length (Trace.proj norec.trace p0)
-    < List.length (Trace.proj r.trace p0))
-
 let suite =
   [
     ("rat arithmetic", `Quick, test_rat_arithmetic);
@@ -328,6 +279,4 @@ let suite =
     ("crash-recover universe", `Quick, test_crash_recover_round_trip);
     ("recover needs crash", `Quick, test_scenario_recover_needs_crash);
     ("partition windows split", `Quick, test_scenario_partition_windows);
-    ("sim config threading", `Quick, test_scenario_sim_threading);
-    ("sim engine recovery", `Quick, test_sim_engine_recovery);
   ]
