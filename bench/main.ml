@@ -233,8 +233,7 @@ let all_tests () =
 
    One instrumented run of the depth-7 enumeration, reported as extra
    BENCH.json rows so the perf trajectory records where the time goes
-   (frontier expansion vs. merge vs. final interning), not just the
-   total. *)
+   (the per-level passes vs. the final trim), not just the total. *)
 
 (* min-of-N wall-clock timing: every source of scheduler/GC noise
    inflates a run, so the minimum over enough runs is a stable estimate
@@ -414,7 +413,6 @@ let phase_rows () =
           None ))
       [
         ("frontier", "enumerate.frontier");
-        ("merge", "enumerate.merge");
         ("intern", "enumerate.intern");
       ]
   in

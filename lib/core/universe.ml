@@ -40,10 +40,32 @@ module StepTbl = Hashtbl.Make (struct
   let hash (i, e) = Hashtbl.hash (i, Event.hash e)
 end)
 
-type trie = { steps : int StepTbl.t array; next_ids : int array }
+(* Per process, the step table and, per class id, its immediate-prefix
+   class (-1 for the empty projection) and its last event, in arrays
+   that grow geometrically. Class 0, the empty projection, has a
+   placeholder event whose only use is its [lseq], −1, one below a
+   first event's. *)
+type trie = {
+  steps : int StepTbl.t array;
+  next_ids : int array;
+  parents : int array array;
+  events : Event.t array array;
+}
+
+let no_event = Event.internal ~pid:(Pid.of_int 0) ~lseq:(-1) ""
 
 let trie_create n =
-  { steps = Array.init n (fun _ -> StepTbl.create 64); next_ids = Array.make n 1 }
+  {
+    steps = Array.init n (fun _ -> StepTbl.create 64);
+    next_ids = Array.make n 1;
+    parents = Array.make n [| -1 |];
+    events = Array.make n [| no_event |];
+  }
+
+let grow a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
 
 (* class id 0 is the empty projection; every distinct one-event
    extension of an interned projection gets the next id on first sight,
@@ -56,42 +78,75 @@ let trie_intern t pi parent_id e =
       let id = t.next_ids.(pi) in
       t.next_ids.(pi) <- id + 1;
       StepTbl.add t.steps.(pi) key id;
+      if id = Array.length t.parents.(pi) then begin
+        t.parents.(pi) <- grow t.parents.(pi) (2 * id) (-1);
+        t.events.(pi) <- grow t.events.(pi) (2 * id) no_event
+      end;
+      t.parents.(pi).(id) <- parent_id;
+      t.events.(pi).(id) <- e;
       id
 
-(* What a finished universe keeps of the trie: per process, each class
-   id's immediate-prefix class id (-1 for the empty projection). The
-   step tables themselves, with their boxed keys, are dropped. *)
-let trie_parents t =
-  Array.mapi
-    (fun pi tbl ->
-      let parent = Array.make t.next_ids.(pi) (-1) in
-      StepTbl.iter (fun (parent_id, _) id -> parent.(id) <- parent_id) tbl;
-      parent)
-    t.steps
+(* a class's local history, oldest first, read up its parent classes *)
+let class_history parents events c =
+  let rec up c acc = if c = 0 then acc else up parents.(c) (events.(c) :: acc) in
+  up c []
 
 (* A universe is stored as its run tree (DESIGN.md §6): computation [i]
    extends [parent.(i)] by one event, on process [pid.(i)], which reaches
    that process's class id [cid.(i)]; the root has parent and pid -1 and
-   class 0 everywhere. Parents precede children, so a process's class-id
-   column is one pass in index order, built on first use. *)
+   class 0 everywhere. That event is the class's own, kept once per
+   class in the trie. Parents precede children, so a process's class-id
+   column, and the trace column, are one pass in index order, built on
+   first use. *)
 type t = {
   spec : Spec.t;
   mode : mode;
   depth : int;
   status : status;
   reduce : Reduction.t;
-  comps : Trace.t array;
-  idx : int TraceTbl.t Lazy.t; (* built on first lookup *)
   parent : int array; (* comp index -> parent comp index *)
   pid : int array; (* comp index -> pid index of its last event *)
   cid : int array; (* comp index -> class id [pid.(i)] reaches *)
-  columns : int array option array; (* pid index -> class-id column *)
   trie_parent : int array array; (* pid index -> class id -> prefix class id *)
+  trie_event : Event.t array array; (* pid index -> class id -> last event *)
+  mutable comps : Trace.t array; (* the trace column; [||] until built *)
+  mutable idx : int TraceTbl.t option; (* trace -> index, on first lookup *)
+  columns : int array option array; (* pid index -> class-id column *)
   orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
   pset_ids_memo : (int list, int array) Hashtbl.t;
   classes_memo : (int list, Bitset.t array) Hashtbl.t;
   mutable succ_memo : int array array option;
 }
+
+let make ~spec ~mode ~depth ~status ~reduce ~parent ~pid ~cid ~trie_parent
+    ~trie_event ~orbit_idx =
+  {
+    spec;
+    mode;
+    depth;
+    status;
+    reduce;
+    parent;
+    pid;
+    cid;
+    trie_parent;
+    trie_event;
+    comps = [||];
+    idx = None;
+    columns = Array.make (Spec.n spec) None;
+    orbit_idx;
+    pset_ids_memo = Hashtbl.create 16;
+    classes_memo = Hashtbl.create 16;
+    succ_memo = None;
+  }
+
+(* computation [i]'s trace, read up the run tree *)
+let trace_of u i =
+  let rec up i acc =
+    if i = 0 then acc
+    else up u.parent.(i) (u.trie_event.(u.pid.(i)).(u.cid.(i)) :: acc)
+  in
+  Trace.of_list (up i [])
 
 (* --- canonical linearizations ------------------------------------- *)
 
@@ -133,73 +188,31 @@ let canon_trace z =
   in
   go (Trace.to_list z) []
 
-(* [z] canonical, [e] enabled after [z]: is [(z;e)] canonical?  [e]
-   becomes available right after its last direct predecessor; canonical
-   means no later-placed event exceeds [e]. Scanning newest first stops
-   at that predecessor, and [z] is never copied. *)
-let snoc_is_canonical z e =
-  let rec after_last_pred = function
-    | [] -> true
-    | c :: older ->
-        is_direct_pred ~of_:e c
-        || (Event.compare c e < 0 && after_last_pred older)
-  in
-  after_last_pred (Trace.to_rev_list z)
-
-(* The trace → index table behind [index] and [find], built on first
-   lookup: enumeration, [serialize], [Prop.extent] and the counting
-   answers never look a trace up. *)
-let trace_index comps =
-  lazy
-    (Hpl_obs.span "universe.index"
-       ~args:(fun () -> [ ("size", string_of_int (Array.length comps)) ])
-    @@ fun () ->
-    let idx = TraceTbl.create (2 * Array.length comps) in
-    Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
-    idx)
-
 (* --- enumeration --------------------------------------------------- *)
 
-(* A BFS node of the level being expanded: its index, its trace, the
-   vector of per-process class ids of its projections, and the messages
-   in flight, newest first. A child differs from its parent in one
-   class-id slot (the extending event's process) and in one message at
-   most (a send adds it, a receive removes it), so both are maintained
-   per child, never recomputed from the trace. Under symmetry a node
-   also carries every group element's renamed projection vector. Only
-   the frontier has nodes: the universe keeps the run tree alone. *)
+(* A BFS node of the level being expanded: its index, the vector of
+   per-process class ids of its projections, and the messages in
+   flight, newest first. A child differs from its parent in one class-id
+   slot (the extending event's process) and in one message at most (a
+   send adds it, a receive removes it), so both are maintained per
+   child. Under symmetry a node also carries every group element's
+   renamed projection vector. Only the frontier has nodes, and no node
+   has a trace: its history is read off the run tree and the trie. *)
 type node = {
   i : int;
-  z : Trace.t;
   ids : int array;
   pool : Msg.t list;
   cands : Event.t list array array option;
 }
 
-(* The run tree as the BFS grows it, in index order. Before its merge a
-   level reserves room for every child its frontier phase kept. Without
-   symmetry the merge stores them all, so the arrays grow once per level
-   to their exact size and the final trim copies nothing. *)
+(* The run tree as the BFS grows it, in index order: the arrays double
+   when full and are trimmed once at the end. *)
 type tree = {
   mutable count : int;
-  mutable traces : Trace.t array;
   mutable parents : int array;
   mutable pids : int array;
   mutable cids : int array;
 }
-
-let tree_reserve t cap =
-  if cap > Array.length t.parents then begin
-    let grow a fill =
-      let b = Array.make cap fill in
-      Array.blit a 0 b 0 t.count;
-      b
-    in
-    t.traces <- grow t.traces Trace.empty;
-    t.parents <- grow t.parents 0;
-    t.pids <- grow t.pids 0;
-    t.cids <- grow t.cids 0
-  end
 
 let rec remove_msg m = function
   | [] -> []
@@ -251,20 +264,39 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     match if c < Array.length memo then memo.(c) else None with
     | Some f -> f
     | None ->
-        let p = Pid.of_int pi in
-        let f = Spec.stage spec p ~history:(Trace.proj node.z p) in
-        if c >= Array.length memo then begin
-          let grown = Array.make (2 * trie.next_ids.(pi)) None in
-          Array.blit memo 0 grown 0 (Array.length memo);
-          staged.(pi) <- grown
-        end;
+        let history = class_history trie.parents.(pi) trie.events.(pi) c in
+        let f = Spec.stage spec (Pid.of_int pi) ~history in
+        if c >= Array.length memo then
+          staged.(pi) <- grow memo (2 * trie.next_ids.(pi)) None;
         staged.(pi).(c) <- Some f;
         f
+  in
+  let tree =
+    {
+      count = 0;
+      parents = Array.make 64 0;
+      pids = Array.make 64 0;
+      cids = Array.make 64 0;
+    }
+  in
+  (* [(z;e)] is canonical, for [z] canonical and [e] enabled after it,
+     iff no event placed after [e]'s last direct predecessor exceeds
+     [e]: walk [z]'s events newest first, up the run tree from its
+     index, and stop at that predecessor *)
+  let snoc_is_canonical i e =
+    let rec after_last_pred a =
+      a = 0
+      ||
+      let c = trie.events.(tree.pids.(a)).(tree.cids.(a)) in
+      is_direct_pred ~of_:e c
+      || (Event.compare c e < 0 && after_last_pred tree.parents.(a))
+    in
+    after_last_pred i
   in
   (* under symmetry the canonicity filter is unsound — a stored orbit
      representative can reach a fresh orbit only through a non-canonical
      interleaving — so sym mode keeps every extension and dedups by
-     orbit key in the merge instead *)
+     orbit key instead *)
   let canonical_only = mode = `Canonical && Option.is_none group in
   (* ample-set restriction: only with por, only when the static
      independence relation certifies no depth-truncation — then every
@@ -291,23 +323,26 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       | None -> cands
     in
     let kept =
-      if canonical_only then List.filter (snoc_is_canonical node.z) restricted
+      if canonical_only then List.filter (snoc_is_canonical node.i) restricted
       else restricted
     in
     (kept, List.length cands - List.length kept)
   in
-  let tree =
-    { count = 0; traces = [| Trace.empty |]; parents = [| 0 |]; pids = [| 0 |];
-      cids = [| 0 |] }
-  in
-  let push z ~parent ~pid ~cid =
-    (match budget.max_states with
-    | Some k when tree.count >= k ->
-        Hpl_obs.instant "enumerate.budget" ~args:[ ("reason", "max_states") ];
-        raise (Out_of_budget (Max_states k))
-    | _ -> ());
+  let push ~parent ~pid ~cid =
     let k = tree.count in
-    tree.traces.(k) <- z;
+    (match budget.max_states with
+    | Some limit when k >= limit ->
+        Hpl_obs.instant "enumerate.budget" ~args:[ ("reason", "max_states") ];
+        raise (Out_of_budget (Max_states limit))
+    | _ -> ());
+    if k = Array.length tree.parents then begin
+      let cap =
+        match budget.max_states with Some limit -> min (2 * k) limit | None -> 2 * k
+      in
+      tree.parents <- grow tree.parents cap 0;
+      tree.pids <- grow tree.pids cap 0;
+      tree.cids <- grow tree.cids cap 0
+    end;
     tree.parents.(k) <- parent;
     tree.pids.(k) <- pid;
     tree.cids.(k) <- cid;
@@ -336,10 +371,30 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     c.(j) <- pe :: c.(j);
     c
   in
+  (* a child's symmetry fate: a [D]-class already seen is a duplicate;
+     otherwise extend the parent's renamed vectors and take their
+     minimum as the orbit key. Without a group every child is fresh. *)
+  let fate parent e =
+    match parent.cands with
+    | None -> `Fresh
+    | Some pcands ->
+        let v = extend_cand 0 pcands.(0) e in
+        if Symmetry.KeyTbl.mem class_seen v then `Dup
+        else begin
+          Symmetry.KeyTbl.replace class_seen v ();
+          let cands =
+            Array.mapi (fun k pc -> if k = 0 then v else extend_cand k pc e) pcands
+          in
+          let best = ref 0 in
+          for k = 1 to Array.length cands - 1 do
+            if Symmetry.compare_key cands.(k) cands.(!best) < 0 then best := k
+          done;
+          `Key (cands.(!best), cands)
+        end
+  in
   let root =
     {
       i = 0;
-      z = Trace.empty;
       ids = Array.make n 0;
       pool = [];
       cands =
@@ -348,139 +403,68 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
           group;
     }
   in
-  push Trace.empty ~parent:(-1) ~pid:(-1) ~cid:0;
+  push ~parent:(-1) ~pid:(-1) ~cid:0;
   (match group with
   | Some _ ->
       let empty_key = Array.make n [] in
       Symmetry.KeyTbl.replace class_seen empty_key ();
       Symmetry.KeyTbl.replace orbit_idx empty_key 0
   | None -> ());
+  (* One pass per level: frontier order, then per-parent order, each
+     parent's children decided and stored as they are computed. Budget
+     checks live here, so [max_states] truncation keeps the same states
+     on every run (time-based truncation depends on the CPU time taken,
+     but is only detected between whole parents, never mid-parent). *)
   let rec level frontier d =
     if d >= depth || Array.length frontier = 0 then ()
     else begin
-      check_time ();
       let m = Array.length frontier in
       if !Hpl_obs.enabled then
         Hpl_obs.set_gauge "enumerate.frontier_size" (float_of_int m);
-      (* per-depth frontier span: each parent's kept extension events,
-         in frontier order; its only effect is filling the staged-rule
-         memo *)
-      let childlists =
-        Hpl_obs.span "enumerate.frontier"
-          ~args:(fun () ->
-            [ ("depth", string_of_int d); ("frontier", string_of_int m) ])
-          (fun () -> Array.map children frontier)
-      in
-      (* merge: frontier order, then per-parent order. Budget checks
-         live here, so [max_states] truncation keeps the same states on
-         every run (time-based truncation depends on the CPU time taken,
-         but is only detected between whole parents, never
-         mid-parent). *)
-      (* symmetry: decide each child's fate first — skip if its
-         [D]-class (identity projection vector) was already seen,
-         otherwise extend the parent's remaining renamed vectors and
-         take their minimum as the orbit key (timed separately).
-         Without a group every child is [`Fresh] and no fate is built. *)
-      let fates =
-        match group with
-        | None -> None
-        | Some _ ->
-            Hpl_obs.span "reduce.canon"
-              ~args:(fun () -> [ ("depth", string_of_int d) ])
-              (fun () ->
-                Some
-                  (Array.mapi
-                     (fun i (kids, _) ->
-                       let pcands =
-                         match frontier.(i).cands with
-                         | Some c -> c
-                         | None -> assert false
-                       in
-                       List.map
-                         (fun e ->
-                           let v = extend_cand 0 pcands.(0) e in
-                           if Symmetry.KeyTbl.mem class_seen v then `Dup
-                           else begin
-                             Symmetry.KeyTbl.replace class_seen v ();
-                             let cands =
-                               Array.mapi
-                                 (fun k pc ->
-                                   if k = 0 then v else extend_cand k pc e)
-                                 pcands
-                             in
-                             let best = ref 0 in
-                             for k = 1 to Array.length cands - 1 do
-                               if
-                                 Symmetry.compare_key cands.(k) cands.(!best)
-                                 < 0
-                               then best := k
-                             done;
-                             `Key (cands.(!best), cands)
-                           end)
-                         kids)
-                     childlists))
-      in
       let next = ref [] in
       (* children on the last level are never expanded: they get no node *)
       let expand = d + 1 < depth in
-      Hpl_obs.span "enumerate.merge"
-        ~args:(fun () -> [ ("depth", string_of_int d) ])
+      let store parent e fate =
+        let admit =
+          match fate with
+          | `Fresh -> true
+          | `Dup -> false
+          | `Key (key, _) -> not (Symmetry.KeyTbl.mem orbit_idx key)
+        in
+        if not admit then incr orbit_hits
+        else begin
+          let pi = Pid.to_int e.Event.pid in
+          let c = trie_intern trie pi parent.ids.(pi) e in
+          (* push may raise on budget: register the orbit entry only
+             once the computation is actually stored *)
+          push ~parent:parent.i ~pid:pi ~cid:c;
+          let i = tree.count - 1 in
+          (match fate with
+          | `Key (key, _) -> Symmetry.KeyTbl.replace orbit_idx key i
+          | `Fresh | `Dup -> ());
+          if expand then begin
+            let ids = Array.copy parent.ids in
+            ids.(pi) <- c;
+            let cands =
+              match fate with
+              | `Key (_, cands) -> Some cands
+              | `Fresh | `Dup -> None
+            in
+            next := { i; ids; pool = child_pool parent.pool e; cands } :: !next
+          end
+        end
+      in
+      Hpl_obs.span "enumerate.frontier"
+        ~args:(fun () ->
+          [ ("depth", string_of_int d); ("frontier", string_of_int m) ])
         (fun () ->
-          let room =
-            Array.fold_left
-              (fun acc (kids, _) -> acc + List.length kids)
-              tree.count childlists
-          in
-          tree_reserve tree
-            (match budget.max_states with Some k -> min k room | None -> room);
-          Array.iteri
-            (fun i (kids, pruned) ->
+          Array.iter
+            (fun parent ->
               check_time ();
+              let kids, pruned = children parent in
               ample_prunes := !ample_prunes + pruned;
-              let parent = frontier.(i) in
-              let merge e fate =
-                let admit =
-                  match fate with
-                  | `Fresh -> true
-                  | `Dup ->
-                      incr orbit_hits;
-                      false
-                  | `Key (key, _) ->
-                      if Symmetry.KeyTbl.mem orbit_idx key then begin
-                        incr orbit_hits;
-                        false
-                      end
-                      else true
-                in
-                if admit then begin
-                  let pi = Pid.to_int e.Event.pid in
-                  let c = trie_intern trie pi parent.ids.(pi) e in
-                  let z = Trace.snoc parent.z e in
-                  (* push may raise on budget: register the orbit
-                     entry only once the computation is actually stored *)
-                  push z ~parent:parent.i ~pid:pi ~cid:c;
-                  let i = tree.count - 1 in
-                  (match fate with
-                  | `Key (key, _) -> Symmetry.KeyTbl.replace orbit_idx key i
-                  | `Fresh | `Dup -> ());
-                  if expand then begin
-                    let ids = Array.copy parent.ids in
-                    ids.(pi) <- c;
-                    let cands =
-                      match fate with
-                      | `Key (_, cands) -> Some cands
-                      | `Fresh | `Dup -> None
-                    in
-                    next :=
-                      { i; z; ids; pool = child_pool parent.pool e; cands }
-                      :: !next
-                  end
-                end
-              in
-              match fates with
-              | None -> List.iter (fun e -> merge e `Fresh) kids
-              | Some f -> List.iter2 merge kids f.(i))
-            childlists);
+              List.iter (fun e -> store parent e (fate parent e)) kids)
+            frontier);
       level (Array.of_list (List.rev !next)) (d + 1)
     end
   in
@@ -500,32 +484,17 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       Hpl_obs.count "reduce.ample_prunes" !ample_prunes
     end
   end;
-  let comps, parent, pid, cid =
-    (* the interning half: trim the run tree to its size *)
-    Hpl_obs.span "enumerate.intern"
-      ~args:(fun () -> [ ("states", string_of_int count) ])
-    @@ fun () ->
-    let trim a = if Array.length a = count then a else Array.sub a 0 count in
-    (trim tree.traces, trim tree.parents, trim tree.pids, trim tree.cids)
-  in
-  {
-    spec;
-    mode;
-    depth;
-    status;
-    reduce;
-    comps;
-    idx = trace_index comps;
-    parent;
-    pid;
-    cid;
-    columns = Array.make n None;
-    trie_parent = trie_parents trie;
-    orbit_idx = (match group with None -> None | Some _ -> Some orbit_idx);
-    pset_ids_memo = Hashtbl.create 16;
-    classes_memo = Hashtbl.create 16;
-    succ_memo = None;
-  }
+  (* the interning half: trim the run tree and the trie to their sizes;
+     the step tables, with their boxed keys, are dropped *)
+  Hpl_obs.span "enumerate.intern"
+    ~args:(fun () -> [ ("states", string_of_int count) ])
+  @@ fun () ->
+  let trim k a = if Array.length a = k then a else Array.sub a 0 k in
+  make ~spec ~mode ~depth ~status ~reduce ~parent:(trim count tree.parents)
+    ~pid:(trim count tree.pids) ~cid:(trim count tree.cids)
+    ~trie_parent:(Array.mapi (fun pi a -> trim trie.next_ids.(pi) a) trie.parents)
+    ~trie_event:(Array.mapi (fun pi a -> trim trie.next_ids.(pi) a) trie.events)
+    ~orbit_idx:(match group with None -> None | Some _ -> Some orbit_idx)
 
 let spec u = u.spec
 let mode u = u.mode
@@ -533,11 +502,54 @@ let depth u = u.depth
 let status u = u.status
 let reduction u = u.reduce
 let symmetry u = Reduction.symmetry u.reduce
-let size u = Array.length u.comps
-let comp u i = u.comps.(i)
+let size u = Array.length u.parent
+
+(* The trace column, one [Trace.snoc] per computation in index order,
+   each class's event shared by every computation that reaches it. It
+   is built on the first read of a trace and kept, so [comp] is a field
+   read from then on. *)
+let build_traces u =
+  let comps =
+    Hpl_obs.span "universe.traces"
+      ~args:(fun () -> [ ("size", string_of_int (size u)) ])
+    @@ fun () ->
+    let comps = Array.make (size u) Trace.empty in
+    for i = 1 to size u - 1 do
+      comps.(i) <-
+        Trace.snoc comps.(u.parent.(i)) u.trie_event.(u.pid.(i)).(u.cid.(i))
+    done;
+    comps
+  in
+  u.comps <- comps;
+  comps
+
+let traces u = if Array.length u.comps > 0 then u.comps else build_traces u
+
+let comp u i =
+  let comps = u.comps in
+  if Array.length comps > 0 then comps.(i) else (build_traces u).(i)
+
+(* The trace → index table behind [index] and [find], built on first
+   lookup: enumeration, [serialize], [Prop.extent] and the counting
+   answers never look a trace up. *)
+let trace_index u =
+  match u.idx with
+  | Some idx -> idx
+  | None ->
+      let comps = traces u in
+      let idx =
+        Hpl_obs.span "universe.index"
+          ~args:(fun () -> [ ("size", string_of_int (Array.length comps)) ])
+        @@ fun () ->
+        let idx = TraceTbl.create (2 * Array.length comps) in
+        Array.iteri (fun i z -> TraceTbl.replace idx z i) comps;
+        idx
+      in
+      u.idx <- Some idx;
+      idx
 
 let index u z =
-  let r = TraceTbl.find_opt (Lazy.force u.idx) z in
+  let r = TraceTbl.find_opt (trace_index u) z in
   if !Hpl_obs.enabled then begin
     Hpl_obs.count "universe.lookups" 1;
     if r <> None then Hpl_obs.count "universe.lookup_hits" 1
@@ -559,11 +571,11 @@ let find u z =
       match index u z with Some i -> Some i | None -> index u (canon_trace z))
 
 let find_exn u z = match find u z with Some i -> i | None -> raise Not_found
-let iter f u = Array.iteri f u.comps
+let iter f u = Array.iteri f (traces u)
 
 let fold f u init =
   let acc = ref init in
-  Array.iteri (fun i z -> acc := f i z !acc) u.comps;
+  Array.iteri (fun i z -> acc := f i z !acc) (traces u);
   !acc
 
 (* a column is one pass in index order, since parents precede children:
@@ -668,7 +680,7 @@ let prefixes_of u i =
 
 let trie_successors u =
   let ids = Array.init (Spec.n u.spec) (fun p -> class_ids u (Pid.of_int p)) in
-  let n = Array.length ids and size = Array.length u.comps in
+  let n = Array.length ids and size = size u in
   let mix x =
     let x = (x lxor (x lsr 31)) * 0x3F58476D1CE4E5B9 in
     let x = (x lxor (x lsr 27)) * 0x14D049BB133111EB in
@@ -747,7 +759,7 @@ let lookup_successors u =
     (fun z ->
       List.filter_map (find u) (Spec.extensions u.spec z)
       |> List.sort_uniq Int.compare |> Array.of_list)
-    u.comps
+    (traces u)
 
 let successors u =
   require_unreduced u "successors";
@@ -784,20 +796,14 @@ let successors u =
                                  | 2 src:i32 payload:i32 seq:i32)
 
    An event's [lseq] and a send's [seq] are functions of the parent
-   class's history, so they are not stored. [serialize] takes each
-   class's event from the first computation that reaches it, and reads
-   parents and class ids off the run tree: it never walks a trace.
+   class's history, so they are not stored. [serialize] reads each
+   class's parent and event off the trie, and parents and class ids off
+   the run tree: it never builds a trace.
 
    The encoding is body-only. Framing (magic, format version, cache key,
    checksum) belongs to the snapshot container in [Hpl_serve.Snapshot];
    this layer only promises that any byte string either round-trips to a
    structurally valid universe of the given spec or yields [Error]. *)
-
-(* a stored computation's own event: the newest of its trace *)
-let last_event z =
-  match Trace.to_rev_list z with
-  | e :: _ -> e
-  | [] -> invalid_arg "Universe: the root has no event"
 
 let add_u8 b v = Buffer.add_uint8 b (v land 0xff)
 
@@ -816,7 +822,8 @@ let serialize u =
       "symmetry-reduced universes have no snapshot form (orbit tables \
        are not serialized); cache them in memory only"
   else begin
-    let b = Buffer.create (4096 + (12 * Array.length u.comps)) in
+    let count = size u in
+    let b = Buffer.create (4096 + (12 * count)) in
     add_u8 b (match u.mode with `Full -> 0 | `Canonical -> 1);
     add_i32 b u.depth;
     (match u.status with
@@ -830,7 +837,6 @@ let serialize u =
     add_u8 b (if Reduction.uses_por u.reduce then 1 else 0);
     let n = Spec.n u.spec in
     add_i32 b n;
-    let count = Array.length u.comps in
     (* class ids are first reached in increasing index order, so K_p is
        one past p's largest stored class id; a [max_states] cut may have
        interned one more class that no stored computation reaches, and
@@ -839,10 +845,6 @@ let serialize u =
     for i = 1 to count - 1 do
       let p = u.pid.(i) in
       if u.cid.(i) >= classes.(p) then classes.(p) <- u.cid.(i) + 1
-    done;
-    let first = Array.map (fun k -> Array.make k 0) classes in
-    for i = count - 1 downto 1 do
-      first.(u.pid.(i)).(u.cid.(i)) <- i
     done;
     let strings = Hashtbl.create 64 in
     let str_order = ref [] and nstr = ref 0 in
@@ -859,11 +861,11 @@ let serialize u =
     (* the tries into a side buffer so the string table can precede them *)
     let tb = Buffer.create 4096 in
     Array.iteri
-      (fun p first ->
-        add_i32 tb (Array.length first);
-        for c = 1 to Array.length first - 1 do
+      (fun p k ->
+        add_i32 tb k;
+        for c = 1 to k - 1 do
           add_i32 tb u.trie_parent.(p).(c);
-          match (last_event u.comps.(first.(c))).Event.kind with
+          match u.trie_event.(p).(c).Event.kind with
           | Event.Internal tag ->
               add_u8 tb 0;
               add_i32 tb (str_id tag)
@@ -877,7 +879,7 @@ let serialize u =
               add_i32 tb (str_id m.Msg.payload);
               add_i32 tb m.Msg.seq
         done)
-      first;
+      classes;
     add_i32 b !nstr;
     List.iter (add_str b) (List.rev !str_order);
     Buffer.add_buffer b tb;
@@ -993,20 +995,17 @@ let deserialize spec blob =
       if k < 1 then fail "p%d has no empty class" pi;
       plausible (k - 1) ~bytes:9 "class count";
       let parents = Array.make k (-1) in
-      (* the empty history's placeholder has [lseq] −1, so a class's
-         event has its parent's [lseq] + 1 *)
-      let events = Array.make k (Event.internal ~pid:p ~lseq:(-1) "") in
+      (* a class's event has its parent's [lseq] + 1 *)
+      let events = Array.make k no_event in
       (* per class, its send count: a child send's [seq] *)
       let sends = Array.make k 0 in
-      let rec history c acc =
-        if c = 0 then acc else history parents.(c) (events.(c) :: acc)
-      in
       let staged = Array.make k None in
       let stage c =
         match staged.(c) with
         | Some f -> f
         | None ->
-            let f = Spec.stage spec p ~history:(history c []) in
+            let history = class_history parents events c in
+            let f = Spec.stage spec p ~history in
             staged.(c) <- Some f;
             f
       in
@@ -1052,9 +1051,10 @@ let deserialize spec blob =
     let count = i32 () in
     if count < 1 then fail "implausible computation count %d" count;
     plausible (count - 1) ~bytes:12 "computation count";
-    let comps = Array.make count Trace.empty in
     let parent = Array.make count (-1) and pid = Array.make count (-1) in
     let cid = Array.make count 0 in
+    (* per computation, its number of events; dropped after the load *)
+    let depths = Array.make count 0 in
     (* per process, the next class id to be reached for the first time *)
     let reached = Array.make n 1 in
     (* [on p a] is [a] or its nearest ancestor whose event is on [p],
@@ -1090,7 +1090,7 @@ let deserialize spec blob =
           "class %d of p%d does not extend the parent computation's class at \
            computation %d"
           c pi i;
-      if Trace.length comps.(up) >= depth then
+      if depths.(up) >= depth then
         fail "computation %d is deeper than the universe's depth %d" i depth;
       let e = event.(pi).(c) in
       (match e.Event.kind with
@@ -1106,7 +1106,7 @@ let deserialize spec blob =
         || up = parent.(prev)
            && Event.compare event.(pid.(prev)).(cid.(prev)) e >= 0
       then fail "computation %d is out of enumeration order" i;
-      comps.(i) <- Trace.snoc comps.(up) e;
+      depths.(i) <- depths.(up) + 1;
       parent.(i) <- up;
       pid.(i) <- pi;
       cid.(i) <- c
@@ -1117,30 +1117,17 @@ let deserialize spec blob =
           fail "class %d of p%d is never reached" next pi)
       reached;
     if !pos <> len then fail "%d trailing bytes" (len - !pos);
+    let u =
+      make ~spec ~mode ~depth ~status ~reduce ~parent ~pid ~cid ~trie_parent
+        ~trie_event:event ~orbit_idx:None
+    in
     (* spot-check against the spec the caller claims this snapshot is
-       for: the deepest stored computation must be one of its
-       computations (catches key collisions and spec drift) *)
-    if count > 1 && not (Spec.valid spec comps.(count - 1)) then
+       for: the deepest stored computation, the one trace built here,
+       must be one of its computations (catches key collisions and spec
+       drift) *)
+    if count > 1 && not (Spec.valid spec (trace_of u (count - 1))) then
       fail "snapshot is not a universe of the given spec";
-    Ok
-      {
-        spec;
-        mode;
-        depth;
-        status;
-        reduce;
-        comps;
-        idx = trace_index comps;
-        parent;
-        pid;
-        cid;
-        columns = Array.make n None;
-        trie_parent;
-        orbit_idx = None;
-        pset_ids_memo = Hashtbl.create 16;
-        classes_memo = Hashtbl.create 16;
-        succ_memo = None;
-      }
+    Ok u
   with Corrupt m -> Error m
 
 let pp_stats fmt u =

@@ -17,10 +17,12 @@
 
     A universe indexes its computations [0 .. size-1] and stores them as
     their run tree: per computation, its parent's index, the process of
-    its one event, and the class id that process reaches. Per process,
-    the partition of indices by local computation is one pass over that
-    tree ({!class_ids}); this is what makes [knows] evaluation linear in
-    the universe size. *)
+    its one event, and the class id that process reaches; per process
+    and class id, the class's parent class and its one event. Per
+    process, the partition of indices by local computation is one pass
+    over that tree ({!class_ids}); this is what makes [knows] evaluation
+    linear in the universe size. The computations' traces are derived
+    data too: no trace is built until one is read ({!comp}). *)
 
 type mode = [ `Full | `Canonical ]
 
@@ -96,23 +98,31 @@ val status : t -> status
 val size : t -> int
 
 val comp : t -> int -> Trace.t
-(** [comp u i] is computation number [i]. *)
+(** [comp u i] is computation number [i]. The first [comp], {!iter},
+    {!fold}, {!index} or {!find} on a universe builds its trace column:
+    one [Trace.snoc] per computation in index order, onto its parent's
+    trace, with each class's event shared by every computation that
+    reaches the class (the [universe.traces] span). The column is kept,
+    so every later [comp] is an array read. {!enumerate},
+    {!serialize}, {!deserialize}, {!class_ids}, {!prefixes_of} and
+    [`Canonical] {!successors} build no trace. *)
 
 val index : t -> Trace.t -> int option
 (** Exact lookup of a trace (as stored — canonical form in
     [`Canonical] mode). The trace → index table is built on the first
-    [index] or {!find} of a universe (the [universe.index] span) and
-    kept on it: enumeration, {!serialize}, {!prefixes_of},
-    {!Prop.extent}, the counting answers and {!Formula.check} (which
-    evaluates on extents) never look a trace up, so they never pay for
-    it. *)
+    [index] or {!find} of a universe (the [universe.index] span), after
+    the trace column if that is not built yet, and kept on it:
+    enumeration, {!serialize}, {!prefixes_of}, {!Prop.extent}, the
+    counting answers and {!Formula.check} (which evaluates on extents)
+    never look a trace up, so they never pay for it. *)
 
 val find : t -> Trace.t -> int option
-(** Like {!index} (and, like it, builds the index on first use) but
-    canonicalizes first in [`Canonical] mode, so any valid interleaving
-    of a stored class is found. On a
+(** Like {!index} (and, like it, builds the trace column and the index
+    on first use) but canonicalizes first in [`Canonical] mode, so any
+    valid interleaving of a stored class is found. On a
     symmetry-reduced universe the lookup goes through the orbit key, so
-    any interleaving of any permuted image of a stored class is found. *)
+    any interleaving of any permuted image of a stored class is found,
+    and no trace column is built. *)
 
 val find_exn : t -> Trace.t -> int
 (** @raise Not_found when the trace's class is outside the universe
@@ -125,7 +135,12 @@ val canon : t -> Trace.t -> Trace.t
     it. *)
 
 val iter : (int -> Trace.t -> unit) -> t -> unit
+(** [iter f u] applies [f] to every index and trace in index order,
+    building the trace column first if no trace was read yet (see
+    {!comp}). *)
+
 val fold : (int -> Trace.t -> 'a -> 'a) -> t -> 'a -> 'a
+(** Like {!iter}, with an accumulator; builds the trace column likewise. *)
 
 val class_ids : t -> Pid.t -> int array
 (** [class_ids u p] assigns to each computation index the id of its
@@ -189,9 +204,9 @@ val serialize : t -> (string, string) result
     projection trie written once (per class id, its parent class and
     its one event, payloads and tags through a first-occurrence string
     table), then one (parent index, pid, class id) triple per
-    computation. Each class's event is read off the end of the first
-    computation that reaches it, and parents and class ids off the run
-    tree, so no trace is walked and no trace index is built. The spec
+    computation. Each class's parent and event are read off the trie,
+    and parents and class ids off the run tree, so no trace is built
+    and no trace index either. The spec
     itself is {e not} stored; pair the body with a cache key that pins
     down (protocol, params, depth, faults, reduce, mode) and hand the
     same spec back to {!deserialize}. [Error] for symmetry-reduced
@@ -203,7 +218,10 @@ val deserialize : Spec.t -> string -> (t, string) result
 (** Rebuild a universe from a {!serialize} body: one event per class,
     then the run tree from the triples, so [class_ids], [find] and
     every knowledge query answer bit-identically to the originally
-    enumerated universe. No class-id column is built here. Every read
+    enumerated universe. No class-id column and no trace column is
+    built here: the depth check reads a depth column kept only for the
+    load, and the [Spec.valid] spot check builds the deepest
+    computation's trace alone, from its parent chain. Every read
     is bounds-checked and cross-validated: per class, its parent class
     comes earlier, it is no other class's step, and its process's rule
     allows its event; per computation, its parent comes earlier, its

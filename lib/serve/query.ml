@@ -27,6 +27,14 @@ type setup = {
 
 (* -- protocol selection ------------------------------------------------ *)
 
+(* Validated [-f] loads, keyed by path, parameters and the FNV-64 of
+   the file's bytes. The file is read and hashed on every call, so an
+   edit is seen at once; only elaboration and validation are skipped on
+   a hit. Errors are never stored, and the table is cleared when it
+   reaches [load_memo_cap] entries. *)
+let load_memo = Hashtbl.create 16
+let load_memo_cap = 64
+
 let load_exn arg =
   let path, vals =
     match String.split_on_char ':' arg with
@@ -46,28 +54,35 @@ let load_exn arg =
     | Ok src -> src
     | Error d -> fail "%s" (Diag.to_string d)
   in
-  let loaded =
-    match Elaborate.load_string ~file:path src with
-    | Ok l -> l
-    | Error d -> fail "%s" (Diag.to_string d)
-  in
-  let inst =
-    match Protocol.instantiate loaded.Elaborate.proto vals with
-    | Ok i -> i
-    | Error e -> fail "%s: %s" path e
-  in
-  (match Elaborate.validate loaded (Protocol.values inst) with
-  | Ok () -> ()
-  | Error d -> fail "%s" (Diag.to_string d));
-  (* the cache-key identity of a spec file: path, hash of the very bytes
-     elaborated above, and instance name, so editing a spec never
-     resurrects a stale cached universe *)
-  let src_key =
-    Printf.sprintf "file=%s#%s:%s" path
-      (Fnv.hex64 (Fnv.fnv64 src))
-      (Protocol.instance_name inst)
-  in
-  (inst, loaded, src_key)
+  let hash = Fnv.fnv64 src in
+  let key = (path, vals, hash) in
+  match Hashtbl.find_opt load_memo key with
+  | Some r -> r
+  | None ->
+      let loaded =
+        match Elaborate.load_string ~file:path src with
+        | Ok l -> l
+        | Error d -> fail "%s" (Diag.to_string d)
+      in
+      let inst =
+        match Protocol.instantiate loaded.Elaborate.proto vals with
+        | Ok i -> i
+        | Error e -> fail "%s: %s" path e
+      in
+      (match Elaborate.validate loaded (Protocol.values inst) with
+      | Ok () -> ()
+      | Error d -> fail "%s" (Diag.to_string d));
+      (* the cache-key identity of a spec file: path, hash of the very
+         bytes elaborated above, and instance name, so editing a spec
+         never resurrects a stale cached universe *)
+      let src_key =
+        Printf.sprintf "file=%s#%s:%s" path (Fnv.hex64 hash)
+          (Protocol.instance_name inst)
+      in
+      let r = (inst, loaded, src_key) in
+      if Hashtbl.length load_memo >= load_memo_cap then Hashtbl.reset load_memo;
+      Hashtbl.add load_memo key r;
+      r
 
 let load arg =
   match load_exn arg with

@@ -41,7 +41,15 @@ type setup = {
 
 val load :
   string -> (Protocol.instance * Elaborate.loaded, string) result
-(** Load a [.hpl] spec as [path[:v1[:v2...]]]. *)
+(** Load a [.hpl] spec as [path[:v1[:v2...]]]. Every call reads the
+    file and hashes its bytes (FNV-64), so an edit is seen at once. The
+    validated result is memoized under the path, that hash and the
+    parameters: a call on unchanged bytes returns the very instance an
+    earlier call elaborated, without lexing, parsing, elaborating or
+    validating again. This is the path {!resolve} takes for [-f], so a
+    server frame on a cached spec pays for the read and the hash alone.
+    Errors are never memoized, and the memo is cleared when it holds 64
+    loads. *)
 
 val resolve_proto :
   ?proto:string ->

@@ -151,6 +151,32 @@ let test_serialize_no_index () =
       | Error e -> Alcotest.fail e);
       check_int "universe.index spans" 0 (Hpl_obs.span_count "universe.index"))
 
+(* the trace column is derived data: enumerating, saving, loading and
+   counting never build it, the first trace read builds it once, and
+   later reads reuse it *)
+let test_trace_column_on_first_read () =
+  with_obs (fun () ->
+      let u = Universe.enumerate ~mode:`Canonical chatter ~depth:4 in
+      let body =
+        match Universe.serialize u with Ok b -> b | Error e -> Alcotest.fail e
+      in
+      let loaded =
+        match Universe.deserialize chatter body with
+        | Ok u -> u
+        | Error e -> Alcotest.fail e
+      in
+      ignore (Hpl_serve.Query.run_stats u);
+      ignore (Hpl_serve.Query.run_stats loaded);
+      check_int "universe.traces spans before a trace is read" 0
+        (Hpl_obs.span_count "universe.traces");
+      let b = Prop.make "any" (fun _ -> true) in
+      ignore (Prop.extent u b);
+      check_int "universe.traces spans after the first extent" 1
+        (Hpl_obs.span_count "universe.traces");
+      ignore (Prop.extent u b);
+      check_int "universe.traces spans after the second extent" 1
+        (Hpl_obs.span_count "universe.traces"))
+
 let test_lint_findings_counter () =
   Hpl_protocols.Builtins.init ();
   let inst =
@@ -295,6 +321,8 @@ let suite =
     ("check never looks a trace up", `Quick, test_check_no_lookups);
     ("knowledge helpers never look a trace up", `Quick, test_helpers_no_lookups);
     ("serialize never looks a trace up", `Quick, test_serialize_no_index);
+    ("trace column built on the first read", `Quick,
+      test_trace_column_on_first_read);
     ("lint child spans sum to total", `Quick, test_lint_children_account_for_total);
     ("stats json schema", `Quick, test_stats_json_schema);
     ("chrome trace schema", `Quick, test_chrome_trace_schema);

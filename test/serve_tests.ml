@@ -652,10 +652,10 @@ let test_snapshot_old_format () =
       | Error Snapshot.Absent -> Alcotest.fail "HPLSNAP1 file reported absent"
       | Ok _ -> Alcotest.fail "HPLSNAP1 file loaded")
 
-(* A load builds one event per class and one trace cell per
-   computation. Decoding and re-interning every computation's event, as
-   the HPLSNAP1 body required, cost about 116 minor words per
-   computation on this universe. *)
+(* A load builds one event per class and no trace. Decoding and
+   re-interning every computation's event, as the HPLSNAP1 body
+   required, cost about 116 minor words per computation on this
+   universe. *)
 let test_snapshot_load_words () =
   let dir = temp_dir () in
   Fun.protect
@@ -1088,6 +1088,85 @@ let test_server_spec_edit () =
       check tint "two messages, either delivery order: 8 computations" 8
         (size j))
 
+(* A [-f] spec whose one parameter [k] bounds each process's messages,
+   with its default written in. *)
+let write_param_spec path k =
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc
+        "protocol memo {\n\
+        \  param k = %d min 1\n\
+        \  processes 2\n\
+        \  depth 4\n\
+        \  process 0 { when sends < k => send \"m\" to 1 }\n\
+        \  process 1 { when recvs < k => recv }\n\
+         }\n"
+        k)
+
+let load_error arg =
+  match Query.load arg with
+  | Ok _ -> Alcotest.fail "a broken spec loaded"
+  | Error e -> e
+
+(* [-f] loads are memoized on the file's bytes and parameters: the same
+   bytes give back the very instance, an edit or other parameters
+   elaborate afresh, and a failed load is never stored *)
+let test_load_memo () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let path = Filename.concat dir "memo.hpl" in
+      let load arg = fst (get (Query.load arg)) in
+      write_param_spec path 1;
+      let a = load path in
+      check tbool "unchanged bytes: the same instance" true (a == load path);
+      check tbool "other parameters: another instance" false
+        (a == load (path ^ ":2"));
+      write_param_spec path 2;
+      let b = load path in
+      check tbool "edited bytes: a fresh instance" false (a == b);
+      check tstr "the edit is read" "memo:2"
+        (Hpl_protocols.Protocol.instance_name b);
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc "protocol memo {\n");
+      let e = load_error path in
+      check tstr "a failed load is not stored" e (load_error path);
+      write_param_spec path 1;
+      check tbool "restored bytes: the first instance again" true
+        (a == load path))
+
+(* An edit that breaks a cached spec is diagnosed on every frame: no
+   memoized load, and no cached universe, answers for the broken text. *)
+let test_server_spec_broken_edit () =
+  let dir = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let path = Filename.concat dir "broken.hpl" in
+      let fields =
+        [ ("op", Json.Str "enumerate-stats"); ("file", Json.Str path) ]
+      in
+      let t = server () in
+      write_param_spec path 1;
+      check tint "valid spec: exit 0" 0 (jint "exit" (reply t fields));
+      let diagnosed text =
+        Out_channel.with_open_bin path (fun oc -> output_string oc text);
+        let cli = load_error path in
+        for frame = 1 to 2 do
+          let j = reply t fields in
+          check tint (Printf.sprintf "frame %d: exit 2" frame) 2 (jint "exit" j);
+          check tstr
+            (Printf.sprintf "frame %d: the diagnostic" frame)
+            ("hpl: " ^ cli ^ "\n") (jstr "error" j)
+        done
+      in
+      diagnosed "protocol memo {\n";
+      diagnosed "protocol memo { processes 0 }\n";
+      write_param_spec path 1;
+      let j = reply t fields in
+      check tint "restored: exit 0" 0 (jint "exit" j);
+      check tstr "restored: the cached universe" "hit" (jstr "cache" j))
+
 (* Seeded random query stream against a deliberately tiny cache: LRU
    eviction mid-stream must never change an answer, malformed frames
    must not derail the session, and the counters must keep
@@ -1355,6 +1434,10 @@ let suite =
       `Quick test_server_cache_provenance;
     Alcotest.test_case "cache: an edited spec file misses" `Quick
       test_server_spec_edit;
+    Alcotest.test_case "-f load memo: same bytes, same instance" `Quick
+      test_load_memo;
+    Alcotest.test_case "a broken spec edit is diagnosed every frame" `Quick
+      test_server_spec_broken_edit;
     Alcotest.test_case "seeded stream: eviction never changes answers" `Quick
       test_property_stream;
     Alcotest.test_case "obs counters mirror the server's" `Quick

@@ -243,6 +243,44 @@ let test_words_per_computation () =
     true
     (Float.abs (w400 -. w100) < 0.25 *. w100)
 
+(* The trace column is derived: a fresh universe, enumerated or loaded
+   from a snapshot, keeps its run tree and one event per trie class, and
+   builds a trace per computation only when a trace is first read. The
+   spec's own words are not the universe's. *)
+let test_no_trace_until_read () =
+  Hpl_protocols.Builtins.init ();
+  let words u =
+    float_of_int
+      (Obj.reachable_words (Obj.repr u)
+      - Obj.reachable_words (Obj.repr (Universe.spec u)))
+    /. float_of_int (Universe.size u)
+  in
+  List.iter
+    (fun (proto, depth) ->
+      let st = Result.get_ok (Hpl_serve.Query.resolve ~proto ~depth ()) in
+      let u = Hpl_serve.Query.enumerate st ~reduce:Reduction.none in
+      let loaded =
+        Universe.serialize u |> Result.get_ok
+        |> Universe.deserialize (Universe.spec u)
+        |> Result.get_ok
+      in
+      List.iter
+        (fun (how, u) ->
+          let what = Printf.sprintf "%s -d %s, %s" proto depth how in
+          let before = words u in
+          check tbool
+            (Printf.sprintf "%s: %.1f words per computation <= 6" what before)
+            true (before <= 6.0);
+          ignore (Universe.comp u 0);
+          let after = words u in
+          check tbool
+            (Printf.sprintf "%s: the trace column adds %.1f >= 7" what
+               (after -. before))
+            true
+            (after -. before >= 7.0))
+        [ ("enumerated", u); ("deserialized", loaded) ])
+    [ ("ring:6", "9"); ("mesh:5", "6"); ("star-flood", "8") ]
+
 let test_prefix_closed_universe () =
   (* the stored set is prefix-closed in both modes (canonical prefixes
      of canonical words are canonical) *)
@@ -322,25 +360,34 @@ let first_occurrence_ids comps p =
           id)
     comps
 
+(* the enumerated universe, and its serialize/deserialize round trip,
+   whose trace column is rebuilt from the loaded run tree *)
 let check_against_reference what ~mode spec ~depth =
   let u = Universe.enumerate ~mode spec ~depth in
+  let loaded =
+    Universe.serialize u |> Result.get_ok |> Universe.deserialize spec
+    |> Result.get_ok
+  in
   let expected = reference_comps ~mode u spec ~depth in
-  check tint (what ^ ": size") (Array.length expected) (Universe.size u);
-  Array.iteri
-    (fun i z ->
-      if not (Trace.equal z (Universe.comp u i)) then
-        Alcotest.failf "%s: computation %d is %s, reference has %s" what i
-          (Trace.to_string (Universe.comp u i))
-          (Trace.to_string z))
-    expected;
   List.iter
-    (fun p ->
-      check
-        Alcotest.(array int)
-        (Printf.sprintf "%s: class ids %s" what (Pid.to_string p))
-        (first_occurrence_ids expected p)
-        (Universe.class_ids u p))
-    (Spec.pids spec)
+    (fun (what, u) ->
+      check tint (what ^ ": size") (Array.length expected) (Universe.size u);
+      Array.iteri
+        (fun i z ->
+          if not (Trace.equal z (Universe.comp u i)) then
+            Alcotest.failf "%s: computation %d is %s, reference has %s" what i
+              (Trace.to_string (Universe.comp u i))
+              (Trace.to_string z))
+        expected;
+      List.iter
+        (fun p ->
+          check
+            Alcotest.(array int)
+            (Printf.sprintf "%s: class ids %s" what (Pid.to_string p))
+            (first_occurrence_ids expected p)
+            (Universe.class_ids u p))
+        (Spec.pids spec))
+    [ (what, u); (what ^ " round-tripped", loaded) ]
 
 let test_reference_enumeration () =
   let open Hpl_protocols in
@@ -420,6 +467,7 @@ let suite =
     ("prefixes_of", `Quick, test_prefixes_of);
     ("prefixes_of = find every prefix", `Quick, test_prefixes_of_reference);
     ("words per computation", `Quick, test_words_per_computation);
+    ("no trace kept until one is read", `Quick, test_no_trace_until_read);
     ("prefix-closed storage", `Quick, test_prefix_closed_universe);
     ("enumeration = naive reference BFS", `Quick, test_reference_enumeration);
   ]
