@@ -254,13 +254,10 @@ let min_time_ns ~runs f =
   done;
   !best
 
-(* [~reduce] is passed explicitly: this row is the seed-parity gate, so
-   it must pin the no-reduction path even if the default ever changes *)
 let minwall_enumerate () =
   min_time_ns ~runs:15 (fun () ->
       Universe.size
-        (Universe.enumerate ~mode:`Canonical ~reduce:Reduction.none
-           (chatter ~n:3 ~k:3) ~depth:7))
+        (Universe.enumerate ~mode:`Canonical (chatter ~n:3 ~k:3) ~depth:7))
 
 let minwall_bitset () =
   let a = Bitset.of_pred 10_000 (fun i -> i mod 3 = 0) in
@@ -292,13 +289,13 @@ let minwall_rows () =
     ("hpl/bitset/n=10000/minwall", Some (minwall_bitset ()), "ns/run", None);
   ]
 
-(* -- reduction layer rows (DESIGN.md §10) -------------------------------
+(* -- symmetry reduction rows (DESIGN.md §10) ------------------------------
 
-   The depth-wall claim, machine-readable: time AND states explored for
-   each reduction mode at depth 9 on the acceptance protocols. The
-   [/states] rows carry a count (unit "states", not "ns/run") — they
-   record how much smaller the reduced universe is, which is the part
-   of the trajectory that survives machine changes. *)
+   Time AND states explored, unreduced and under the declared symmetry
+   group, at depth 9 on the acceptance protocols. The [/states] rows
+   carry a count (unit "states", not "ns/run") — they record how much
+   smaller the reduced universe is, which is the part of the trajectory
+   that survives machine changes. *)
 let reduce_rows () =
   fresh_heap ();
   Hpl_protocols.Builtins.init ();
@@ -307,74 +304,28 @@ let reduce_rows () =
     | Some p -> Hpl_protocols.Protocol.default_instance p
     | None -> failwith ("bench: protocol not registered: " ^ name)
   in
-  let modes inst =
-    let g = Hpl_protocols.Protocol.symmetry_of inst in
-    (* por+indep: por carrying the abstract interpreter's independence
-       relation. Plain por is not a row: without independence it runs
-       the unreduced path, so it would time the none row again. Where
-       the no-truncation certificate fails at depth 9 the restriction
-       never fires and the row must equal none; where it holds
-       (quorum: Σ bound = 7) the row must be strictly smaller — that
-       strictness is what these rows exist to show, so it is asserted
-       below, not just recorded. *)
-    let por_indep =
-      match
-        Option.bind
-          (Hpl_analysis.Dataflow.of_instance inst)
-          Hpl_analysis.Dataflow.independence
-      with
-      | Some ind ->
-          [ ("por+indep", Reduction.with_independence Reduction.por ind) ]
-      | None -> []
-    in
-    [ ("none", Reduction.none) ]
-    @ por_indep
-    @ [
-        ("sym", Reduction.sym (Option.get g));
-        ("full", Reduction.full (Option.get g));
-      ]
-  in
   List.concat_map
     (fun pname ->
       let inst = instance pname in
       let spec = Hpl_protocols.Protocol.spec_of inst in
-      let states_of = Hashtbl.create 8 in
-      let rows =
-        List.concat_map
-          (fun (label, reduce) ->
-            let enum () = Universe.enumerate ~reduce spec ~depth:9 in
-            let states = Universe.size (enum ()) in
-            Hashtbl.replace states_of label states;
-            let ns = min_time_ns ~runs:5 (fun () -> Universe.size (enum ())) in
-            [
-              ( Printf.sprintf "hpl/enumerate/reduce=%s/%s/depth=9" label pname,
-                Some ns,
-                "ns/run",
-                None );
-              ( Printf.sprintf "hpl/enumerate/reduce=%s/%s/depth=9/states" label
-                  pname,
-                Some (float_of_int states),
-                "states",
-                None );
-            ])
-          (modes inst)
-      in
-      (match
-         ( Hashtbl.find_opt states_of "none",
-           Hashtbl.find_opt states_of "por+indep" )
-       with
-      | Some n0, Some ni ->
-          if ni > n0 then
-            failwith
-              (Printf.sprintf "bench: %s por+indep grew the universe (%d > %d)"
-                 pname ni n0);
-          if pname = "quorum" && ni >= n0 then
-            failwith
-              (Printf.sprintf
-                 "bench: quorum por+indep shows no strict reduction (%d vs %d)"
-                 ni n0)
-      | _ -> ());
-      rows)
+      let g = Option.get (Hpl_protocols.Protocol.symmetry_of inst) in
+      List.concat_map
+        (fun (label, symmetry) ->
+          let enum () = Universe.enumerate ?symmetry spec ~depth:9 in
+          let states = Universe.size (enum ()) in
+          let ns = min_time_ns ~runs:5 (fun () -> Universe.size (enum ())) in
+          [
+            ( Printf.sprintf "hpl/enumerate/reduce=%s/%s/depth=9" label pname,
+              Some ns,
+              "ns/run",
+              None );
+            ( Printf.sprintf "hpl/enumerate/reduce=%s/%s/depth=9/states" label
+                pname,
+              Some (float_of_int states),
+              "states",
+              None );
+          ])
+        [ ("none", None); ("sym", Some g) ])
     [ "ring"; "star-flood"; "quorum" ]
 
 (* -- DSL rows ---------------------------------------------------------------
@@ -664,9 +615,7 @@ let run_benchmarks () =
 (* -- disabled-probe overhead guard --------------------------------------
 
    [--quick --assert-overhead] re-times the depth-7 enumeration with
-   observability disabled — and [~reduce:Reduction.none] pinned, so the
-   gate also proves that carrying the reduction layer costs nothing on
-   the default path — and asserts it stays within 2% of the recorded
+   observability disabled and asserts it stays within 2% of the recorded
    BENCH.json baseline ([.../disabled-minwall], recorded by the same
    min-wall functions above — mixing timing methodologies here shows up
    as a spurious ~10% "overhead"). Machine-speed
@@ -731,13 +680,12 @@ let merge_bench_json path rows =
   in
   write_bench_json path (kept @ rows)
 
-(* --flow: measure the abstract-interpretation rows (the flow sweep and
-   the depth-9 reduction ladder including por+indep) alone and merge
-   them into BENCH.json in place — the CI gate for the strict-reduction
-   and under-a-second claims, same merge as --mc. *)
+(* --flow: measure the abstract-interpretation rows (the flow sweep)
+   alone and merge them into BENCH.json in place — the CI gate for the
+   zero-false-positive and under-a-second claims, same merge as --mc. *)
 let run_flow () =
-  print_endline "=== flow rows (abstract interpretation + reduction) ===";
-  let rows = reduce_rows () @ flow_rows () in
+  print_endline "=== flow rows (abstract interpretation) ===";
+  let rows = flow_rows () in
   List.iter
     (fun (name, value, unit_, _) ->
       match value with

@@ -227,19 +227,14 @@ let reduce_arg =
     value & opt string "none"
     & info [ "reduce" ] ~docv:"R"
         ~doc:
-          "Reduction layer (DESIGN.md §10) for $(b,enumerate) and \
-           $(b,diagram): 'none', 'por' (partial-order: $(b,enumerate) arms \
-           it with $(b,hpl flow)'s static independence, which may drop \
-           computations but keeps every blocked one — quorum at depth 9 \
-           goes from 144 to 87; $(b,diagram) gets the unreduced universe), \
-           'sym' (symmetry quotient, one stored computation per orbit; \
-           requires a protocol with declared generators, see $(b,hpl list \
-           -v)), or 'full' (both). $(b,knows), $(b,check) and $(b,extent) \
-           take no reduction: their answers quantify over every \
-           computation.")
+          "What $(b,enumerate) and $(b,diagram) store (DESIGN.md §10): \
+           'none', every computation, or 'sym', one computation per orbit \
+           of the protocol's declared symmetry group (see $(b,hpl list \
+           -v)). $(b,knows), $(b,check) and $(b,extent) take no reduction: \
+           their answers quantify over every computation.")
 
-let resolve_reduce st ~mode ?indep reduce_str =
-  die (Query.resolve_reduce st ~mode ?indep reduce_str)
+let resolve_reduce st ~mode reduce_str =
+  die (Query.resolve_reduce st ~mode reduce_str)
 
 (* Print a [Query.outcome] the way the CLI always has: stdout bytes,
    observability output, stderr bytes, exit code. Usage errors (exit 2)
@@ -257,9 +252,7 @@ let enumerate proto file depth faults max_states max_seconds mode reduce
     verbose obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
-  (* enumerate is the one subcommand that attaches the static
-     independence relation to a por reduction (~indep:true) *)
-  let reduce = resolve_reduce st ~mode ~indep:true reduce in
+  let reduce = resolve_reduce st ~mode reduce in
   let u = Query.enumerate ~mode st ~reduce in
   let o = Query.run_stats u in
   print_string o.Query.out;
@@ -312,7 +305,7 @@ let diagram_cmd =
 let knows proto file depth faults max_states max_seconds obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
-  let u = Query.enumerate st ~reduce:Reduction.none in
+  let u = Query.enumerate st ~reduce:None in
   emit_outcome obs (Query.run_knows st u)
 
 let knows_cmd =
@@ -330,7 +323,7 @@ let knows_cmd =
 let extent proto file depth faults max_states max_seconds atom obs =
   obs_setup obs;
   let st = resolve proto file depth faults max_states max_seconds in
-  let u = Query.enumerate st ~reduce:Reduction.none in
+  let u = Query.enumerate st ~reduce:None in
   emit_outcome obs (Query.run_extent st u ~atom)
 
 let extent_cmd =
@@ -680,7 +673,7 @@ let check_formula proto file depth faults max_states max_seconds mode
   | Error e -> die_usage "parse error: %s" e
   | Ok f ->
       let st = resolve proto file depth faults max_states max_seconds in
-      let u = Query.enumerate ~mode st ~reduce:Reduction.none in
+      let u = Query.enumerate ~mode st ~reduce:None in
       emit_outcome obs (Query.run_check st u f)
 
 let check_cmd =
@@ -993,10 +986,10 @@ let lint_cmd =
 (* -- flow (abstract interpretation over rules) ------------------------------ *)
 
 (* [hpl flow] runs the interval-domain abstract interpreter on its own:
-   per-rule verdicts, the static channel graph, per-process event
-   bounds and the derived POR independence relation — no enumeration,
-   no traces. Exit 0 when clean (or every finding was expected), 1 on
-   an unexpected warning-level finding, 2 on bad arguments. *)
+   per-rule verdicts, the static channel graph and per-process event
+   bounds — no enumeration, no traces. Exit 0 when clean (or every
+   finding was expected), 1 on an unexpected warning-level finding, 2 on
+   bad arguments. *)
 let flow proto file all verbose =
   let bad = ref false in
   let analyze name t ~expect =
@@ -1006,16 +999,11 @@ let flow proto file all verbose =
         (fun f -> f.Lint.severity <> Lint.Info && not f.Lint.expected)
         fs
     then bad := true;
-    Format.printf "%s: %d rule(s), %d dead, %d channel(s)%s%s%s@." name
+    Format.printf "%s: %d rule(s), %d dead, %d channel(s)%s%s@." name
       (List.length (Dataflow.rules t))
       (List.length (Dataflow.dead_rules t))
       (List.length (Dataflow.channels t))
       (if Dataflow.graph_exact t then "" else " (over-approximated)")
-      (match Dataflow.independence t with
-      | Some ind ->
-          Printf.sprintf ", POR may restrict at depth >= %d"
-            (Reduction.Independence.total ind)
-      | None -> "")
       (if fs = [] then " — clean" else "");
     List.iter (fun f -> Format.printf "  %a@." Lint.pp_finding f) fs;
     if verbose then Format.printf "%a@." Dataflow.pp t
@@ -1072,7 +1060,7 @@ let flow_cmd =
        ~doc:
          "Abstractly interpret a protocol's rules in an interval domain: \
           guard satisfiability (dead rules, tautologies), the static channel \
-          graph, and the POR independence relation — without constructing a \
+          graph, and per-process event bounds — without constructing a \
           single trace")
     Term.(const flow $ proto_arg $ file_arg $ all $ verbose)
 

@@ -6,7 +6,7 @@
    evaluator (a closure over a counter-hull lookup), a concrete guard
    oracle (for the soundness tests), and a list of intents each carrying
    a static firing cap. Everything downstream — the liveness fixpoint,
-   verdicts, channels, bounds, independence — works on [srule] alone. *)
+   verdicts, channels, bounds — works on [srule] alone. *)
 
 open Hpl_core
 module P = Hpl_protocols.Protocol
@@ -409,11 +409,9 @@ type t = {
   reports : rule_report list;
   channels : (int * int * string) list;
   graph_exact : bool;
-  indep : Reduction.Independence.t option;
   unreachable : (string * string) list;
   conc : (Event.t list -> bool) array array;
   bounds : int array;  (* pinf = unbounded *)
-  stable : bool array;
 }
 
 let analyze ~n (rules : srule list array) ~atom_exprs =
@@ -543,7 +541,6 @@ let analyze ~n (rules : srule list array) ~atom_exprs =
   (* verdicts and derived facts under the final hull *)
   let reports = ref [] in
   let graph_exact = ref true in
-  let stable = Array.make n true in
   Array.iteri
     (fun p rl ->
       let look = look_of hulls.(p) in
@@ -558,8 +555,7 @@ let analyze ~n (rules : srule list array) ~atom_exprs =
               let is_live = Hashtbl.mem live (p, r.index, j) in
               match it with
               | I_recv _ ->
-                  if is_live then stable.(p) <- false
-                  else if verdict <> Dead then starved := true
+                  if (not is_live) && verdict <> Dead then starved := true
               | I_send { dst = None; _ } ->
                   if is_live then graph_exact := false
               | I_send _ | I_do _ -> ())
@@ -583,11 +579,6 @@ let analyze ~n (rules : srule list array) ~atom_exprs =
         let h = hulls.(p) in
         sadd (sadd h.h_sends h.h_recvs) h.h_dos)
       hulls
-  in
-  let indep =
-    if Array.for_all (fun b -> b <> pinf) bounds then
-      Some (Reduction.Independence.make ~stable:(Array.copy stable) ~bound:bounds)
-    else None
   in
   let channels =
     Hashtbl.fold (fun c () acc -> c :: acc) chans [] |> List.sort compare
@@ -636,11 +627,9 @@ let analyze ~n (rules : srule list array) ~atom_exprs =
     reports;
     channels;
     graph_exact = !graph_exact;
-    indep;
     unreachable;
     conc;
     bounds;
-    stable;
   }
 
 (* -- entry points ----------------------------------------------------------- *)
@@ -681,7 +670,6 @@ let rules t = t.reports
 let dead_rules t = List.filter (fun r -> r.verdict = Dead) t.reports
 let channels t = t.channels
 let graph_exact t = t.graph_exact
-let independence t = t.indep
 let unreachable_atoms t = t.unreachable
 
 let guard_holds t ~pid ~index history =
@@ -794,17 +782,7 @@ let pp ppf t =
   fprintf ppf "bounds:@,";
   Array.iteri
     (fun p b ->
-      fprintf ppf "  p%d: %s events%s@," p
-        (if b = pinf then "unbounded" else "<= " ^ string_of_int b)
-        (if t.stable.(p) then ", receive-free (stable)" else ""))
+      fprintf ppf "  p%d: %s events@," p
+        (if b = pinf then "unbounded" else "<= " ^ string_of_int b))
     t.bounds;
-  (match t.indep with
-  | Some ind ->
-      fprintf ppf
-        "independence: total event bound %d — POR may restrict at depth >= %d@,"
-        (Reduction.Independence.total ind)
-        (Reduction.Independence.total ind)
-  | None ->
-      fprintf ppf
-        "independence: unavailable (some process has no finite event bound)@,");
   fprintf ppf "@]"

@@ -1,6 +1,6 @@
 (** Abstract interpretation over protocol rules ([hpl flow]) — guard
-    satisfiability, dead rules, a static channel graph, and the static
-    independence relation POR consumes. No trace is ever constructed.
+    satisfiability, dead rules, a static channel graph, and per-process
+    event bounds. No trace is ever constructed.
 
     The analyzer interprets the elaborated [.hpl] AST of a spec's rules:
     a loaded spec's ({!of_loaded}), or for a registry protocol the
@@ -98,11 +98,6 @@ val graph_exact : t -> bool
     communication structure, suitable for equality cross-validation
     against {!Channel_graph.extract}. *)
 
-val independence : t -> Reduction.Independence.t option
-(** The static independence relation for ample-set restriction:
-    per-pid receive-freedom and finite event bounds. [None] when any
-    process's event bound is not finite. *)
-
 val unreachable_atoms : t -> (string * string) list
 (** [(atom, why)] — named atoms mentioning a [did]
     tag no live rule performs or a payload no live channel carries;
@@ -130,4 +125,4 @@ val clean : t -> bool
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable report: per-rule verdicts, live channels, per-pid
-    event bounds and stability, independence applicability. *)
+    event bounds. *)

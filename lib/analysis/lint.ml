@@ -433,7 +433,7 @@ let lint_instance ?fuel ?max_states ?max_probes ?(formulas = []) ?faults
                        computation of depth <= 3"
                       (Symmetry.to_string pi))
                    ~hint:"fix the generator or the spec — an invalid \
-                          generator makes --reduce sym/full unsound"))
+                          generator makes --reduce sym unsound"))
           gens
     | [] ->
         if n < 2 then []
@@ -458,7 +458,7 @@ let lint_instance ?fuel ?max_states ?max_probes ?(formulas = []) ?faults
                       3) but declares no symmetry generators"
                      what (Symmetry.to_string pi))
                   ~hint:"declare it via Protocol.make ~symmetry to unlock \
-                         --reduce sym/full";
+                         --reduce sym";
               ]
           | None -> [])
   in

@@ -84,7 +84,7 @@ module PermTbl = Hashtbl.Make (struct
   let hash (a : perm) = Hashtbl.hash (Array.to_list a)
 end)
 
-type group = { n : int; perms : perm array; complete : bool }
+type group = { n : int; perms : perm array }
 
 let closure ~max_order n gens =
   let tbl = PermTbl.create 64 in
@@ -123,25 +123,17 @@ let of_generators ?(max_order = 10_080) ~n gens =
      (just weaker) reduction, and the kept prefix stays deterministic *)
   let rec fit kept =
     match closure ~max_order n kept with
-    | Some perms -> (perms, List.length kept = List.length gens)
+    | Some perms -> perms
     | None -> (
         match List.rev kept with
-        | [] -> ([ identity n ], false)
+        | [] -> [ identity n ]
         | _ :: rev_rest -> fit (List.rev rev_rest))
   in
-  let perms, complete = fit gens in
-  { n; perms = Array.of_list perms; complete }
+  { n; perms = Array.of_list (fit gens) }
 
-let trivial_group n = { n; perms = [| identity n |]; complete = true }
 let order g = Array.length g.perms
 let is_trivial g = order g = 1
 let elements g = Array.to_list g.perms
-let complete g = g.complete
-
-let index_of g p =
-  (* groups are small; linear scan keeps the representation simple *)
-  let rec go i = if i >= order g then None else if g.perms.(i) = p then Some i else go (i + 1) in
-  go 0
 
 (* --- action on the model ------------------------------------------- *)
 

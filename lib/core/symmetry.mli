@@ -4,8 +4,8 @@
     rotation, star/quorum members under swaps) induce automorphisms of
     the specification: pid permutations [π] under which the computation
     set is closed. Enumeration can then store one representative per
-    {e orbit} of [\[D\]]-classes instead of one per class — the
-    symmetry half of the reduction layer (DESIGN.md §10).
+    {e orbit} of [\[D\]]-classes instead of one per class
+    (DESIGN.md §10).
 
     A permutation is an [int array] [a] with [a.(i)] the image of pid
     [i]. Groups are materialized explicitly (closure of the declared
@@ -13,12 +13,6 @@
     representation keeps orbit computations simple and deterministic. *)
 
 type perm = int array
-
-val check : n:int -> perm -> unit
-(** Raises [Invalid_argument] unless the array is a permutation of
-    [0 .. n-1] of length [n]. *)
-
-val is_identity : perm -> bool
 
 val rotation : int -> perm
 (** [rotation n] maps [i ↦ i+1 mod n] — the ring rotation. *)
@@ -44,31 +38,21 @@ val of_generators : ?max_order:int -> n:int -> perm list -> group
 (** Closure of the generators under composition. The identity is always
     element 0. If the closure would exceed [max_order] (default 10080 =
     7!·2), trailing generators are dropped until it fits — any subgroup
-    gives a sound, merely weaker, reduction — and {!complete} reports
-    the truncation. Raises [Invalid_argument] if a generator is not a
-    permutation of [0 .. n-1]. *)
+    gives a sound, merely weaker, reduction. Raises [Invalid_argument]
+    if a generator is not a permutation of [0 .. n-1]. *)
 
-val trivial_group : int -> group
 val order : group -> int
 val is_trivial : group -> bool
-val complete : group -> bool
-(** False when {!of_generators} had to drop generators. *)
 
 val elements : group -> perm list
 (** All elements, identity first. *)
 
-val index_of : group -> perm -> int option
-
 (** {2 Action on the model} *)
 
-val apply : perm -> Pid.t -> Pid.t
-
-val permute_msg : perm -> Msg.t -> Msg.t
-(** Renames [src] and [dst]; [seq] and [payload] are label-independent
-    (the sequence number counts the sender's sends, which renaming
-    preserves). *)
-
 val permute_event : perm -> Event.t -> Event.t
+(** Renames the event's process and its message's [src] and [dst];
+    [seq] and [payload] are label-independent (the sequence number
+    counts the sender's sends, which renaming preserves). *)
 
 (** {2 Orbit keys} *)
 
@@ -83,7 +67,6 @@ val orbit_key : group -> Trace.t -> key
     [π·y] for some group element [π]. This is the canonical form
     symmetry-reduced enumeration interns. *)
 
-val equal_key : key -> key -> bool
 val compare_key : key -> key -> int
 
 module KeyTbl : Hashtbl.S with type key = key

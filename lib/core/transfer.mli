@@ -72,7 +72,7 @@ module Lemma4 : sig
 
   val requires_locality : Universe.t -> Pset.t -> Prop.t -> bool
   (** Whether the lemma's locality premise ([b] local to [P̄]) holds —
-      exposed so tests can restrict instances. *)
+      exposed so tests can select the instances it covers. *)
 end
 
 val corollary_gain_receives :

@@ -103,7 +103,7 @@ type t = {
   mode : mode;
   depth : int;
   status : status;
-  reduce : Reduction.t;
+  sym : bool; (* symmetry-reduced: one stored computation per orbit *)
   parent : int array; (* comp index -> parent comp index *)
   pid : int array; (* comp index -> pid index of its last event *)
   cid : int array; (* comp index -> class id [pid.(i)] reaches *)
@@ -112,20 +112,19 @@ type t = {
   mutable comps : Trace.t array; (* the trace column; [||] until built *)
   mutable idx : int TraceTbl.t option; (* trace -> index, on first lookup *)
   columns : int array option array; (* pid index -> class-id column *)
-  orbit_idx : int Symmetry.KeyTbl.t option; (* sym: orbit key -> index *)
   pset_ids_memo : (int list, int array) Hashtbl.t;
   classes_memo : (int list, Bitset.t array) Hashtbl.t;
   mutable succ_memo : int array array option;
 }
 
-let make ~spec ~mode ~depth ~status ~reduce ~parent ~pid ~cid ~trie_parent
-    ~trie_event ~orbit_idx =
+let make ~spec ~mode ~depth ~status ~sym ~parent ~pid ~cid ~trie_parent
+    ~trie_event =
   {
     spec;
     mode;
     depth;
     status;
-    reduce;
+    sym;
     parent;
     pid;
     cid;
@@ -134,7 +133,6 @@ let make ~spec ~mode ~depth ~status ~reduce ~parent ~pid ~cid ~trie_parent
     comps = [||];
     idx = None;
     columns = Array.make (Spec.n spec) None;
-    orbit_idx;
     pset_ids_memo = Hashtbl.create 16;
     classes_memo = Hashtbl.create 16;
     succ_memo = None;
@@ -227,19 +225,18 @@ let child_pool pool e =
 
 exception Out_of_budget of trunc_reason
 
-let enumerate ?(mode = `Canonical) ?(budget = no_budget)
-    ?(reduce = Reduction.none) spec ~depth =
+let enumerate ?(mode = `Canonical) ?(budget = no_budget) ?symmetry:group spec
+    ~depth =
   if depth < 0 then invalid_arg "Universe.enumerate: negative depth";
-  if mode = `Full && not (Reduction.is_none reduce) then
-    invalid_arg "Universe.enumerate: reductions require `Canonical mode";
-  let group = Reduction.symmetry reduce in
-  let por = Reduction.uses_por reduce in
+  if mode = `Full && Option.is_some group then
+    invalid_arg
+      "Universe.enumerate: symmetry reduction requires `Canonical mode";
   Hpl_obs.span "enumerate"
     ~args:(fun () ->
       [
         ("depth", string_of_int depth);
         ("mode", match mode with `Full -> "full" | `Canonical -> "canonical");
-        ("reduce", Reduction.label reduce);
+        ("reduce", if Option.is_some group then "sym" else "none");
       ])
   @@ fun () ->
   let started = Sys.time () in
@@ -298,17 +295,6 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
      interleaving — so sym mode keeps every extension and dedups by
      orbit key instead *)
   let canonical_only = mode = `Canonical && Option.is_none group in
-  (* ample-set restriction: only with por, only when the static
-     independence relation certifies no depth-truncation — then every
-     leaf is blocked and Reduction.restrict preserves all blocked
-     classes (see reduction.ml) *)
-  let indep_active =
-    if por && canonical_only then
-      match Reduction.independence reduce with
-      | Some ind when Reduction.Independence.applicable ind ~depth -> Some ind
-      | _ -> None
-    else None
-  in
   (* the enabled set is the per-process staged lists in pid order,
      already sorted since [Event.compare] is pid-major *)
   let children node =
@@ -317,16 +303,8 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
       else gather (pi - 1) (stage_at node pi node.pool @ acc)
     in
     let cands = gather (n - 1) [] in
-    let restricted =
-      match indep_active with
-      | Some ind -> Reduction.restrict ind cands
-      | None -> cands
-    in
-    let kept =
-      if canonical_only then List.filter (snoc_is_canonical node.i) restricted
-      else restricted
-    in
-    (kept, List.length cands - List.length kept)
+    if canonical_only then List.filter (snoc_is_canonical node.i) cands
+    else cands
   in
   let push ~parent ~pid ~cid =
     let k = tree.count in
@@ -349,11 +327,11 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     tree.count <- k + 1
   in
   (* symmetry bookkeeping: [class_seen] memoizes the orbit decision per
-     [D]-class (identity projection vector), [orbit_idx] maps each orbit
-     key to its stored representative *)
+     [D]-class (identity projection vector), [orbits] holds the orbit key
+     of every stored representative *)
   let class_seen = Symmetry.KeyTbl.create 256 in
-  let orbit_idx = Symmetry.KeyTbl.create 256 in
-  let orbit_hits = ref 0 and ample_prunes = ref 0 in
+  let orbits = Symmetry.KeyTbl.create 256 in
+  let orbit_hits = ref 0 in
   (* the group elements, identity first; each frontier node carries the
      renamed projection vector of every element's action on it, so a
      child's identity vector (the class key) and its orbit key (the
@@ -408,7 +386,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
   | Some _ ->
       let empty_key = Array.make n [] in
       Symmetry.KeyTbl.replace class_seen empty_key ();
-      Symmetry.KeyTbl.replace orbit_idx empty_key 0
+      Symmetry.KeyTbl.replace orbits empty_key ()
   | None -> ());
   (* One pass per level: frontier order, then per-parent order, each
      parent's children decided and stored as they are computed. Budget
@@ -429,7 +407,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
           match fate with
           | `Fresh -> true
           | `Dup -> false
-          | `Key (key, _) -> not (Symmetry.KeyTbl.mem orbit_idx key)
+          | `Key (key, _) -> not (Symmetry.KeyTbl.mem orbits key)
         in
         if not admit then incr orbit_hits
         else begin
@@ -440,7 +418,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
           push ~parent:parent.i ~pid:pi ~cid:c;
           let i = tree.count - 1 in
           (match fate with
-          | `Key (key, _) -> Symmetry.KeyTbl.replace orbit_idx key i
+          | `Key (key, _) -> Symmetry.KeyTbl.replace orbits key ()
           | `Fresh | `Dup -> ());
           if expand then begin
             let ids = Array.copy parent.ids in
@@ -461,9 +439,9 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
           Array.iter
             (fun parent ->
               check_time ();
-              let kids, pruned = children parent in
-              ample_prunes := !ample_prunes + pruned;
-              List.iter (fun e -> store parent e (fate parent e)) kids)
+              List.iter
+                (fun e -> store parent e (fate parent e))
+                (children parent))
             frontier);
       level (Array.of_list (List.rev !next)) (d + 1)
     end
@@ -479,10 +457,7 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     let classes = ref 0 in
     Array.iter (fun next -> classes := !classes + next - 1) trie.next_ids;
     Hpl_obs.count "enumerate.proj_classes" !classes;
-    if not (Reduction.is_none reduce) then begin
-      Hpl_obs.count "reduce.orbit_hits" !orbit_hits;
-      Hpl_obs.count "reduce.ample_prunes" !ample_prunes
-    end
+    if Option.is_some group then Hpl_obs.count "reduce.orbit_hits" !orbit_hits
   end;
   (* the interning half: trim the run tree and the trie to their sizes;
      the step tables, with their boxed keys, are dropped *)
@@ -490,18 +465,16 @@ let enumerate ?(mode = `Canonical) ?(budget = no_budget)
     ~args:(fun () -> [ ("states", string_of_int count) ])
   @@ fun () ->
   let trim k a = if Array.length a = k then a else Array.sub a 0 k in
-  make ~spec ~mode ~depth ~status ~reduce ~parent:(trim count tree.parents)
-    ~pid:(trim count tree.pids) ~cid:(trim count tree.cids)
+  make ~spec ~mode ~depth ~status ~sym:(Option.is_some group)
+    ~parent:(trim count tree.parents) ~pid:(trim count tree.pids)
+    ~cid:(trim count tree.cids)
     ~trie_parent:(Array.mapi (fun pi a -> trim trie.next_ids.(pi) a) trie.parents)
     ~trie_event:(Array.mapi (fun pi a -> trim trie.next_ids.(pi) a) trie.events)
-    ~orbit_idx:(match group with None -> None | Some _ -> Some orbit_idx)
 
 let spec u = u.spec
 let mode u = u.mode
 let depth u = u.depth
 let status u = u.status
-let reduction u = u.reduce
-let symmetry u = Reduction.symmetry u.reduce
 let size u = Array.length u.parent
 
 (* The trace column, one [Trace.snoc] per computation in index order,
@@ -557,17 +530,24 @@ let index u z =
   r
 let canon _u z = canon_trace z
 
+(* A symmetry-reduced universe stores orbit representatives only, so a
+   quantifier over its stored computations is not the paper's
+   quantifier over all computations, and a lookup would have to go
+   through an orbit table it does not keep: the class partitions, the
+   extension relation and [find] refuse it (DESIGN.md §10). *)
+let require_unreduced u fn =
+  if u.sym then
+    invalid_arg
+      (Printf.sprintf
+         "Universe.%s: the universe is symmetry-reduced; knowledge and \
+          temporal operators need the unreduced universe"
+         fn)
+
 let find u z =
-  match (symmetry u, u.mode) with
-  | Some g, _ -> (
-      (* the stored representative of z's orbit — reps are not
-         lexicographically canonical, so the orbit index is the only
-         sound lookup *)
-      match u.orbit_idx with
-      | Some tbl -> Symmetry.KeyTbl.find_opt tbl (Symmetry.orbit_key g z)
-      | None -> None)
-  | None, `Full -> index u z
-  | None, `Canonical -> (
+  require_unreduced u "find";
+  match u.mode with
+  | `Full -> index u z
+  | `Canonical -> (
       match index u z with Some i -> Some i | None -> index u (canon_trace z))
 
 let find_exn u z = match find u z with Some i -> i | None -> raise Not_found
@@ -593,19 +573,6 @@ let class_ids u p =
       col
 
 let pset_key ps = List.map Pid.to_int (Pset.to_list ps)
-
-(* The class partitions and the extension relation are what every
-   knowledge and temporal operator reads. A symmetry-reduced universe
-   stores orbit representatives only, so a quantifier over its stored
-   computations is not the paper's quantifier over all computations:
-   refuse, rather than answer over representatives (DESIGN.md §10). *)
-let require_unreduced u fn =
-  if Option.is_some (symmetry u) then
-    invalid_arg
-      (Printf.sprintf
-         "Universe.%s: the universe is symmetry-reduced; knowledge and \
-          temporal operators need the unreduced universe"
-         fn)
 
 let combined_class_ids u ps key =
   match Hashtbl.find_opt u.pset_ids_memo key with
@@ -786,6 +753,8 @@ let successors u =
    tags, each process's trie is written once: its class count K_p, then
    per class c = 1 … K_p − 1 its parent class and its one event. Then
    one (parent, pid, class id) triple per computation after the root.
+   The [reduce] byte is always 0: a symmetry-reduced universe has no
+   body, and [deserialize] refuses any other value.
 
      body   := mode:u8 depth:i32 status reduce:u8 n:i32
                nstr:i32 (len:i32 bytes)^nstr
@@ -817,10 +786,10 @@ let add_str b s =
   Buffer.add_string b s
 
 let serialize u =
-  if Option.is_some (Reduction.symmetry u.reduce) then
+  if u.sym then
     Error
-      "symmetry-reduced universes have no snapshot form (orbit tables \
-       are not serialized); cache them in memory only"
+      "symmetry-reduced universes have no snapshot form; cache them in \
+       memory only"
   else begin
     let count = size u in
     let b = Buffer.create (4096 + (12 * count)) in
@@ -834,7 +803,7 @@ let serialize u =
     | Truncated (Max_seconds s) ->
         add_u8 b 2;
         Buffer.add_int64_le b (Int64.bits_of_float s));
-    add_u8 b (if Reduction.uses_por u.reduce then 1 else 0);
+    add_u8 b 0 (* reduce *);
     let n = Spec.n u.spec in
     add_i32 b n;
     (* class ids are first reached in increasing index order, so K_p is
@@ -967,11 +936,7 @@ let deserialize spec blob =
           Truncated (Max_seconds s)
       | t -> fail "bad status tag %d" t
     in
-    let reduce =
-      match u8 () with 0 -> Reduction.none | 1 -> Reduction.por | t -> fail "bad reduce tag %d" t
-    in
-    if mode = `Full && not (Reduction.is_none reduce) then
-      fail "full mode cannot carry a reduction";
+    (match u8 () with 0 -> () | t -> fail "bad reduce tag %d" t);
     let n = i32 () in
     if n <> Spec.n spec then
       fail "process count mismatch (snapshot has %d, spec has %d)" n
@@ -1118,8 +1083,8 @@ let deserialize spec blob =
       reached;
     if !pos <> len then fail "%d trailing bytes" (len - !pos);
     let u =
-      make ~spec ~mode ~depth ~status ~reduce ~parent ~pid ~cid ~trie_parent
-        ~trie_event:event ~orbit_idx:None
+      make ~spec ~mode ~depth ~status ~sym:false ~parent ~pid ~cid ~trie_parent
+        ~trie_event:event
     in
     (* spot-check against the spec the caller claims this snapshot is
        for: the deepest stored computation, the one trace built here,
@@ -1134,8 +1099,7 @@ let pp_stats fmt u =
   Format.fprintf fmt "universe: %d computations, depth %d, mode %s%s, %d processes%s"
     (size u) u.depth
     (match u.mode with `Full -> "full" | `Canonical -> "canonical")
-    (if Reduction.is_none u.reduce then ""
-     else Printf.sprintf ", reduce %s" (Reduction.label u.reduce))
+    (if u.sym then ", reduce sym" else "")
     (Spec.n u.spec)
     (match u.status with
     | Complete -> ""

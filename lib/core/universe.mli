@@ -50,7 +50,7 @@ type t
 val enumerate :
   ?mode:mode ->
   ?budget:budget ->
-  ?reduce:Reduction.t ->
+  ?symmetry:Symmetry.group ->
   Spec.t ->
   depth:int ->
   t
@@ -61,15 +61,13 @@ val enumerate :
     messages, so each rule runs once per class, not once per
     computation (DESIGN.md §6).
 
-    [reduce] (default {!Reduction.none}) applies the reduction layer
-    (DESIGN.md §10); requires [`Canonical] mode. With a symmetry group
-    the universe stores one representative per {e orbit} of
-    [\[D\]]-classes: it can be counted, listed, and searched with
-    {!find}, which resolves any computation to its orbit's
-    representative, and {!Prop.extent} ranges over the representatives;
-    the knowledge and temporal operators refuse it (see
-    {!pset_class_ids}). Plain [por] runs the unreduced enumeration; only
-    an attached {!Reduction.Independence.t} restricts it.
+    [symmetry] (default none) reduces the universe by a group of spec
+    automorphisms (DESIGN.md §10); requires [`Canonical] mode. The
+    universe then stores one representative per {e orbit} of
+    [\[D\]]-classes: it can be counted and listed, and {!Prop.extent}
+    ranges over the representatives. It keeps no orbit table, so
+    {!find} refuses it, and so do the knowledge and temporal operators
+    (see {!pset_class_ids}).
 
     [budget] (default {!no_budget}) bounds the enumeration. When a
     ceiling is hit the BFS stops cleanly and the universe carries
@@ -85,10 +83,6 @@ val enumerate :
 val spec : t -> Spec.t
 val mode : t -> mode
 val depth : t -> int
-
-val reduction : t -> Reduction.t
-val symmetry : t -> Symmetry.group option
-(** The group the universe was reduced under, if any. *)
 
 val status : t -> status
 (** [Complete] unless a {!budget} ceiling stopped the enumeration. A
@@ -119,10 +113,9 @@ val index : t -> Trace.t -> int option
 val find : t -> Trace.t -> int option
 (** Like {!index} (and, like it, builds the trace column and the index
     on first use) but canonicalizes first in [`Canonical] mode, so any
-    valid interleaving of a stored class is found. On a
-    symmetry-reduced universe the lookup goes through the orbit key, so
-    any interleaving of any permuted image of a stored class is found,
-    and no trace column is built. *)
+    valid interleaving of a stored class is found. Raises
+    [Invalid_argument] on a symmetry-reduced universe, whose stored
+    representatives are not the classes of every computation. *)
 
 val find_exn : t -> Trace.t -> int
 (** @raise Not_found when the trace's class is outside the universe
@@ -210,7 +203,7 @@ val serialize : t -> (string, string) result
     itself is {e not} stored; pair the body with a cache key that pins
     down (protocol, params, depth, faults, reduce, mode) and hand the
     same spec back to {!deserialize}. [Error] for symmetry-reduced
-    universes, whose orbit tables have no serialized form. The body
+    universes, which are kept in memory only. The body
     carries no framing — version stamp, key and checksum belong to the
     snapshot container layered on top (DESIGN.md §14). *)
 

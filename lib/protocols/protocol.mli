@@ -53,7 +53,7 @@ type t = {
   symmetry : values -> Symmetry.perm list;
       (** generators of a pid-permutation group under which the spec is
           invariant (automorphisms) — declares eligibility for
-          [--reduce sym|full] (DESIGN.md §10). The registry test suite
+          [--reduce sym] (DESIGN.md §10). The registry test suite
           validates each generator with
           {!Hpl_core.Symmetry.is_automorphism}. *)
   canonical_trace : (values -> Trace.t) option;
@@ -121,7 +121,7 @@ val generators_of : instance -> Symmetry.perm list
 val symmetry_of : instance -> Symmetry.group option
 (** The declared symmetry as a materialized group (closure of
     {!generators_of}); [None] when the protocol declares none. Feed to
-    {!Hpl_core.Reduction.resolve}. *)
+    {!Hpl_core.Universe.enumerate}'s [symmetry]. *)
 
 val canonical_trace_of : instance -> Trace.t option
 val depth_of : instance -> int

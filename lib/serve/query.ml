@@ -152,7 +152,6 @@ let parse_depth = checked depth_exn
 let parse_pos_int flag = checked (pos_int_exn flag)
 let parse_nonneg_int flag = checked (nonneg_int_exn flag)
 let parse_finite_float flag sign = checked (finite_float_exn flag sign)
-let parse_max_seconds = checked max_seconds_exn
 let parse_faults = checked faults_exn
 
 (* -- request resolution ------------------------------------------------ *)
@@ -249,47 +248,32 @@ let dataflow ~loaded inst =
       | Error _ -> None)
   | None -> Dataflow.of_instance inst
 
-let resolve_reduce st ~mode ?(indep = false) reduce_str =
+let resolve_reduce st ~mode ?indep:_ reduce_str =
   match
-    match Reduction.mode_of_string reduce_str with
-    | Error e -> fail "--reduce: %s" e
-    | Ok `None -> Reduction.none
-    | Ok rmode ->
+    match reduce_str with
+    | "none" -> None
+    | "sym" -> (
         if mode = `Full then
-          fail "--reduce %s requires canonical mode (got --mode full)"
-            (Reduction.mode_to_string rmode);
-        (match (rmode, st.faults_str) with
-        | (`Sym | `Full), Some _ ->
+          fail "--reduce sym requires canonical mode (got --mode full)";
+        if st.faults_str <> None then
+          fail
+            "--reduce sym cannot be combined with --faults: fault \
+             transformers add daemon processes and break the declared \
+             automorphisms";
+        match Protocol.symmetry_of st.inst with
+        | Some g -> Some g
+        | None ->
             fail
-              "--reduce %s cannot be combined with --faults: fault \
-               transformers add daemon processes and break the declared \
-               automorphisms"
-              (Reduction.mode_to_string rmode)
-        | _ -> ());
-        let r =
-          match
-            Reduction.resolve rmode ~symmetry:(Protocol.symmetry_of st.inst)
-          with
-          | Ok r -> r
-          | Error e ->
-              fail "--reduce %s: %s" (Reduction.mode_to_string rmode) e
-        in
-        (* a static independence relation describes the fault-free spec
-           only: fault transformers add daemon events the analyzer never
-           saw, so attach one just when no scenario is in force *)
-        if indep && Reduction.uses_por r && st.faults_str = None then
-          match Option.bind (dataflow ~loaded:st.loaded st.inst)
-                  Dataflow.independence
-          with
-          | Some ind -> Reduction.with_independence r ind
-          | None -> r
-        else r
+              "--reduce sym: this protocol declares no symmetry generators \
+               (see `hpl list -v`); only --reduce none applies")
+    | s -> fail "--reduce: unknown reduction %S (expected none|sym)" s
   with
   | r -> Ok r
   | exception Bad m -> Error m
 
 let enumerate ?(mode = `Canonical) st ~reduce =
-  Universe.enumerate ~mode ~budget:st.budget ~reduce st.spec ~depth:st.depth
+  Universe.enumerate ~mode ~budget:st.budget ?symmetry:reduce st.spec
+    ~depth:st.depth
 
 (* -- rendering ---------------------------------------------------------
 

@@ -80,9 +80,6 @@ val parse_finite_float :
     infinities are refused), positive or nonnegative when [sign] says
     so — for the simulations' time flags. *)
 
-val parse_max_seconds : string -> (float, string) result
-(** A positive [--max-seconds]. *)
-
 val parse_faults : string -> (Faults.Scenario.t, string) result
 (** A [--faults] scenario, parsed but not yet applied to a spec. *)
 
@@ -112,18 +109,20 @@ val resolve_reduce :
   mode:Universe.mode ->
   ?indep:bool ->
   string ->
-  (Reduction.t, string) result
-(** Parse and validate a [--reduce] argument against the setup. With
-    [~indep:true] (the [enumerate] semantics) a por reduction gets the
-    static independence relation attached when the protocol is
-    fault-free and analyzable; [diagram] passes false. Only
-    enumeration takes a reduction: [knows], [check] and [extent]
-    enumerate with {!Hpl_core.Reduction.none}, because the knowledge
-    and temporal operators refuse a symmetry-reduced universe. *)
+  (Symmetry.group option, string) result
+(** Parse and validate a [--reduce] argument against the setup:
+    ["none"] is [None]; ["sym"] is the protocol's declared symmetry
+    group, and an error in [`Full] mode, under [--faults], or when the
+    protocol declares no generators. [indep] selects nothing; it stays
+    only because [benchmark/replay.ml] passes it.
+    Only enumeration takes a reduction: [knows], [check] and [extent]
+    enumerate with [~reduce:None], because the knowledge and temporal
+    operators refuse a symmetry-reduced universe. *)
 
 val enumerate :
-  ?mode:Universe.mode -> setup -> reduce:Reduction.t -> Universe.t
-(** [Universe.enumerate] with the setup's spec, depth and budget. *)
+  ?mode:Universe.mode -> setup -> reduce:Symmetry.group option -> Universe.t
+(** [Universe.enumerate] with the setup's spec, depth and budget, reduced
+    by [reduce]'s group when there is one. *)
 
 type outcome = { out : string; err : string; code : int }
 (** Exactly what a CLI invocation would do: bytes for stdout, bytes for

@@ -67,16 +67,14 @@ let counters_json t =
 
 (* Everything that can change the enumerated universe is in the key:
    protocol source identity (params and, for files, content hash
-   included), depth, fault scenario, reduce label with the
-   attached-independence bit (por+indep prunes states plain por keeps),
-   mode, and the state budget (truncation changes the stored set).
-   Wall-clock budgets never reach the cache at all. *)
+   included), depth, fault scenario, reduction (none or sym), mode, and
+   the state budget (truncation changes the stored set). Wall-clock
+   budgets never reach the cache at all. *)
 let cache_key st ~mode ~reduce =
-  Printf.sprintf "hpl1|%s|depth=%d|faults=%s|reduce=%s%s|mode=%s|max_states=%s"
+  Printf.sprintf "hpl1|%s|depth=%d|faults=%s|reduce=%s|mode=%s|max_states=%s"
     st.Query.src_key st.Query.depth
     (Option.value st.Query.faults_str ~default:"-")
-    (Reduction.label reduce)
-    (if Reduction.independence reduce <> None then "+indep" else "")
+    (if Option.is_some reduce then "sym" else "none")
     (match mode with `Full -> "full" | `Canonical -> "canonical")
     (match st.Query.budget.Universe.max_states with
     | Some k -> string_of_int k
@@ -217,10 +215,8 @@ let handle_query t ~id ~op req =
             raise
               (Bad_request (Printf.sprintf "bad mode %S (want canonical|full)" m))
       in
-      (* enumerate-stats mirrors the CLI's enumerate, attaching static
-         independence to a por reduction *)
       let reduce_str = Option.value (field req "reduce") ~default:"none" in
-      match Query.resolve_reduce st ~mode ~indep:true reduce_str with
+      match Query.resolve_reduce st ~mode reduce_str with
       | Error m -> err_reply t ~id m
       | Ok reduce ->
           let key = cache_key st ~mode ~reduce in

@@ -13,9 +13,9 @@
     (["atom"] required), ["enumerate-stats"], ["server-stats"],
     ["shutdown"]. Optional fields: ["protocol"] | ["file"], ["depth"],
     ["faults"], ["mode"], ["max-states"], ["max-seconds"], ["id"]
-    (echoed back verbatim), and ["reduce"] on ["enumerate-stats"] only:
-    like their CLI twins, the other ops take no reduction and reply
-    exit 2 to the field.
+    (echoed back verbatim), and ["reduce"] (["none"] or ["sym"]) on
+    ["enumerate-stats"] only: like their CLI twins, the other ops take
+    no reduction and reply exit 2 to the field.
 
     Replies carry ["ok"], the CLI-equivalent ["exit"] code, the exact
     bytes the CLI would print as ["answer"] / ["error"] (conformance by
@@ -49,13 +49,12 @@ val create : config -> t
 (** Raises [Invalid_argument] when [max_cached_states < 1]. *)
 
 val cache_key : Query.setup -> mode:Hpl_core.Universe.mode ->
-  reduce:Hpl_core.Reduction.t -> string
+  reduce:Hpl_core.Symmetry.group option -> string
 (** The canonical identity of a request's universe: protocol source key
-    (see {!Query.setup.src_key}), depth, fault scenario, reduce label
-    (with the attached-independence bit — por-with-independence prunes
-    differently than plain por), mode and state budget. Everything that
-    can change the enumerated universe is in the key; anything less
-    would let two different universes collide. *)
+    (see {!Query.setup.src_key}), depth, fault scenario, reduction
+    ([reduce=none] or [reduce=sym]), mode and state budget. Everything
+    that can change the enumerated universe is in the key; anything
+    less would let two different universes collide. *)
 
 val handle_line : t -> string -> string
 (** Process one request frame, return one reply frame (no trailing

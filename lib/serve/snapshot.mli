@@ -31,3 +31,7 @@ val save : dir:string -> key:string -> Universe.t -> (unit, string) result
     (symmetry-reduced) or on I/O failure. *)
 
 val load : dir:string -> key:string -> Spec.t -> (Universe.t, error) result
+(** The universe saved under [key], rebuilt against [spec]. Only
+    unreduced universes have a body, whose reduce byte is always 0, so a
+    body claiming any reduction is {!Cache_invalid} like any other
+    damage. *)

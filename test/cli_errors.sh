@@ -93,6 +93,23 @@ expect_cli_error "unknown mode" "'-m'" -- enumerate -s ping-pong -m weird
 expect_cli_error "knows has no --reduce" "'--reduce'" -- knows -s ring --reduce sym
 expect_cli_error "check has no --reduce" "'--reduce'" -- check -s ring --reduce full 'true'
 expect_cli_error "extent has no --reduce" "'--reduce'" -- extent -s ring --reduce sym all_sent
+# --reduce takes none|sym: a removed reduction is refused in one line
+# that names the flag and the values it takes
+expect_reduce_refused() { # expect_reduce_refused <what> -- <args...>
+  local what="$1"; shift 2
+  expect 2 "$what" -- "$@"
+  local err
+  err=$("$HPL" "$@" 2>&1 >/dev/null)
+  if ! printf '%s' "$err" | grep -qF -- '--reduce' ||
+    ! printf '%s' "$err" | grep -qF 'none|sym'; then
+    echo "FAIL: $what: stderr does not name --reduce and none|sym:" >&2
+    printf '%s\n' "$err" >&2
+    fails=$((fails + 1))
+  fi
+}
+expect_reduce_refused "enumerate --reduce por" -- enumerate -s quorum -d 9 --reduce por
+expect_reduce_refused "enumerate --reduce full" -- enumerate -s ring --reduce full
+expect_reduce_refused "diagram --reduce por" -- diagram -s ring --reduce por
 expect 2 "diagram negative limit" -- diagram -s ring --limit=-1
 expect 2 "diagram zero limit" -- diagram -s ring --limit 0
 

@@ -8,13 +8,7 @@
      the protocol's suggested depth (and a tautology's guard is true),
      via [Dataflow.guard_holds] — the exact concrete semantics;
    - the static channel graph covers every dynamic channel, and equals
-     [Channel_graph.extract] exactly when both sides claim exactness;
-   - the exported independence relation really lets POR prune:
-     por+independence preserves the set of blocked computations (the
-     weakened contract of Reduction §10), stays a subset of the
-     unreduced universe, is bit-identical on the protocols where the
-     restriction never fires, and shows a strict state-count reduction
-     on quorum — the row BENCH.json tracks.
+     [Channel_graph.extract] exactly when both sides claim exactness.
 
    A registry protocol is analyzed through the embedded spec that
    defines it ([Builtins.port]); the registry cases below cover those
@@ -79,8 +73,7 @@ let test_ported_set () =
        (fun (_, inst, _) -> Protocol.name (Protocol.proto inst))
        (ported ()))
 
-let enum ?reduce inst ~depth =
-  Universe.enumerate ?reduce (Protocol.spec_of inst) ~depth
+let enum inst ~depth = Universe.enumerate (Protocol.spec_of inst) ~depth
 
 (* -- soundness of verdicts, against full enumeration ---------------------- *)
 
@@ -198,134 +191,24 @@ let test_corpus_channels () =
   List.iter (fun (file, inst, df) -> assert_channels_cross ~what:file inst df)
     (corpus ())
 
-(* -- por + independence: the reduction actually prunes -------------------- *)
+(* -- per-process event bounds, as `hpl flow -v` prints them ------------ *)
 
-let blocked u =
-  let spec = Universe.spec u in
-  Universe.fold
-    (fun _ z acc -> if Spec.enabled spec z = [] then z :: acc else acc)
-    u []
-  |> List.map Trace.to_list |> List.sort compare
-
-let por_with_independence df =
-  match Dataflow.independence df with
-  | Some ind -> Reduction.with_independence Reduction.por ind
-  | None -> Alcotest.fail "expected an independence relation"
-
-(* registry-wide (ported): por+independence preserves every blocked
-   computation and never invents one — at the suggested depth, where
-   the certificate may or may not apply *)
-let test_por_independence_blocked_preservation () =
-  List.iter
-    (fun (name, inst, df) ->
-      let depth = Protocol.depth_of inst in
-      let u0 = enum inst ~depth in
-      let u1 = enum ~reduce:(por_with_independence df) inst ~depth in
-      check tbool (name ^ ": subset") true
-        (Universe.fold
-           (fun _ z acc -> acc && Universe.index u0 z <> None)
-           u1 true);
-      check
-        Alcotest.(list (list string))
-        (name ^ ": blocked computations preserved")
-        (List.map (List.map Event.to_string) (blocked u0))
-        (List.map (List.map Event.to_string) (blocked u1)))
-    (ported ())
-
-(* quorum at depth 9: the certificate applies (Σ bound = 7 <= 9) and
-   the restriction really fires — 87 states, strictly fewer than plain
-   por's 144, which is itself bit-identical to the unreduced run *)
-let test_quorum_strict_reduction () =
-  let _, inst, df =
-    List.find (fun (n, _, _) -> n = "quorum:5:2") (ported ())
-  in
-  let depth = 9 in
-  let u0 = enum inst ~depth in
-  let upor = enum ~reduce:Reduction.por inst ~depth in
-  let uind = enum ~reduce:(por_with_independence df) inst ~depth in
-  check tint "plain por is bit-identical" (Universe.size u0)
-    (Universe.size upor);
-  check tint "por+independence reduces to 87 states" 87 (Universe.size uind);
-  check
-    Alcotest.(list (list string))
-    "blocked computations preserved"
-    (List.map (List.map Event.to_string) (blocked u0))
-    (List.map (List.map Event.to_string) (blocked uind))
-
-let test_quorum_independence_shape () =
+(* quorum: the collector p0 receives two votes and decides, each member
+   votes once *)
+let test_quorum_event_bounds () =
   let _, _, df = List.find (fun (n, _, _) -> n = "quorum:5:2") (ported ()) in
-  match Dataflow.independence df with
-  | None -> Alcotest.fail "quorum has no independence relation"
-  | Some ind ->
-      check tint "total" 7 (Reduction.Independence.total ind);
-      check tint "n" 5 (Reduction.Independence.n ind);
-      check tbool "p0 not stable (it receives)" false
-        (Reduction.Independence.stable ind 0);
-      check tint "p0 bound" 3 (Reduction.Independence.bound ind 0);
-      for p = 1 to 4 do
-        check tbool
-          (Printf.sprintf "p%d stable" p)
-          true
-          (Reduction.Independence.stable ind p);
-        check tint (Printf.sprintf "p%d bound" p) 1
-          (Reduction.Independence.bound ind p)
-      done;
-      check tbool "applicable at 7" true
-        (Reduction.Independence.applicable ind ~depth:7);
-      check tbool "not applicable at 6" false
-        (Reduction.Independence.applicable ind ~depth:6)
-
-(* on all-receive protocols the singleton restriction never fires: the
-   universe stays bit-identical with the independence attached *)
-let test_por_independence_bit_identity_when_inapplicable () =
-  List.iter
-    (fun name ->
-      let _, inst, df = List.find (fun (n, _, _) -> n = name) (ported ()) in
-      let depth = Protocol.depth_of inst in
-      let u0 = enum ~reduce:Reduction.por inst ~depth in
-      let u1 = enum ~reduce:(por_with_independence df) inst ~depth in
-      check tint (name ^ ": size") (Universe.size u0) (Universe.size u1);
-      Universe.iter
-        (fun i z ->
-          check tbool
-            (Printf.sprintf "%s: comp %d" name i)
-            true
-            (Trace.equal z (Universe.comp u1 i)))
-        u0)
-    [ "ring:6:2"; "ping-pong" ]
-
-(* -- the ample-set restriction on hand-built sorted candidate lists ------- *)
-
-let restrict_ind =
-  Reduction.Independence.make ~stable:[| true; false; true |]
-    ~bound:[| 1; 1; 1 |]
-
-let ev pid tag = Event.internal ~pid:(Pid.of_int pid) ~lseq:0 tag
-
-let restrict_case name ~want cands () =
-  check
-    Alcotest.(list string)
-    name
-    (List.map Event.to_string want)
-    (List.map Event.to_string (Reduction.restrict restrict_ind cands))
-
-let restrict_cases =
-  let a = ev 0 "a" and b = ev 0 "b" and c = ev 1 "c" and d = ev 2 "d" in
-  let e3 = ev 3 "e" and e4 = ev 4 "f" in
-  [
-    ( "restrict: stable head alone on its process is a singleton",
-      restrict_case "singleton" ~want:[ a ] [ a; c; d ] );
-    ( "restrict: a second event on the head's process keeps all",
-      restrict_case "unchanged" ~want:[ a; b; c ] [ a; b; c ] );
-    ( "restrict: an unstable head keeps all",
-      restrict_case "unchanged" ~want:[ c; d ] [ c; d ] );
-    ( "restrict: a head pid beyond the relation keeps all",
-      restrict_case "unchanged" ~want:[ e3; e4 ] [ e3; e4 ] );
-    ( "restrict: lists of length <= 1 are unchanged",
-      fun () ->
-        restrict_case "empty" ~want:[] [] ();
-        restrict_case "one" ~want:[ a ] [ a ] () );
-  ]
+  let report = Format.asprintf "%a" Dataflow.pp df in
+  let lines = String.split_on_char '\n' report in
+  let bound p b =
+    check tbool
+      (Printf.sprintf "p%d <= %d" p b)
+      true
+      (List.mem (Printf.sprintf "  p%d: <= %d events" p b) lines)
+  in
+  bound 0 3;
+  for p = 1 to 4 do
+    bound p 1
+  done
 
 (* -- findings: unreachable atoms and tautologies -------------------------- *)
 
@@ -408,14 +291,7 @@ let suite =
       test_registry_channels;
     Alcotest.test_case "static channels cover dynamic, corpus" `Quick
       test_corpus_channels;
-    Alcotest.test_case "por+independence preserves blocked computations"
-      `Quick test_por_independence_blocked_preservation;
-    Alcotest.test_case "quorum: por+independence strictly reduces" `Quick
-      test_quorum_strict_reduction;
-    Alcotest.test_case "quorum: independence relation shape" `Quick
-      test_quorum_independence_shape;
-    Alcotest.test_case "bit-identical where restriction never fires" `Quick
-      test_por_independence_bit_identity_when_inapplicable;
+    Alcotest.test_case "quorum: event bounds" `Quick test_quorum_event_bounds;
     Alcotest.test_case "exactly the ported builtins are analyzed" `Quick
       test_ported_set;
     Alcotest.test_case "unreachable atom is reported" `Quick
@@ -424,4 +300,3 @@ let suite =
       test_tautology_finding;
     Alcotest.test_case "diagnostic spans render" `Quick test_diag_spans;
   ]
-  @ List.map (fun (name, f) -> Alcotest.test_case name `Quick f) restrict_cases

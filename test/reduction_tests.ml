@@ -1,24 +1,22 @@
-(* Cross-validation of the reduction layer (DESIGN.md §10).
+(* Cross-validation of symmetry reduction (DESIGN.md §10).
 
-   The reductions are only worth having if they are exact, so every
-   claim the layer makes is checked here against the baseline
-   definitions, registry-wide:
+   The reduction is only worth having if it is exact, so every claim it
+   makes is checked here against the baseline definitions,
+   registry-wide:
 
-   - por produces a universe bit-identical to the unreduced canonical
-     enumeration (same computations, same order, same class ids);
-   - sym/full store one representative per orbit: every unreduced
-     class resolves to exactly one representative ([Universe.find]),
-     two classes share a representative iff their orbit keys agree,
-     and atom extents at the representatives equal the unreduced ones;
-   - knowledge, CK and temporal operators refuse a symmetry-reduced
-     universe instead of quantifying over its representatives;
+   - sym stores one representative per orbit: every unreduced class
+     has exactly one representative, the one with its orbit key
+     ([Symmetry.orbit_key], the reference), and atom extents at the
+     representatives equal the unreduced ones;
+   - [Universe.find], knowledge, CK and temporal operators refuse a
+     symmetry-reduced universe instead of quantifying over its
+     representatives;
    - declared generators really are spec automorphisms (and known
      non-automorphisms are rejected), and the lint rules guarding
      both directions fire. *)
 open Hpl_core
 open Hpl_protocols
 
-let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 
@@ -34,8 +32,8 @@ let registry_spec s =
   | Ok inst -> Protocol.spec_of inst
   | Error e -> Alcotest.failf "%s: %s" s e
 
-let enum ?reduce inst ~depth =
-  Universe.enumerate ?reduce (Protocol.spec_of inst) ~depth
+let enum ?symmetry inst ~depth =
+  Universe.enumerate ?symmetry (Protocol.spec_of inst) ~depth
 
 let symmetric_instances () =
   List.filter_map
@@ -46,34 +44,6 @@ let symmetric_instances () =
       | _ -> None)
     (registry ())
 
-(* -- por: bit-identical universe ----------------------------------------- *)
-
-let test_por_bit_identity () =
-  List.iter
-    (fun proto ->
-      let inst = Protocol.default_instance proto in
-      let name = Protocol.instance_name inst in
-      let depth = cross_depth inst in
-      let u0 = enum inst ~depth in
-      let u1 = enum ~reduce:Reduction.por inst ~depth in
-      checki (name ^ ": por size") (Universe.size u0) (Universe.size u1);
-      Universe.iter
-        (fun i z ->
-          checkb
-            (Printf.sprintf "%s: por comp %d" name i)
-            true
-            (Trace.equal z (Universe.comp u1 i)))
-        u0;
-      let n = Spec.n (Protocol.spec_of inst) in
-      for p = 0 to n - 1 do
-        check
-          Alcotest.(array int)
-          (Printf.sprintf "%s: por class ids p%d" name p)
-          (Universe.class_ids u0 (Pid.of_int p))
-          (Universe.class_ids u1 (Pid.of_int p))
-      done)
-    (registry ())
-
 (* -- sym: orbit coverage and consistency ---------------------------------- *)
 
 let test_sym_orbit_coverage () =
@@ -82,32 +52,33 @@ let test_sym_orbit_coverage () =
       let name = Protocol.instance_name inst in
       let depth = cross_depth inst in
       let u0 = enum inst ~depth in
-      let u1 = enum ~reduce:(Reduction.full g) inst ~depth in
+      let u1 = enum ~symmetry:g inst ~depth in
       checkb
         (name ^ ": reduced no larger")
         true
         (Universe.size u1 <= Universe.size u0);
-      (* every unreduced class resolves to a representative, reps to
-         themselves, and the representative map is exactly orbit-key
-         equality *)
-      let hit = Array.make (Universe.size u1) false in
-      let rep = Array.make (Universe.size u0) (-1) in
-      Universe.iter
-        (fun i z ->
-          match Universe.find u1 z with
-          | None -> Alcotest.failf "%s: class %d has no representative" name i
-          | Some j ->
-              hit.(j) <- true;
-              rep.(i) <- j)
-        u0;
-      checkb (name ^ ": all representatives hit") true (Array.for_all Fun.id hit);
+      (* the reference: each representative under its orbit key, no two
+         representatives of one orbit *)
+      let reps = Symmetry.KeyTbl.create 64 in
       Universe.iter
         (fun j z ->
-          check
-            Alcotest.(option int)
-            (Printf.sprintf "%s: rep %d resolves to itself" name j)
-            (Some j) (Universe.find u1 z))
+          let key = Symmetry.orbit_key g z in
+          (match Symmetry.KeyTbl.find_opt reps key with
+          | Some j' ->
+              Alcotest.failf "%s: reps %d and %d share an orbit" name j' j
+          | None -> ());
+          Symmetry.KeyTbl.replace reps key j)
         u1;
+      (* every unreduced class has the representative of its orbit key,
+         and every representative is hit *)
+      let hit = Array.make (Universe.size u1) false in
+      Universe.iter
+        (fun i z ->
+          match Symmetry.KeyTbl.find_opt reps (Symmetry.orbit_key g z) with
+          | None -> Alcotest.failf "%s: class %d has no representative" name i
+          | Some j -> hit.(j) <- true)
+        u0;
+      checkb (name ^ ": all representatives hit") true (Array.for_all Fun.id hit);
       (* a representative is itself a computation: an atom's extent at
          it is the atom's value at its own unreduced class *)
       List.iter
@@ -122,34 +93,21 @@ let test_sym_orbit_coverage () =
                     (Printf.sprintf "%s: extent %s at rep %d" name aname j)
                     (Bitset.mem ext0 i) (Bitset.mem ext1 j))
             u1)
-        (Protocol.atoms_of inst);
-      let keys = Array.init (Universe.size u0) (fun i ->
-          Symmetry.orbit_key g (Universe.comp u0 i))
-      in
-      Universe.iter
-        (fun i _ ->
-          Universe.iter
-            (fun i' _ ->
-              if i < i' then
-                checkb
-                  (Printf.sprintf "%s: orbit key iff same rep (%d,%d)" name i i')
-                  (Symmetry.equal_key keys.(i) keys.(i'))
-                  (rep.(i) = rep.(i')))
-            u0)
-        u0)
+        (Protocol.atoms_of inst))
     (symmetric_instances ())
 
 (* -- sym: knowledge and temporal operators refuse the quotient ---------- *)
 
 (* over orbit representatives a nested K, or a CTL path through one,
    would quantify over the representatives instead of every computation
-   (DESIGN.md §10), so each operator raises rather than answer *)
+   (DESIGN.md §10), and a lookup would need an orbit table the universe
+   does not keep, so each operator raises rather than answer *)
 let test_sym_operators_refuse () =
   let inst =
     Protocol.default_instance (Option.get (Protocol.Registry.find "ring"))
   in
   let g = Option.get (Protocol.symmetry_of inst) in
-  let u = enum ~reduce:(Reduction.full g) inst ~depth:4 in
+  let u = enum ~symmetry:g inst ~depth:4 in
   let b = snd (List.hd (Protocol.atoms_of inst)) in
   let refuses what f =
     match f () with
@@ -158,6 +116,7 @@ let test_sym_operators_refuse () =
   in
   let p1 = Pset.singleton (Pid.of_int 1) in
   let ext = Prop.extent u b in
+  refuses "Universe.find" (fun () -> ignore (Universe.find u Trace.empty));
   refuses "Knowledge.knows_ext" (fun () -> ignore (Knowledge.knows_ext u p1 ext));
   refuses "Knowledge.sure_ext" (fun () -> ignore (Knowledge.sure_ext u p1 ext));
   refuses "Group.everyone_ext" (fun () -> ignore (Group.everyone_ext u p1 ext));
@@ -261,7 +220,7 @@ let test_lint_registry_declares () =
 let test_reduction_reduces () =
   let counts inst g depth =
     let u0 = enum inst ~depth in
-    let u1 = enum ~reduce:(Reduction.full g) inst ~depth in
+    let u1 = enum ~symmetry:g inst ~depth in
     (Universe.size u0, Universe.size u1)
   in
   List.iter
@@ -281,8 +240,6 @@ let test_reduction_reduces () =
 
 let suite =
   [
-    Alcotest.test_case "por is bit-identical, registry-wide" `Quick
-      test_por_bit_identity;
     Alcotest.test_case "sym orbit coverage and key consistency" `Quick
       test_sym_orbit_coverage;
     Alcotest.test_case "knowledge/CK/temporal refuse a sym universe" `Quick

@@ -19,8 +19,8 @@ let get = function
 let setup ?proto ?file ?depth ?faults ?max_states ?max_seconds () =
   get (Query.resolve ?proto ?file ?depth ?faults ?max_states ?max_seconds ())
 
-let universe ?(mode = `Canonical) ?(reduce = "none") ?(indep = false) st =
-  let r = get (Query.resolve_reduce st ~mode ~indep reduce) in
+let universe ?(mode = `Canonical) ?(reduce = "none") st =
+  let r = get (Query.resolve_reduce st ~mode reduce) in
   Query.enumerate ~mode st ~reduce:r
 
 let stats_str u = Format.asprintf "%a" Universe.pp_stats u
@@ -97,13 +97,7 @@ let test_roundtrip_plain () =
   check tbool "truncated fixture" true (Universe.status u <> Universe.Complete);
   roundtrip "chatter full truncated" st u
 
-let test_roundtrip_por_faults () =
-  let st = setup ~proto:"token-ring:3" ~depth:"4" () in
-  roundtrip "token-ring:3 por" st (universe ~reduce:"por" st);
-  (* por with attached independence (the enumerate semantics) prunes
-     differently but serializes the same way *)
-  let st = setup ~proto:"ping-pong" ~depth:"6" () in
-  roundtrip "ping-pong por+indep" st (universe ~reduce:"por" ~indep:true st);
+let test_roundtrip_faults () =
   let st = setup ~proto:"ping-pong" ~depth:"6" ~faults:"drop:p0->p1" () in
   roundtrip "ping-pong dropped" st (universe st);
   let st = setup ~proto:"two-generals" ~depth:"5" ~faults:"crash:p1@2" () in
@@ -270,6 +264,14 @@ let test_deserialize_hostile () =
     in
     go 0
   in
+  (* the reduce byte follows mode (1 byte), depth (4) and a Complete
+     status (1); only 0 is written, and a body claiming a reduction is
+     refused rather than loaded *)
+  check tint "complete fixture" 0 (Char.code b.head.[5]);
+  let head = Bytes.of_string b.head in
+  Bytes.set_uint8 head 6 1;
+  rejects "a reduce byte of 1" "bad reduce tag"
+    { b with head = Bytes.to_string head };
   let class_of (_, p, c) = b.tries.(p).(c) in
   let last = Array.length b.comps - 1 in
   (* the HPLSNAP1 body's invariants that this one can still express *)
@@ -735,9 +737,9 @@ let test_cache_lru () =
 
 let test_cache_key () =
   let key ?proto:(p = "ping-pong") ?depth ?faults ?max_states
-      ?(mode = `Canonical) ?(reduce = "none") ?(indep = false) () =
+      ?(mode = `Canonical) ?(reduce = "none") () =
     let st = setup ~proto:p ?depth ?faults ?max_states () in
-    let r = get (Query.resolve_reduce st ~mode ~indep reduce) in
+    let r = get (Query.resolve_reduce st ~mode reduce) in
     Serve.cache_key st ~mode ~reduce:r
   in
   let base = key () in
@@ -747,7 +749,6 @@ let test_cache_key () =
     ("faults", key ~faults:"drop:p0->p1" ());
     ("max-states", key ~max_states:"7" ());
     ("mode", key ~mode:`Full ());
-    ("reduce", key ~reduce:"por" ());
     ("protocol", key ~proto:"two-generals" ());
     ("params", key ~proto:"token-ring:4" ());
   ] in
@@ -756,9 +757,17 @@ let test_cache_key () =
       if String.equal k base then
         Alcotest.failf "%s does not separate cache keys (%s)" what k)
     distinct;
-  (* por with and without attached independence prune differently, so
-     their keys must differ even though Reduction.label agrees *)
-  check tbool "indep bit" true (key ~reduce:"por" () <> key ~reduce:"por" ~indep:true ())
+  (* reduce needs a protocol that declares a symmetry group *)
+  if String.equal (key ~proto:"ring" ()) (key ~proto:"ring" ~reduce:"sym" ())
+  then Alcotest.fail "reduce does not separate cache keys";
+  (* the literal keys, so snapshot files in an existing --cache-dir keep
+     their names *)
+  check tstr "ring -d 6 key"
+    "hpl1|ring:6:2|depth=6|faults=-|reduce=none|mode=canonical|max_states=-"
+    (key ~proto:"ring" ~depth:"6" ());
+  check tstr "ring -d 6 --reduce sym key"
+    "hpl1|ring:6:2|depth=6|faults=-|reduce=sym|mode=canonical|max_states=-"
+    (key ~proto:"ring" ~depth:"6" ~reduce:"sym" ())
 
 (* -- in-process server helpers --------------------------------------------- *)
 
@@ -803,8 +812,7 @@ let oracle ?proto ?file ?depth ?faults ?max_states ?(reduce = "none") ~op
   match Query.resolve ?proto ?file ?depth ?faults ?max_states () with
   | Error m -> oracle_err m
   | Ok st -> (
-      let indep = op = "enumerate-stats" in
-      match Query.resolve_reduce st ~mode:`Canonical ~indep reduce with
+      match Query.resolve_reduce st ~mode:`Canonical reduce with
       | Error m -> oracle_err m
       | Ok r -> (
           let u = Query.enumerate ~mode:`Canonical st ~reduce:r in
@@ -854,8 +862,8 @@ let test_conformance_registry () =
     (Protocol.Registry.list ())
 
 (* Faults and reductions ride through the same pipeline: first declared
-   scenario per protocol, por everywhere, sym where declared (and the
-   identical rejection where not). *)
+   scenario per protocol, sym where declared (and the identical
+   rejection where not, and of a removed or unknown reduction). *)
 let test_conformance_faults_reduce () =
   let t = server () in
   List.iter
@@ -889,10 +897,9 @@ let test_conformance_faults_reduce () =
         ]
         (oracle ~proto:name ~depth:"4" ~reduce ~op:"enumerate-stats" ()))
     [
-      ("ping-pong", "por");
-      ("token-ring:3", "por");
+      ("mesh", "none");
       ("mesh", "sym");
-      ("mesh", "full");
+      ("mesh", "por");
       (* ping-pong declares no symmetry: both sides reject identically *)
       ("ping-pong", "sym");
       ("ping-pong", "bogus");
@@ -1194,7 +1201,7 @@ let test_property_stream () =
       let proto, atom, faults = pool.(Random.State.int rng 3) in
       let depth = 2 + Random.State.int rng 4 in
       let faults = if Random.State.bool rng then faults else None in
-      let reduce = if Random.State.int rng 4 = 0 then Some "por" else None in
+      let reduce = if Random.State.int rng 4 = 0 then Some "none" else None in
       let op, extra =
         match Random.State.int rng 4 with
         | 0 -> ("knows", [])
@@ -1401,8 +1408,8 @@ let suite =
   [
     Alcotest.test_case "serialize round-trips plain universes" `Quick
       test_roundtrip_plain;
-    Alcotest.test_case "serialize round-trips por and faulty universes" `Quick
-      test_roundtrip_por_faults;
+    Alcotest.test_case "serialize round-trips faulty universes" `Quick
+      test_roundtrip_faults;
     Alcotest.test_case "serialize refuses symmetry-reduced universes" `Quick
       test_serialize_sym;
     Alcotest.test_case "deserialize rejects damaged bodies" `Quick

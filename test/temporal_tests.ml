@@ -134,8 +134,7 @@ let check_successors what u =
     (what ^ ": successors = definition")
     (definitional_successors u) (Universe.successors u)
 
-let query_universe ?faults ?max_states ?(mode = `Canonical) ?(reduce = "none")
-    ?(indep = false) proto ~depth =
+let query_universe ?faults ?max_states ?(mode = `Canonical) proto ~depth =
   let get = function
     | Ok v -> v
     | Error e -> Alcotest.failf "%s: %s" proto e
@@ -145,8 +144,7 @@ let query_universe ?faults ?max_states ?(mode = `Canonical) ?(reduce = "none")
       (Hpl_serve.Query.resolve ~proto ~depth:(string_of_int depth) ?faults
          ?max_states ())
   in
-  let reduce = get (Hpl_serve.Query.resolve_reduce st ~mode ~indep reduce) in
-  (st, Hpl_serve.Query.enumerate ~mode st ~reduce)
+  (st, Hpl_serve.Query.enumerate ~mode st ~reduce:None)
 
 let roundtrip st u =
   match Universe.serialize u with
@@ -163,17 +161,13 @@ let test_successors_registry () =
       let inst = Hpl_protocols.Protocol.default_instance proto in
       let name = Hpl_protocols.Protocol.instance_name inst in
       let depth = min 5 (Hpl_protocols.Protocol.depth_of inst) in
-      let variant what ?faults ?max_states ?mode ?reduce ?indep () =
-        let st, u =
-          query_universe ?faults ?max_states ?mode ?reduce ?indep name ~depth
-        in
+      let variant what ?faults ?max_states ?mode () =
+        let st, u = query_universe ?faults ?max_states ?mode name ~depth in
         check_successors (Printf.sprintf "%s %s" name what) u;
         (st, u)
       in
       let st, u = variant "unreduced" () in
       check_successors (name ^ " round-tripped") (roundtrip st u);
-      ignore (variant "por" ~reduce:"por" ());
-      ignore (variant "por+indep" ~reduce:"por" ~indep:true ());
       ignore (variant "full mode" ~mode:`Full ~max_states:"3000" ());
       let half = string_of_int (max 1 (Universe.size u / 2)) in
       let st, ut = variant "truncated" ~max_states:half () in
@@ -182,15 +176,6 @@ let test_successors_registry () =
         (fun f -> ignore (variant f ~faults:f ~max_states:"3000" ()))
         [ "crash-any:1"; "drop:*"; "dup:*" ])
     (Hpl_protocols.Protocol.Registry.list ())
-
-(* por+indep at a depth where the static independence relation applies
-   and really prunes (DESIGN.md §13: quorum:5:2 goes from 144 to 87) *)
-let test_successors_indep_pruned () =
-  Hpl_protocols.Builtins.init ();
-  let _, u0 = query_universe "quorum:5:2" ~depth:9 in
-  let _, u = query_universe "quorum:5:2" ~depth:9 ~reduce:"por" ~indep:true in
-  check tbool "independence pruned" true (Universe.size u < Universe.size u0);
-  check_successors "quorum:5:2 por+indep" u
 
 (* A state budget cuts ring mid-level: a stored computation below the
    depth bound whose extensions were never stored is a leaf of the
@@ -227,7 +212,6 @@ let suite =
     ("token bus as AG invariant", `Quick, test_token_bus_ag_claim);
     ("canonical DAG", `Quick, test_canonical_dag);
     ("successors = definition, registry-wide", `Quick, test_successors_registry);
-    ("successors under por+indep pruning", `Quick, test_successors_indep_pruned);
     ("truncated: missing successor is a leaf", `Quick,
       test_truncated_missing_successor);
   ]

@@ -199,11 +199,9 @@ let test_prefixes_of_reference () =
   Hpl_protocols.Builtins.init ();
   let open Hpl_serve in
   let get = function Ok v -> v | Error e -> Alcotest.fail e in
-  let universe ?depth ?faults ?max_states ?(mode = `Canonical)
-      ?(reduce = "none") proto =
+  let universe ?depth ?faults ?max_states ?(mode = `Canonical) proto =
     let st = get (Query.resolve ~proto ?depth ?faults ?max_states ()) in
-    let r = get (Query.resolve_reduce st ~mode ~indep:true reduce) in
-    Query.enumerate ~mode st ~reduce:r
+    Query.enumerate ~mode st ~reduce:None
   in
   List.iter
     (fun (what, u) ->
@@ -218,7 +216,6 @@ let test_prefixes_of_reference () =
       ("full", universe ~mode:`Full ~depth:"5" "chatter:3");
       ("canonical", universe ~depth:"6" "ring");
       ("truncated", universe ~depth:"6" ~max_states:"40" "ring");
-      ("por", universe ~depth:"9" ~reduce:"por" "quorum:5:2");
       ("faulted", universe ~faults:"crash-any:1" "token-ring:4");
     ]
 
@@ -232,7 +229,7 @@ let test_words_per_computation () =
       Result.get_ok
         (Hpl_serve.Query.resolve ~proto:(Printf.sprintf "ring:%d" n) ~depth:"2" ())
     in
-    let u = Hpl_serve.Query.enumerate st ~reduce:Reduction.none in
+    let u = Hpl_serve.Query.enumerate st ~reduce:None in
     float_of_int (Obj.reachable_words (Obj.repr u))
     /. float_of_int (Universe.size u)
   in
@@ -258,7 +255,7 @@ let test_no_trace_until_read () =
   List.iter
     (fun (proto, depth) ->
       let st = Result.get_ok (Hpl_serve.Query.resolve ~proto ~depth ()) in
-      let u = Hpl_serve.Query.enumerate st ~reduce:Reduction.none in
+      let u = Hpl_serve.Query.enumerate st ~reduce:None in
       let loaded =
         Universe.serialize u |> Result.get_ok
         |> Universe.deserialize (Universe.spec u)
